@@ -69,8 +69,6 @@ return <person><name>{$person/name/text()}</name></person>
 
 #: Generator profile each query runs against by default.
 QUERY_PROFILES: Dict[str, str] = {name: "xmark-lite" for name in CORPUS_QUERIES}
-QUERY_PROFILES["fourstar"] = "xmark-lite"
-QUERY_PROFILES["deepdup"] = "xmark-lite"
 
 
 @dataclass(frozen=True)

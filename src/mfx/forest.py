@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 #: Reserved label for the concatenation symbol in binary trees.  It never
 #: appears as a forest label.
@@ -68,15 +68,6 @@ def node_count(f: Forest) -> int:
         total += 1
         stack.extend(t.children)
     return total
-
-
-def iter_nodes(f: Forest) -> Iterator[Tree]:
-    """All nodes of the forest in document (pre-) order."""
-    stack = list(reversed(f))
-    while stack:
-        t = stack.pop()
-        yield t
-        stack.extend(reversed(t.children))
 
 
 def check_forest(f: Forest) -> list:

@@ -127,31 +127,6 @@ class Mft:
     def copy(self) -> "Mft":
         return Mft(self.states, self.sigma, self.initial, self.rules)
 
-    def rank(self, state: str) -> int:
-        return self.states[state]
-
-    def params(self, state: str) -> int:
-        return self.states[state] - 1
-
-    def rules_of(self, state: str) -> List[Rule]:
-        return [r for (q, _), r in sorted(self.rules.items(),
-                                          key=lambda kv: _guard_order(kv[0][1]))
-                if q == state]
-
-    def select(self, state: str, g: Forest) -> Rule:
-        """The unique applicable rule of ``state`` on forest ``g``."""
-        if not g:
-            return self.rules[(state, EPS)]
-        head = g[0]
-        r = self.rules.get((state, Guard.sym(head.label)))
-        if r is not None:
-            return r
-        if head.kind is NodeKind.TEXT:
-            r = self.rules.get((state, TEXT))
-            if r is not None:
-                return r
-        return self.rules[(state, DEFAULT)]
-
     def total_params(self) -> int:
         return sum(r - 1 for r in self.states.values())
 
@@ -163,6 +138,27 @@ class Mft:
 def _guard_order(g: Guard):
     k = {"sym": 0, "text": 1, "default": 2, "eps": 3}[g.kind]
     return (k, g.label or "")
+
+
+_SLOT = {"text": 1, "default": 2, "eps": 3}
+
+
+def dispatch_table(m: Mft) -> Dict[str, tuple]:
+    """Rule selection as one dict lookup, shared by both interpreters:
+    ``state -> (syms, on_text, on_other, on_eps)``.  On a forest with head
+    node n the state applies ``syms.get(n.label, on_text if n is a text
+    node else on_other)``, on the empty forest ``on_eps``; each is a rule
+    body, or None where the state lacks the rule.  Build it per run, since
+    ``m.rules`` may still be edited after construction."""
+    rows: Dict[str, list] = {}
+    for (q, g), rule in m.rules.items():
+        row = rows.setdefault(q, [{}, None, None, None])
+        if g.kind == "sym":
+            row[0][g.label] = rule.rhs
+        else:
+            row[_SLOT[g.kind]] = rule.rhs
+    return {q: (syms, dflt if text is None else text, dflt, eps)
+            for q, (syms, text, dflt, eps) in rows.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +264,7 @@ def evaluate(m: Mft, f: Forest, stay_budget: Optional[int] = None) -> Forest:
     """
     if stay_budget is None:
         stay_budget = max(100, 10 * size(m))
+    table = dispatch_table(m)
 
     out: List[Tree] = []
     # ops: ("seq", rhs, env, acc) expand items in order into acc
@@ -323,25 +320,26 @@ def evaluate(m: Mft, f: Forest, stay_budget: Optional[int] = None) -> Forest:
                     stack.append(("seq", arg, env, slot))
         elif tag == "apply":
             _, state, g, slots, acc, stay = op
-            rule = m.select(state, g)
+            syms, on_text, on_other, on_eps = table[state]
             params = tuple(tuple(s) if isinstance(s, list) else s
                            for s in slots)
             if not g:
+                rhs = on_eps
                 env = _Env(g, None, None, params, None, stay)
             else:
                 head = g[0]
+                rhs = syms.get(head.label, on_text
+                               if head.kind is NodeKind.TEXT else on_other)
                 env = _Env(g, head.children, g[1:], params, head, stay)
-            stack.append(("seq", rule.rhs, env, acc))
+            if rhs is None:
+                raise ValueError("state %s has no rule to apply" % state)
+            stack.append(("seq", rhs, env, acc))
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # Classification and size
 # ---------------------------------------------------------------------------
-
-#: Ordered classes: each is contained in the next.
-CLASSES = ("TT", "FT", "MTT", "MFT")
-
 
 def is_tree_rhs(rhs: Rhs) -> bool:
     """True iff the rhs is a single tree whose alphabet nodes are binary in
@@ -366,10 +364,6 @@ def classify(m: Mft) -> str:
     if rank1:
         return "TT" if tree else "FT"
     return "MTT" if tree else "MFT"
-
-
-def class_at_most(m: Mft, cls: str) -> bool:
-    return CLASSES.index(classify(m)) <= CLASSES.index(cls)
 
 
 def lhs_size(m: Mft, rule: Rule) -> int:
@@ -496,7 +490,6 @@ def parse_mft(text: str) -> Mft:
     rules: Dict[Tuple[str, Guard], Rule] = {}
     states: Dict[str, int] = {}
     initial = None
-    order: List[str] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -575,8 +568,6 @@ def parse_mft(text: str) -> Mft:
             if (state, g) in rules:
                 sc.err("duplicate rule for %s/%s" % (state, g))
             rules[(state, g)] = Rule(state, g, rhs)
-        if state not in order:
-            order.append(state)
 
     if initial is None:
         raise MftSyntaxError("no rules", 0)
@@ -614,11 +605,15 @@ def print_mft(m: Mft) -> str:
     lines = []
     if m.sigma:
         lines.append("# sigma: " + " ".join(sorted(m.sigma)))
+    rules_of: Dict[str, List[Rule]] = {}
+    for (q, g), rule in sorted(m.rules.items(),
+                               key=lambda kv: _guard_order(kv[0][1])):
+        rules_of.setdefault(q, []).append(rule)
     state_order = [m.initial] + sorted(q for q in m.states if q != m.initial)
     for q in state_order:
         nparams = m.states[q] - 1
         ys = "".join(", y%d" % i for i in range(1, nparams + 1))
-        for rule in m.rules_of(q):
+        for rule in rules_of.get(q, ()):
             g = rule.guard
             if g.kind == "eps":
                 lhs = "%s(eps%s)" % (q, ys)

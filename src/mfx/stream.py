@@ -7,10 +7,13 @@ the output, over an input buffer that materialises lazily:
   a push builder as events arrive.  A cursor is simply a cell reference;
   reading it either yields the node (its label and kind are known as soon
   as its start event arrived), the end of the level, or "not yet".
+* Rules are selected through a per-state dispatch table
+  (:func:`mfx.mft.dispatch_table`): one dict lookup per rule application.
 * Work sits on an explicit task stack, so input depth and output size
   never touch the Python recursion limit, and the engine can stop
-  mid-expression when it needs unread input: the blocking task is pushed
-  back and retried after the next event.
+  mid-expression when it needs unread input.  The blocking task stays on
+  top of the stack and the engine records the cell it waits on; events
+  that neither fill nor close that cell only extend the buffer.
 * Call arguments become suspensions, forced only if their parameter is
   actually used (call by need) and memoised so shared arguments are
   evaluated at most once.
@@ -23,19 +26,19 @@ subtree is exactly one whose cell is still reachable from a live
 suspension or environment, so an optimized transducer that drops its
 whole-document parameter scans in bounded memory, while the unoptimized
 one keeps the document alive through that parameter.  ``StreamStats``
-tracks the peak number of live buffered nodes (via weak references) and
-of live suspensions, which is what the benchmark harness reports.
+tracks the peak number of live buffered nodes and of live suspensions,
+counted up on creation and down in ``__del__``; this is what the
+benchmark harness reports.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .forest import Forest, NodeKind, Tree
-from .mft import Call, Guard, Mft, Node, Param, Rhs, size
+from .mft import Mft, Node, Param, Rhs, dispatch_table, size
 from .xmlio import (END, EOF, Eof, End, EventSink, StartAttribute,
                     StartElement, Text, XmlEvent)
 
@@ -80,23 +83,41 @@ _CLOSED = _Cell()
 _CLOSED.closed = True
 
 
+class _Live:
+    """Number of live objects of one kind in one run."""
+
+    __slots__ = ("n",)
+
+    def __init__(self):
+        self.n = 0
+
+
 class _INode:
     """A buffered input node; children is the head cell of its child chain."""
 
-    __slots__ = ("label", "kind", "children", "__weakref__")
+    __slots__ = ("label", "kind", "children", "live")
 
-    def __init__(self, label: str, kind: NodeKind, children: _Cell):
+    def __init__(self, label: str, kind: NodeKind, children: _Cell,
+                 live: _Live):
         self.label = label
         self.kind = kind
         self.children = children
+        self.live = live
+        live.n += 1
+
+    def __del__(self):
+        self.live.n -= 1
+
+
+_ELEMENT, _ATTRIBUTE = NodeKind.ELEMENT, NodeKind.ATTRIBUTE
+_TEXT = NodeKind.TEXT
 
 
 class _Buffer:
     """Builds the cell structure from events and counts live nodes."""
 
-    def __init__(self, stats: StreamStats):
-        self.stats = stats
-        self._alive = 0
+    def __init__(self):
+        self.live = _Live()
         # the root cell is handed to the engine's initial task; holding it
         # here would pin the whole document
         root = _Cell()
@@ -108,37 +129,22 @@ class _Buffer:
         root, self._root = self._root, None
         return root
 
-    def _dec(self):
-        self._alive -= 1
-
-    def _new_node(self, label: str, kind: NodeKind, children: _Cell) -> _INode:
-        node = _INode(label, kind, children)
-        self._alive += 1
-        weakref.finalize(node, self._dec)
-        return node
-
-    def note_peak(self):
-        if self._alive > self.stats.peak_nodes:
-            self.stats.peak_nodes = self._alive
-
     def feed(self, ev: XmlEvent):
-        if isinstance(ev, (StartElement, StartAttribute)):
-            kind = (NodeKind.ELEMENT if isinstance(ev, StartElement)
-                    else NodeKind.ATTRIBUTE)
+        t = type(ev)
+        if t is StartElement or t is StartAttribute:
             kids = _Cell()
             tail = self._tails[-1]
-            tail.tree = self._new_node(ev.name, kind, kids)
-            tail.next = _Cell()
-            self._tails[-1] = tail.next
+            tail.tree = _INode(ev.name, _ELEMENT if t is StartElement
+                               else _ATTRIBUTE, kids, self.live)
+            tail.next = self._tails[-1] = _Cell()
             self._tails.append(kids)
-        elif isinstance(ev, Text):
-            tail = self._tails[-1]
-            tail.tree = self._new_node(ev.content, NodeKind.TEXT, _CLOSED)
-            tail.next = _Cell()
-            self._tails[-1] = tail.next
-        elif isinstance(ev, End):
+        elif t is End:
             self._tails.pop().closed = True
-        elif isinstance(ev, Eof):
+        elif t is Text:
+            tail = self._tails[-1]
+            tail.tree = _INode(ev.content, _TEXT, _CLOSED, self.live)
+            tail.next = self._tails[-1] = _Cell()
+        elif t is Eof:
             if len(self._tails) != 1:
                 raise EngineError("input ended with %d open elements"
                                   % (len(self._tails) - 1))
@@ -155,14 +161,17 @@ class _Susp:
     """A pending right-hand-side expression closed over an environment.
     Forced at most once; the result forest is cached."""
 
-    __slots__ = ("rhs", "env", "cache", "__weakref__")
+    __slots__ = ("rhs", "env", "cache", "live")
 
-    def __init__(self, rhs: Rhs, env: "_Env", engine: "Engine"):
+    def __init__(self, rhs: Rhs, env: "_Env", live: _Live):
         self.rhs = rhs
         self.env = env
         self.cache: Optional[Forest] = None
-        engine._live_susps += 1
-        weakref.finalize(self, engine._dec_susp)
+        self.live = live
+        live.n += 1
+
+    def __del__(self):
+        self.live.n -= 1
 
 
 class _Env:
@@ -199,18 +208,18 @@ _SINK = None
 class Engine:
     def __init__(self, m: Mft, stay_budget: Optional[int] = None):
         self.m = m
+        self.table = dispatch_table(m)
         self.stay_budget = stay_budget or max(100, 10 * size(m))
         self.stats = StreamStats()
-        self.buffer = _Buffer(self.stats)
-        self._live_susps = 0
+        self.buffer = _Buffer()
+        self._susps = _Live()
         self._emitted: List[XmlEvent] = []
         self._text_run: Optional[List[str]] = None
         self.stack: List[tuple] = [
             (_APPLY, m.initial, self.buffer.take_root(), (), _SINK, 0)]
+        #: the cell the task on top of the stack waits on, if it is blocked
+        self._waiting: Optional[_Cell] = None
         self.finished = False
-
-    def _dec_susp(self):
-        self._live_susps -= 1
 
     # -- output ---------------------------------------------------------------
 
@@ -238,15 +247,20 @@ class Engine:
 
     def step(self, ev: XmlEvent) -> List[XmlEvent]:
         """Feed one input event; return the output events it unlocked."""
-        if isinstance(ev, Eof) and self.buffer.done:
+        if type(ev) is Eof and self.buffer.done:
             return []
-        self.stats.events_in += 1
+        stats = self.stats
+        stats.events_in += 1
         self.buffer.feed(ev)
-        self.buffer.note_peak()
-        self._drive()
-        self.buffer.note_peak()
-        if self._live_susps > self.stats.peak_suspensions:
-            self.stats.peak_suspensions = self._live_susps
+        if self.buffer.live.n > stats.peak_nodes:
+            stats.peak_nodes = self.buffer.live.n
+        # _drive creates no buffered nodes, so the peak above is final; and
+        # while the cell it blocked on is empty, nothing on the stack can run
+        wait = self._waiting
+        if wait is None or wait.tree is not None or wait.closed:
+            self._drive()
+            if self._susps.n > stats.peak_suspensions:
+                stats.peak_suspensions = self._susps.n
         if self.buffer.done and not self.stack:
             self._flush_text()
             if not self.finished:
@@ -256,39 +270,32 @@ class Engine:
         self._emitted = []
         return out
 
-    def _peek(self, cell: _Cell):
-        """(node, next) or "eps" or None (= need more input)."""
-        if cell.tree is not None:
-            return cell
-        if cell.closed:
-            return "eps"
-        return None
-
     def _drive(self):
         stack = self.stack
-        m = self.m
+        table = self.table
+        self._waiting = None
         while stack:
             task = stack.pop()
             tag = task[0]
             if tag == _APPLY:
                 _, state, cell, params, target, stay = task
-                got = self._peek(cell)
-                if got is None:
-                    stack.append(task)
-                    return  # blocked on unread input
-                if got == "eps":
-                    rule = m.rules[(state, _G_EPS)]
-                    env = _Env(cell, None, None, params, None, None, stay)
-                else:
-                    node = cell.tree
-                    rule = m.rules.get((state, Guard.sym(node.label)))
-                    if rule is None and node.kind is NodeKind.TEXT:
-                        rule = m.rules.get((state, _G_TEXT))
-                    if rule is None:
-                        rule = m.rules[(state, _G_DEFAULT)]
+                node = cell.tree
+                if node is not None:
+                    syms, on_text, on_other, _ = table[state]
+                    rhs = syms.get(node.label, on_text if node.kind is _TEXT
+                                   else on_other)
                     env = _Env(cell, node.children, cell.next, params,
                                node.label, node.kind, stay)
-                self._push_seq(rule.rhs, env, target)
+                elif cell.closed:
+                    rhs = table[state][3]
+                    env = _Env(cell, None, None, params, None, None, stay)
+                else:
+                    stack.append(task)
+                    self._waiting = cell
+                    return  # blocked on unread input
+                if rhs is None:
+                    raise EngineError("state %s has no rule to apply" % state)
+                self._push_seq(rhs, env, target)
             elif tag == _NODE:
                 _, label, kind, children, env, target = task
                 if target is _SINK:
@@ -331,24 +338,21 @@ class Engine:
         reference to it (their children may move from the current node)."""
         tasks: List[tuple] = []
         for it in rhs:
-            if isinstance(it, Param):
+            t = type(it)
+            if t is Param:
                 v = env.params[it.index - 1]
-                if isinstance(v, _Susp):
+                if type(v) is _Susp:
                     tasks.append((_FORCE, v, target))
                 elif v:
                     tasks.append((_EMITF, v, target))
-            elif isinstance(it, Node):
+            elif t is Node:
                 label, kind = it.label, it.kind
                 if label is None:
                     if env.label is None:
                         raise EngineError("dynamic label with no current node")
                     label, kind = env.label, env.kind
-                if kind is NodeKind.TEXT:
-                    # text output nodes are leaves; their child expressions
-                    # are empty by construction
-                    tasks.append((_EMITF, (Tree(label, NodeKind.TEXT, ()),),
-                                  target))
-                elif not it.children:
+                if kind is _TEXT or not it.children:
+                    # a leaf (text output nodes have no child expressions)
                     tasks.append((_EMITF, (Tree(label, kind, ()),), target))
                 else:
                     tasks.append((_NODE, label, kind, it.children, env, target))
@@ -366,10 +370,10 @@ class Engine:
     def _param_value(self, arg: Rhs, env: _Env):
         if not arg:
             return ()
-        if len(arg) == 1 and isinstance(arg[0], Param):
+        if len(arg) == 1 and type(arg[0]) is Param:
             # pass-through: share the caller's value (and its memo)
             return env.params[arg[0].index - 1]
-        return _Susp(arg, env, self)
+        return _Susp(arg, env, self._susps)
 
     def _emit_forest(self, forest: Forest, target):
         if target is _SINK:
@@ -387,11 +391,6 @@ class Engine:
         for c in t.children:
             self._emit_tree(c)
         self._out(END)
-
-
-_G_EPS = Guard("eps")
-_G_TEXT = Guard("text")
-_G_DEFAULT = Guard("default")
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,8 @@ def read_events(source, keep_whitespace: bool = False) -> EventSource:
                     "XML parse error at line %d, column %d: %s"
                     % (e.lineno, e.offset, str(e))
                 ) from None
-            while pending:
-                yield pending.pop(0)
+            yield from pending
+            pending.clear()
             if not chunk:
                 yield EOF
                 return

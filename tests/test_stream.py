@@ -4,15 +4,15 @@ import random
 import pytest
 
 from mfx.compile import compile_text
-from mfx.forest import elem
-from mfx.mft import evaluate, parse_mft
+from mfx.forest import elem, text
+from mfx.mft import EPS, evaluate, parse_mft
 from mfx.optimize import optimize
 from mfx.stream import Engine, EngineError, measure, stream_bytes, stream_run
 from mfx.xmlio import (EOF, End, StartElement, Text, bytes_to_forest,
                        forest_events, forest_to_bytes, read_events, sink_to)
 
 from conftest import DOC1, DOC2
-from util import random_forest, random_mft, run_bytes
+from util import random_forest, random_ft, random_mft, random_tt, run_bytes
 
 IDENTITY_QUERY = "<out>{$input/node()}</out>"
 
@@ -146,3 +146,96 @@ def test_suspensions_are_shared(m_person):
     # peak suspension count stays small
     _, stats = stream_bytes(m_person, DOC1)
     assert stats.peak_suspensions <= 8
+
+
+#: (peak_nodes, peak_suspensions, events_out, output bytes) of every corpus
+#: query, optimized, over generate_bytes("xmark-lite", 5000, 0), as the
+#: engine with finalizer-based liveness counting measured them
+BOUNDED_MEMORY = {
+    "q01": (7, 2, 3, 23),
+    "q02": (1, 0, 903, 6011),
+    "q04": (21, 13, 5, 43),
+    "q13": (5, 0, 1192, 11223),
+    "q16": (14, 10, 478, 4447),
+    "q17": (7, 2, 312, 2175),
+    "double": (4302, 0, 14548, 149446),
+    "fourstar": (9, 0, 15643, 153770),
+    "deepdup": (1684, 0, 14560, 149492),
+}
+
+
+def test_corpus_peaks_and_output_sizes_are_pinned():
+    from mfx.bench import CORPUS_QUERIES
+    from mfx.gen import generate_bytes
+    doc = generate_bytes("xmark-lite", 5000, 0)
+    got = {}
+    for name, query in CORPUS_QUERIES.items():
+        out, st = stream_bytes(optimize(compile_text(query)), doc)
+        got[name] = (st.peak_nodes, st.peak_suspensions, st.events_out,
+                     len(out))
+    assert got == BOUNDED_MEMORY
+
+
+def _per_step_outputs(m, events, force_drive):
+    eng = Engine(m)
+    steps = []
+    for ev in events:
+        if force_drive:
+            eng._waiting = None  # run the task stack on every event
+        steps.append(eng.step(ev))
+    st = eng.stats
+    return steps, (st.events_out, st.peak_nodes, st.peak_suspensions)
+
+
+def _assert_skip_is_transparent(m, events):
+    assert (_per_step_outputs(m, events, False)
+            == _per_step_outputs(m, events, True))
+
+
+def test_waiting_on_a_cell_does_not_delay_output():
+    # the engine only resumes when the cell it blocked on is filled or
+    # closed; every output event must still leave on the same step
+    from mfx.bench import CORPUS_QUERIES
+    from mfx.gen import generate_bytes
+    events = list(read_events(generate_bytes("xmark-lite", 900, seed=5)))
+    for query in CORPUS_QUERIES.values():
+        _assert_skip_is_transparent(optimize(compile_text(query)), events)
+    rng = random.Random(93)
+    for _ in range(20):
+        for m in (random_ft(rng), random_tt(rng), random_mft(rng)):
+            f = random_forest(rng, budget=12)
+            _assert_skip_is_transparent(m, list(forest_events(f)) + [EOF])
+
+
+def test_symbol_rule_beats_text_guard_in_both_interpreters():
+    # symbol rules match by label whatever the node kind; a state without a
+    # text rule sends unmatched text nodes to its default rule
+    m = parse_mft("""\
+q(%) -> p(x0) d(x0)
+p(person0(x1)x2) -> sym() p(x2)
+p(%text(x1)x2) -> txt() p(x2)
+p(%t(x1)x2) -> other() p(x2)
+p(eps) -> eps
+d(person0(x1)x2) -> sym() d(x2)
+d(%t(x1)x2) -> other() d(x2)
+d(eps) -> eps
+""")
+    f = (text("person0"), elem("person0"), text("nope"), elem("nope"))
+    want = tuple(elem(x) for x in ("sym", "sym", "txt", "other",
+                                   "sym", "sym", "other", "other"))
+    assert evaluate(m, f) == want
+    out = io.BytesIO()
+    stream_run(m, iter(list(forest_events(f)) + [EOF]), sink_to(out))
+    assert out.getvalue() == forest_to_bytes(want)
+
+
+def test_missing_eps_rule_fails_with_typed_error():
+    m = parse_mft("""\
+q(%t(x1)x2) -> %t(q(x1)) q(x2)
+q(eps) -> eps
+""")
+    del m.rules[("q", EPS)]
+    with pytest.raises(EngineError, match="state q"):
+        stream_bytes(m, b"<a/>")
+    with pytest.raises(ValueError, match="state q"):
+        evaluate(m, (elem("a"),))

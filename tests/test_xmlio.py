@@ -114,3 +114,17 @@ def test_reading_is_incremental():
     for _ in range(10):
         next(events)
     assert src.consumed < 65_536
+
+
+def test_events_keep_order_across_chunks_and_errors_keep_position():
+    body = b"".join(b"<i>%d</i>\n" % k for k in range(2000))
+    good = list(read_events(b"<r>" + body + b"</r>"))
+    items = [ev for k in range(2000)
+             for ev in (StartElement("i"), Text(str(k)), END)]
+    assert good == [StartElement("r")] + items + [END, EOF]
+    got = []
+    with pytest.raises(XmlError, match="line 2001, column 2"):
+        for ev in read_events(b"<r>" + body + b"</x>"):
+            got.append(ev)
+    # whole chunks before the malformed one were delivered, in order
+    assert got and got == good[:len(got)]
