@@ -21,7 +21,7 @@ import sys
 from . import bench as B
 from . import gen as G
 from .compile import compile_text
-from .compose import compose
+from .compose import MODES, compose
 from .forest import coalesce_text
 from .mft import evaluate, parse_mft, print_mft, size, validate
 from .optimize import optimize
@@ -185,9 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="fuse two rule files")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--mode", required=True,
-                   choices=["tt-tt", "mtt-tt", "tt-mtt", "mtt-ft", "tt-ft",
-                            "ft-tt"])
+    p.add_argument("--mode", required=True, choices=list(MODES))
     p.add_argument("-o", "--output", help="rule file (default stdout)")
     p.set_defaults(fn=cmd_compose)
 

@@ -13,14 +13,28 @@ transducer whose right-hand sides are tree shaped (:func:`mfx.mft.is_tree_rhs`).
   only for ``@``, the default case and the empty forest.
 * :func:`ft_to_mtt` rewrites a parameter-free transducer into tree shape
   by threading a continuation parameter ("the rest of my output").
-* The composition constructions pair states of the second transducer with
-  the rules of the first: ``(q,p)`` enters a walker that runs the second
-  transducer over the first one's right-hand side node by node, using stay
-  moves, so composed rules stay small (no exponential blow-up).  Alphabet
+* The pairing constructions :func:`compose_tt_tt`, :func:`compose_mtt_tt`
+  and :func:`compose_tt_mtt` are one walker product (Perst and Seidl's
+  construction for macro forest transducers).  For an m1 state q and an
+  m2 state p, the entry state ``(q,p)`` starts, for every rule of q, a
+  walker at the root of the rule's right-hand side.  The walker at
+  address u in m2 state p applies m2's rule for the output node at u and
+  turns m2's moves into stay moves to the walkers at u.1 and u.2, so
+  composed rules stay small (no exponential blow-up); a call of m1 at u
+  becomes a call of the entry state for the called state and p.  Alphabet
   completion first specialises the first transducer's default rules for
   every symbol the second one distinguishes (plus a text-guard copy when
   the second has text rules), so a default rule never hides a label the
   walker would need to know.
+* At most one operand of the product has parameters.  With n the number
+  of m2 states, every entry state and walker for (q,p) has rank
+  ``1 + (rank1(q) - 1)·n + (rank2(p) - 1)``, where only one term is ever
+  non-zero: m1's parameter j, met while walking in the i-th m2 state,
+  resolves to copy (j-1)·n + i, and m2's parameters come after the copies.
+  A call to a walker passes the m1-parameter copies, then the current m2
+  state's parameters (for one of m2's calls, its translated arguments).
+  A call into m1 passes one translated argument per (argument, m2 state),
+  each a walker over that argument, then m2's parameters.
 
 Sizes are tracked in a :class:`CompositionReport` so the
 O(|Σ| |M1| |M2|) bounds can be checked empirically.
@@ -34,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .forest import CONCAT, NodeKind
 from .mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rhs, Rule,
-                  TEXT, is_tree_rhs, size, validate)
+                  TEXT, _guard_order, is_tree_rhs, size, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +210,18 @@ def bview_nodes(bv: _BV) -> List[_BV]:
 # ---------------------------------------------------------------------------
 
 
-def _instantiate_copy(rhs: Rhs, label: str) -> Rhs:
-    """Replace dynamic-label outputs by a static element label."""
+def _instantiate(rhs: Rhs, label: str,
+                 kind: NodeKind = NodeKind.ELEMENT) -> Rhs:
+    """Replace dynamic-label (``%t``) outputs by a static label of a kind."""
     out: List = []
     for it in rhs:
         if isinstance(it, Node):
-            lab = label if it.label is None else it.label
-            kind = NodeKind.ELEMENT if it.label is None else it.kind
-            out.append(Node(lab, kind, _instantiate_copy(it.children, label)))
+            lab, k = (label, kind) if it.label is None else (it.label, it.kind)
+            out.append(Node(lab, k, _instantiate(it.children, label, kind)))
         elif isinstance(it, Call):
             out.append(Call(it.state, it.var,
-                            tuple(_instantiate_copy(a, label) for a in it.args)))
+                            tuple(_instantiate(a, label, kind)
+                                  for a in it.args)))
         else:
             out.append(it)
     return tuple(out)
@@ -226,68 +241,36 @@ def complete_alphabet(m1: Mft, m2: Mft) -> Mft:
         for a in labels:
             if (q, Guard.sym(a)) not in m1.rules:
                 m1.rules[(q, Guard.sym(a))] = Rule(
-                    q, Guard.sym(a), _instantiate_copy(dflt.rhs, a))
+                    q, Guard.sym(a), _instantiate(dflt.rhs, a))
         if need_text and (q, TEXT) not in m1.rules:
             m1.rules[(q, TEXT)] = Rule(q, TEXT, dflt.rhs)
     m1.sigma = frozenset(m1.sigma | set(labels))
     return m1
 
 
-def _rule_for_static(m2: Mft, p: str, label: str, kind: NodeKind) -> Rhs:
-    """m2's applicable rhs at a static output node, with dynamic copies
-    instantiated."""
-    r = m2.rules.get((p, Guard.sym(label)))
-    if r is not None:
-        return r.rhs
-    if kind is NodeKind.TEXT:
-        r = m2.rules.get((p, TEXT))
+def _m2_rhs(m2: Mft, p: str, bv: _BV, guard: Guard) -> Rhs:
+    """m2's applicable rhs in state p at the output position ``bv`` of an
+    m1 rule with the given guard.  A static node takes m2's rule for its
+    label, else (text nodes) m2's text rule, else m2's default rule with
+    its dynamic copies instantiated; a dynamic node takes m2's text rule
+    under a text guard, else m2's default rule as it is."""
+    if bv.kind == "eps":
+        return m2.rules[(p, EPS)].rhs
+    if bv.label is None:
+        is_text = guard.kind == "text"
+    else:
+        r = m2.rules.get((p, Guard.sym(bv.label)))
         if r is not None:
             return r.rhs
+        is_text = bv.nodekind is NodeKind.TEXT
+    if is_text and (p, TEXT) in m2.rules:
+        return m2.rules[(p, TEXT)].rhs
     rhs = m2.rules[(p, DEFAULT)].rhs
-    out: List = []
-    for it in rhs:
-        if isinstance(it, Node) and it.label is None:
-            out.append(Node(label, kind, _instantiate_static(it.children,
-                                                             label, kind)))
-        elif isinstance(it, Node):
-            out.append(Node(it.label, it.kind,
-                            _instantiate_static(it.children, label, kind)))
-        elif isinstance(it, Call):
-            out.append(Call(it.state, it.var,
-                            tuple(_instantiate_static(a, label, kind)
-                                  for a in it.args)))
-        else:
-            out.append(it)
-    return tuple(out)
-
-
-def _instantiate_static(rhs: Rhs, label: str, kind: NodeKind) -> Rhs:
-    out: List = []
-    for it in rhs:
-        if isinstance(it, Node):
-            lab, k = (label, kind) if it.label is None else (it.label, it.kind)
-            out.append(Node(lab, k, _instantiate_static(it.children, label, kind)))
-        elif isinstance(it, Call):
-            out.append(Call(it.state, it.var,
-                            tuple(_instantiate_static(a, label, kind)
-                                  for a in it.args)))
-        else:
-            out.append(it)
-    return tuple(out)
-
-
-def _rule_for_dynamic(m2: Mft, p: str, guard: Guard) -> Rhs:
-    """m2's applicable rhs at a dynamic-label output node under the given
-    first-transducer guard (text nodes take m2's text rule if any)."""
-    if guard.kind == "text":
-        r = m2.rules.get((p, TEXT))
-        if r is not None:
-            return r.rhs
-    return m2.rules[(p, DEFAULT)].rhs
+    return rhs if bv.label is None else _instantiate(rhs, bv.label, bv.nodekind)
 
 
 # ---------------------------------------------------------------------------
-# Composition constructions
+# The walker product
 # ---------------------------------------------------------------------------
 
 
@@ -315,266 +298,117 @@ def _require_rank1(m: Mft, who: str):
         raise ValueError("%s must be parameter-free" % who)
 
 
-def _rule_order(m: Mft):
-    def key(kv):
-        (q, g), _ = kv
-        return (q, {"sym": 0, "text": 1, "default": 2, "eps": 3}[g.kind],
-                g.label or "")
-    return sorted(m.rules.items(), key=key)
+def _params(first: int, last: int) -> Tuple[Rhs, ...]:
+    return tuple((Param(i),) for i in range(first, last + 1))
 
 
-class _Product:
-    """Shared bookkeeping for the pairing constructions."""
-
-    def __init__(self, m1: Mft, m2: Mft):
-        self.m1 = m1
-        self.m2 = m2
-        self.states: Dict[str, int] = {}
-        self.rules: Dict[Tuple[str, Guard], Rule] = {}
-        self.entry_names: Dict[Tuple[str, str], str] = {}
-        self.walker_names: Dict[Tuple, str] = {}
-        self.counter = 0
-
-    def fresh(self, prefix: str, rank: int) -> str:
-        name = "%s%d" % (prefix, self.counter)
-        self.counter += 1
-        self.states[name] = rank
-        return name
-
-    def add(self, state: str, guard: Guard, rhs: Rhs):
-        self.rules[(state, guard)] = Rule(state, guard, rhs)
-
-    def pad(self, state: str, live: Guard):
-        if live.kind != "default" and (state, DEFAULT) not in self.rules:
-            self.add(state, DEFAULT, ())
-        if live.kind != "eps" and (state, EPS) not in self.rules:
-            self.add(state, EPS, ())
-
-    def finish(self, initial: str, sigma) -> Mft:
-        m = Mft(self.states, sigma, initial, self.rules)
-        problems = validate(m)
-        if problems:
-            raise AssertionError("composition produced an invalid "
-                                 "transducer: " + "; ".join(problems))
-        return m
-
-
-def compose_tt_tt(m1: Mft, m2: Mft) -> Mft:
-    """One transducer running both: first m1, then m2 over m1's output,
-    realised by walking m1's right-hand sides with m2's states via stay
-    moves.  Both operands must be parameter-free and tree shaped."""
-    _require_rank1(m1, "first operand")
+def _pair(m1: Mft, m2: Mft) -> Mft:
+    """The walker product of two tree-shaped transducers, at most one of
+    which has parameters (see the module docstring)."""
     _require_tree(m1, "first operand")
-    _require_rank1(m2, "second operand")
     _require_tree(m2, "second operand")
-    m1c = complete_alphabet(m1, m2)
-    prod = _Product(m1c, m2)
-    p_list = sorted(m2.states)
-
-    def entry(q: str, p: str) -> str:
-        key = (q, p)
-        if key not in prod.entry_names:
-            prod.entry_names[key] = prod.fresh("c", 1)
-        return prod.entry_names[key]
-
-    def walker(rkey, addr, p) -> str:
-        key = (rkey, addr, p)
-        if key not in prod.walker_names:
-            prod.walker_names[key] = prod.fresh("w", 1)
-        return prod.walker_names[key]
-
-    def subst(rhs: Rhs, rkey, u) -> Rhs:
-        out: List = []
-        for it in rhs:
-            if isinstance(it, Node):
-                out.append(Node(it.label, it.kind, subst(it.children, rkey, u)))
-            elif isinstance(it, Call):
-                addr = u if it.var == 0 else u + (it.var,)
-                out.append(Call(walker(rkey, addr, it.state), 0))
-            else:
-                raise AssertionError("parameter in a TT rule")
-        return tuple(out)
-
-    for (rkey, rule) in _rule_order(m1c):
-        g = rule.guard
-        view = bview(rule.rhs)
-        for bv in bview_nodes(view):
-            for p in p_list:
-                w = walker(rkey, bv.addr, p)
-                if bv.kind == "call":
-                    rhs: Rhs = (Call(entry(bv.state, p), bv.var),)
-                elif bv.kind == "eps":
-                    rhs = subst(m2.rules[(p, EPS)].rhs, rkey, bv.addr)
-                elif bv.label is None:
-                    rhs = subst(_rule_for_dynamic(m2, p, g), rkey, bv.addr)
-                else:
-                    rhs = subst(_rule_for_static(m2, p, bv.label, bv.nodekind),
-                                rkey, bv.addr)
-                prod.add(w, g, rhs)
-                prod.pad(w, g)
-    for q in sorted(m1c.states):
-        for p in p_list:
-            e = entry(q, p)
-            for (rkey, rule) in _rule_order(m1c):
-                if rule.state != q:
-                    continue
-                prod.add(e, rule.guard,
-                         (Call(walker(rkey, (), p), 0),))
-    return prod.finish(entry(m1c.initial, m2.initial),
-                       m1c.sigma | m2.sigma)
-
-
-def compose_mtt_tt(m1: Mft, m2: Mft) -> Mft:
-    """First a transducer with parameters (tree shaped), then a
-    parameter-free one.  The walkers carry n translated copies of each of
-    m1's parameters (n = number of m2 states): parameter j seen while
-    walking in m2-state number i resolves to copy (j-1)n + i."""
-    _require_tree(m1, "first operand")
-    _require_rank1(m2, "second operand")
-    _require_tree(m2, "second operand")
-    m1c = complete_alphabet(m1, m2)
-    prod = _Product(m1c, m2)
+    m1 = complete_alphabet(m1, m2)
     p_list = sorted(m2.states)
     n = len(p_list)
     p_index = {p: i + 1 for i, p in enumerate(p_list)}
+    states: Dict[str, int] = {}
+    rules: Dict[Tuple[str, Guard], Rule] = {}
+    names: Dict[Tuple, str] = {}
 
-    def mn(q: str) -> int:
-        return (m1c.states[q] - 1) * n
-
-    def passthrough(count: int) -> Tuple[Rhs, ...]:
-        return tuple((Param(i),) for i in range(1, count + 1))
+    def fresh(key: Tuple, q: str, p: str) -> str:
+        if key not in names:
+            names[key] = name = "%s%d" % (key[0], len(names))
+            states[name] = 1 + (m1.states[q] - 1) * n + (m2.states[p] - 1)
+        return names[key]
 
     def entry(q: str, p: str) -> str:
-        key = (q, p)
-        if key not in prod.entry_names:
-            prod.entry_names[key] = prod.fresh("c", 1 + mn(q))
-        return prod.entry_names[key]
+        return fresh(("c", q, p), q, p)
 
     def walker(rkey, addr, p) -> str:
-        key = (rkey, addr, p)
-        if key not in prod.walker_names:
-            prod.walker_names[key] = prod.fresh("w", 1 + mn(rkey[0]))
-        return prod.walker_names[key]
+        return fresh(("w", rkey, addr, p), rkey[0], p)
 
-    def subst(rhs: Rhs, rkey, u, count) -> Rhs:
-        # rhs comes from m2 (parameter-free): rewire its moves to walkers
+    def subst(rhs: Rhs, rkey, u, copies) -> Rhs:
+        # rhs comes from m2: its moves become calls to walkers, and its
+        # parameters (only when m1 has none) stay where they are
         out: List = []
         for it in rhs:
             if isinstance(it, Node):
                 out.append(Node(it.label, it.kind,
-                                subst(it.children, rkey, u, count)))
+                                subst(it.children, rkey, u, copies)))
             elif isinstance(it, Call):
                 addr = u if it.var == 0 else u + (it.var,)
                 out.append(Call(walker(rkey, addr, it.state), 0,
-                                passthrough(count)))
+                                copies + tuple(subst(a, rkey, u, copies)
+                                               for a in it.args)))
             else:
-                raise AssertionError("parameter in a TT rule")
+                out.append(it)
         return tuple(out)
 
-    for (rkey, rule) in _rule_order(m1c):
-        g = rule.guard
-        q = rule.state
-        count = mn(q)
-        view = bview(rule.rhs)
-        for bv in bview_nodes(view):
-            for p in p_list:
-                w = walker(rkey, bv.addr, p)
-                if bv.kind == "param":
-                    rhs: Rhs = (Param((bv.index - 1) * n + p_index[p]),)
-                elif bv.kind == "call":
-                    args = tuple(
-                        (Call(walker(rkey, bv.args[j].addr, pp), 0,
-                              passthrough(count)),)
-                        for j in range(len(bv.args))
-                        for pp in p_list)
-                    rhs = (Call(entry(bv.state, p), bv.var, args),)
-                elif bv.kind == "eps":
-                    rhs = subst(m2.rules[(p, EPS)].rhs, rkey, bv.addr, count)
-                elif bv.label is None:
-                    rhs = subst(_rule_for_dynamic(m2, p, g), rkey, bv.addr,
-                                count)
-                else:
-                    rhs = subst(_rule_for_static(m2, p, bv.label, bv.nodekind),
-                                rkey, bv.addr, count)
-                prod.add(w, g, rhs)
-                prod.pad(w, g)
-    for q in sorted(m1c.states):
+    by_state: Dict[str, List[Tuple]] = {}
+    order = sorted(m1.rules.items(),
+                   key=lambda kv: (kv[0][0],) + _guard_order(kv[0][1]))
+    for rkey, rule in order:
+        by_state.setdefault(rule.state, []).append((rkey, rule))
+    for q, q_rules in by_state.items():
+        copies = _params(1, (m1.states[q] - 1) * n)
+        for rkey, rule in q_rules:
+            g = rule.guard
+            for bv in bview_nodes(bview(rule.rhs)):
+                for p in p_list:
+                    w = walker(rkey, bv.addr, p)
+                    if bv.kind == "param":
+                        rhs: Rhs = (Param((bv.index - 1) * n + p_index[p]),)
+                    elif bv.kind == "call":
+                        args = tuple((Call(walker(rkey, a.addr, pp), 0,
+                                           copies),)
+                                     for a in bv.args for pp in p_list)
+                        rhs = (Call(entry(bv.state, p), bv.var,
+                                    args + _params(len(copies) + 1,
+                                                   states[w] - 1)),)
+                    else:
+                        rhs = subst(_m2_rhs(m2, p, bv, g), rkey, bv.addr,
+                                    copies)
+                    # a walker has exactly one live rule
+                    rules[(w, g)] = Rule(w, g, rhs)
+                    for pad in (DEFAULT, EPS):
+                        if g.kind != pad.kind:
+                            rules[(w, pad)] = Rule(w, pad, ())
+    for q in sorted(m1.states):
         for p in p_list:
             e = entry(q, p)
-            for (rkey, rule) in _rule_order(m1c):
-                if rule.state != q:
-                    continue
-                prod.add(e, rule.guard,
-                         (Call(walker(rkey, (), p), 0, passthrough(mn(q))),))
-    return prod.finish(entry(m1c.initial, m2.initial),
-                       m1c.sigma | m2.sigma)
+            for rkey, rule in by_state.get(q, ()):
+                rules[(e, rule.guard)] = Rule(
+                    e, rule.guard,
+                    (Call(walker(rkey, (), p), 0, _params(1, states[e] - 1)),))
+    m = Mft(states, m1.sigma | m2.sigma, entry(m1.initial, m2.initial), rules)
+    problems = validate(m)
+    if problems:
+        raise AssertionError("composition produced an invalid transducer: "
+                             + "; ".join(problems))
+    return m
+
+
+def compose_tt_tt(m1: Mft, m2: Mft) -> Mft:
+    """One transducer running first m1, then m2 over m1's output.  Both
+    operands must be parameter-free and tree shaped."""
+    _require_rank1(m1, "first operand")
+    _require_rank1(m2, "second operand")
+    return _pair(m1, m2)
+
+
+def compose_mtt_tt(m1: Mft, m2: Mft) -> Mft:
+    """First a transducer with parameters, then a parameter-free one, both
+    tree shaped.  Walkers carry n translated copies of each of m1's
+    parameters (n = number of m2 states)."""
+    _require_rank1(m2, "second operand")
+    return _pair(m1, m2)
 
 
 def compose_tt_mtt(m1: Mft, m2: Mft) -> Mft:
-    """First a parameter-free tree-shaped transducer, then one with
-    parameters.  Walkers carry the current m2 state's own parameters."""
+    """First a parameter-free transducer, then one with parameters, both
+    tree shaped.  Walkers carry the current m2 state's own parameters."""
     _require_rank1(m1, "first operand")
-    _require_tree(m1, "first operand")
-    _require_tree(m2, "second operand")
-    m1c = complete_alphabet(m1, m2)
-    prod = _Product(m1c, m2)
-    p_list = sorted(m2.states)
-
-    def entry(q: str, p: str) -> str:
-        key = (q, p)
-        if key not in prod.entry_names:
-            prod.entry_names[key] = prod.fresh("c", m2.states[p])
-        return prod.entry_names[key]
-
-    def walker(rkey, addr, p) -> str:
-        key = (rkey, addr, p)
-        if key not in prod.walker_names:
-            prod.walker_names[key] = prod.fresh("w", m2.states[p])
-        return prod.walker_names[key]
-
-    def subst(rhs: Rhs, rkey, u) -> Rhs:
-        out: List = []
-        for it in rhs:
-            if isinstance(it, Node):
-                out.append(Node(it.label, it.kind, subst(it.children, rkey, u)))
-            elif isinstance(it, Call):
-                addr = u if it.var == 0 else u + (it.var,)
-                out.append(Call(walker(rkey, addr, it.state), 0,
-                                tuple(subst(a, rkey, u) for a in it.args)))
-            else:
-                out.append(it)  # a parameter of the current m2 state
-        return tuple(out)
-
-    for (rkey, rule) in _rule_order(m1c):
-        g = rule.guard
-        view = bview(rule.rhs)
-        for bv in bview_nodes(view):
-            for p in p_list:
-                w = walker(rkey, bv.addr, p)
-                k = m2.states[p] - 1
-                ys = tuple((Param(i),) for i in range(1, k + 1))
-                if bv.kind == "call":
-                    rhs: Rhs = (Call(entry(bv.state, p), bv.var, ys),)
-                elif bv.kind == "eps":
-                    rhs = subst(m2.rules[(p, EPS)].rhs, rkey, bv.addr)
-                elif bv.label is None:
-                    rhs = subst(_rule_for_dynamic(m2, p, g), rkey, bv.addr)
-                else:
-                    rhs = subst(_rule_for_static(m2, p, bv.label, bv.nodekind),
-                                rkey, bv.addr)
-                prod.add(w, g, rhs)
-                prod.pad(w, g)
-    for q in sorted(m1c.states):
-        for p in p_list:
-            e = entry(q, p)
-            k = m2.states[p] - 1
-            ys = tuple((Param(i),) for i in range(1, k + 1))
-            for (rkey, rule) in _rule_order(m1c):
-                if rule.state != q:
-                    continue
-                prod.add(e, rule.guard, (Call(walker(rkey, (), p), 0, ys),))
-    return prod.finish(entry(m1c.initial, m2.initial),
-                       m1c.sigma | m2.sigma)
+    return _pair(m1, m2)
 
 
 # ---------------------------------------------------------------------------
@@ -604,23 +438,24 @@ def compose_ft_tt(m1: Mft, m2: Mft) -> Mft:
     return compose_mtt_tt(m1e, m2)
 
 
-_MODES = {
-    "tt-tt": (compose_tt_tt, ("TT", "TT")),
-    "mtt-tt": (compose_mtt_tt, ("MTT", "TT")),
-    "tt-mtt": (compose_tt_mtt, ("TT", "MTT")),
-    "mtt-ft": (compose_mtt_ft, ("MTT", "FT")),
-    "tt-ft": (compose_tt_ft, ("TT", "FT")),
-    "ft-tt": (compose_ft_tt, ("FT", "TT")),
+#: mode name -> construction; ``mfx compose --mode`` offers these names
+MODES = {
+    "tt-tt": compose_tt_tt,
+    "mtt-tt": compose_mtt_tt,
+    "tt-mtt": compose_tt_mtt,
+    "mtt-ft": compose_mtt_ft,
+    "tt-ft": compose_tt_ft,
+    "ft-tt": compose_ft_tt,
 }
 
 
 def compose(m1: Mft, m2: Mft, mode: str) -> Tuple[Mft, CompositionReport]:
     """Run one of the composition constructions and report sizes.  The
     result computes ``m2(m1(input))``."""
-    if mode not in _MODES:
+    if mode not in MODES:
         raise ValueError("unknown mode %r (one of %s)"
-                         % (mode, ", ".join(sorted(_MODES))))
-    fn, _ = _MODES[mode]
+                         % (mode, ", ".join(sorted(MODES))))
+    fn = MODES[mode]
     t0 = time.perf_counter()
     out = fn(m1, m2)
     dt = time.perf_counter() - t0

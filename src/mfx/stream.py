@@ -40,7 +40,7 @@ from typing import List, Optional, Tuple
 from .forest import Forest, NodeKind, Tree
 from .mft import Mft, Node, Param, Rhs, dispatch_table, size
 from .xmlio import (END, EOF, Eof, End, EventSink, StartAttribute,
-                    StartElement, Text, XmlEvent)
+                    StartElement, Text, XmlEvent, forest_events)
 
 
 class EngineError(RuntimeError):
@@ -377,20 +377,10 @@ class Engine:
 
     def _emit_forest(self, forest: Forest, target):
         if target is _SINK:
-            for t in forest:
-                self._emit_tree(t)
+            for ev in forest_events(forest):
+                self._out(ev)
         else:
             target.extend(forest)
-
-    def _emit_tree(self, t: Tree):
-        if t.kind is NodeKind.TEXT:
-            self._out(Text(t.label))
-            return
-        self._out(StartElement(t.label) if t.kind is NodeKind.ELEMENT
-                  else StartAttribute(t.label))
-        for c in t.children:
-            self._emit_tree(c)
-        self._out(END)
 
 
 # ---------------------------------------------------------------------------

@@ -167,23 +167,23 @@ def build_forest(src: Iterable[XmlEvent]) -> Forest:
 
 
 def forest_events(f: Forest) -> Iterator[XmlEvent]:
-    """The event stream of a forest (without a trailing Eof)."""
-    for t in f:
-        if t.kind is NodeKind.TEXT:
-            yield Text(t.label)
-            continue
-        if t.kind is NodeKind.ATTRIBUTE:
-            yield StartAttribute(t.label)
+    """The event stream of a forest (without a trailing Eof).  Walks an
+    explicit stack of child iterators, so depth is not limited by Python's
+    recursion limit."""
+    stack = [iter(f)]
+    while stack:
+        for t in stack[-1]:
+            if t.kind is NodeKind.TEXT:
+                yield Text(t.label)
+            else:
+                yield (StartAttribute(t.label) if t.kind is NodeKind.ATTRIBUTE
+                       else StartElement(t.label))
+                stack.append(iter(t.children))
+                break
         else:
-            yield StartElement(t.label)
-        yield from forest_events(t.children)
-        yield END
-
-
-def emit_forest(f: Forest, sink: EventSink):
-    for ev in forest_events(f):
-        sink(ev)
-    sink(EOF)
+            stack.pop()
+            if stack:
+                yield END
 
 
 def _escape_text(s: str) -> str:

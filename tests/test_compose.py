@@ -1,10 +1,15 @@
+import hashlib
 import random
 
 import pytest
 
+from mfx.bench import CORPUS_QUERIES
+from mfx.compile import compile_query
 from mfx.forest import CONCAT, parse_term
 from mfx.mft import (Call, Node, classify, evaluate, is_tree_rhs,
-                     parse_mft, validate)
+                     parse_mft, print_mft, validate)
+from mfx.optimize import optimize
+from mfx.xquery import parse_query
 from mfx.compose import (compose, compose_ft_tt, compose_mtt_tt,
                          compose_tt_ft, compose_tt_mtt, compose_tt_tt,
                          decompose_eval, decompose_rhs, eval_mtt, ft_to_mtt,
@@ -34,6 +39,14 @@ q(eps) -> a()
 IDENTITY_TT = """\
 q(%t(x1)x2) -> %t(q(x1)) q(x2)
 q(eps) -> eps
+"""
+
+# one rank-2 state behind a rank-1 initial state, tree shaped
+PARAM_MTT = """\
+i(%t(x1)x2) -> q(x1, z())
+i(eps) -> eps
+q(%t(x1)x2, y1) -> %t(q(x1, y1))
+q(eps, y1) -> y1
 """
 
 
@@ -183,12 +196,7 @@ def test_double_exponential_counterexample():
 def test_mtt_tt_parameter_copies():
     # one rank-2 state composed with a two-state second transducer gives
     # walker states carrying 1 + 1*2 = 3 arguments
-    m1 = parse_mft("""\
-i(%t(x1)x2) -> q(x1, z())
-i(eps) -> eps
-q(%t(x1)x2, y1) -> %t(q(x1, y1))
-q(eps, y1) -> y1
-""")
+    m1 = parse_mft(PARAM_MTT)
     m2 = parse_mft("""\
 p0(z(x1)x2) -> p1(x1)
 p0(%t(x1)x2) -> %t(p0(x1))
@@ -254,3 +262,83 @@ def test_mode_validation():
         compose_tt_tt(mft, tt)
     with pytest.raises(ValueError):
         compose(tt, tt, "bogus")
+    # each pairing construction rejects a wrong-rank operand and an
+    # operand that is not tree shaped
+    tt = parse_mft(IDENTITY_TT)
+    mtt = parse_mft(PARAM_MTT)
+    ft = parse_mft(DOUBLING_FT)
+    for fn, m1, m2, why in (
+            (compose_tt_tt, mtt, tt, "parameter-free"),
+            (compose_tt_tt, tt, mtt, "parameter-free"),
+            (compose_tt_tt, ft, tt, "tree-shaped"),
+            (compose_tt_tt, tt, ft, "tree-shaped"),
+            (compose_mtt_tt, mtt, mtt, "parameter-free"),
+            (compose_mtt_tt, ft, tt, "tree-shaped"),
+            (compose_mtt_tt, mtt, ft, "tree-shaped"),
+            (compose_tt_mtt, mtt, mtt, "parameter-free"),
+            (compose_tt_mtt, ft, mtt, "tree-shaped"),
+            (compose_tt_mtt, tt, ft, "tree-shaped")):
+        with pytest.raises(ValueError, match=why):
+            fn(m1, m2)
+
+
+def _sha(m) -> str:
+    return hashlib.sha256(print_mft(m).encode("utf-8")).hexdigest()
+
+
+# the benchmark's seven fused pairs: (first, second, mode) ->
+# (sha256 of print_mft, report.size_out, report.rules_out)
+CORPUS_FUSED = {
+    ("double", "deepdup", "tt-tt"): (
+        "bab452fff6a356375b43a42769ff490781c440bf90ec210db83bd5bbe15ad6db",
+        1897, 430),
+    ("deepdup", "double", "mtt-tt"): (
+        "23757f147172c7da78e7c8fc2e4021dc660ac45da4b5f320af1801dd4e753097",
+        1690, 376),
+    ("double", "deepdup", "tt-mtt"): (
+        "bab452fff6a356375b43a42769ff490781c440bf90ec210db83bd5bbe15ad6db",
+        1897, 430),
+    ("double", "fourstar", "tt-ft"): (
+        "c02bbbd8e361129582a79bd55b18c4953a9f408f6c74171addbe06fd31942ccf",
+        2253, 516),
+    ("deepdup", "fourstar", "mtt-ft"): (
+        "51b4d0ff2d5ca49b27bbd4b24af73ce7c51c9588b8f14d8985cf49d136ac9493",
+        2442, 564),
+    ("q13", "double", "ft-tt"): (
+        "2b3f1fb574eff1ec6420ab1638a05d663ca3cf2925fca353ce3c6fee5f09e633",
+        84041, 9900),
+    ("q13", "deepdup", "ft-tt"): (
+        "a3d102e53a673f9467e8121bef4bda881d2eff989906ec5ad0ca22865f219236",
+        118600, 12375),
+}
+
+# unpruned pairing constructions on random.Random(n) draws, n = 0, 1, 2
+RAW_PAIRED = {
+    "tt-tt": ("4e3e2758306161d62eba2aa0be1a775d36a39afd3a326607e04f95ad4fa83be9",
+              "06bdcf11a58581c46ec0a494a785c20c07eae8506ab26a7dede76bf211d15289",
+              "2efc72e35a3b3455ecda089c9d9c6314a7612af4cf7b9198709ce6503b285c29"),
+    "mtt-tt": ("bc620807cc6cdc03d02dcd1831e363ed688e79a495ff66bfaf141fea55b9f3d6",
+               "6622125ab87e585b3901f385e7f0eacea9019df55588dbc698c7ec5de50be069",
+               "10180b201a46d7e944120f77978b9aa282c3e81d65755b80b3a0a4be8c9f922d"),
+    "tt-mtt": ("bab2e6d1becb7d850abe9174923f562e206ee51cacb134f914b501e60893ddd6",
+               "5ed6a7ea5a025209d626f837aa72db1fed8377e01c3e2943daca6ad82d507b12",
+               "7344bd48c701d675a4047316b87d689b12eef6f288dd602d028c16ff7d90eef3"),
+}
+
+
+def test_composed_rule_files_are_pinned():
+    # the exact rule files, state names included, so a refactoring of the
+    # walker product shows any change in what it builds
+    for (a, b, mode), want in CORPUS_FUSED.items():
+        m1, m2 = (optimize(compile_query(parse_query(CORPUS_QUERIES[q])))
+                  for q in (a, b))
+        comp, rep = compose(m1, m2, mode)
+        assert (_sha(comp), rep.size_out, rep.rules_out) == want, (a, b, mode)
+    mtt = lambda rng: random_mft(rng, tree_shaped=True)  # noqa: E731
+    for mode, fn, g1, g2 in (("tt-tt", compose_tt_tt, random_tt, random_tt),
+                             ("mtt-tt", compose_mtt_tt, mtt, random_tt),
+                             ("tt-mtt", compose_tt_mtt, random_tt, mtt)):
+        for n, want in enumerate(RAW_PAIRED[mode]):
+            rng = random.Random(n)
+            m1 = g1(rng)
+            assert _sha(fn(m1, g2(rng))) == want, (mode, n)

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from mfx.forest import NodeKind, attr, elem, text
+from mfx.gen import generate_bytes
 from mfx.xmlio import (END, EOF, StartAttribute, StartElement, Text, XmlError,
                        build_forest, bytes_to_forest, forest_events,
                        forest_to_bytes, read_events, write_events)
 
-from util import random_forest
+from util import forest_eq, random_forest
 
 
 def test_book_events():
@@ -90,6 +91,15 @@ def test_forest_events_inverse():
         f = random_forest(rng, budget=15, attrs=True)
         events = list(forest_events(f)) + [EOF]
         assert build_forest(iter(events)) == f
+
+
+def test_deep_chain_survives_a_round_trip():
+    # forest_events walks an explicit stack, so depth is not bounded by
+    # the recursion limit (forest == recurses, hence forest_eq)
+    data = generate_bytes("deep-chain", 5000)
+    f = bytes_to_forest(data)
+    assert forest_to_bytes(f) == data
+    assert forest_eq(bytes_to_forest(forest_to_bytes(f)), f)
 
 
 class _CountingReader:
