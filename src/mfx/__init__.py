@@ -2,12 +2,12 @@
 
 The package is organised around one value domain and one machine model:
 
-* :mod:`mfx.forest` -- immutable XML forests, term notation, and the
-  first-child/next-sibling binary view used by the composition laws.
+* :mod:`mfx.forest` -- immutable XML forests and term notation.
 * :mod:`mfx.xmlio` -- the event boundary between concrete XML bytes and
   forests (a small start/text/end event vocabulary).
-* :mod:`mfx.mft` -- macro forest transducers: representation, validation,
-  in-memory evaluation (the oracle), classification, and rule-file syntax.
+* :mod:`mfx.mft` -- macro forest transducers: representation, the rhs
+  rewriter and binary view, validation, in-memory evaluation (the oracle),
+  classification, and rule-file syntax.
 * :mod:`mfx.xquery` -- the MinXQuery front end (parser, scope checker).
 * :mod:`mfx.paths` -- XPath steps compiled to total node-selection automata,
   plus the naive selection oracle.

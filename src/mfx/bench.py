@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from .compile import compile_text
 from .gen import count_nodes, generate_events
@@ -129,7 +129,3 @@ def run_spec(spec: BenchSpec, transducer: Optional[Mft] = None) -> BenchResult:
     times.sort()
     return BenchResult(spec.query, nodes, times[len(times) // 2], peak,
                        out_bytes)
-
-
-def run_bench(specs: Iterable[BenchSpec]) -> List[BenchResult]:
-    return [run_spec(s) for s in specs]

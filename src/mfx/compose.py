@@ -18,7 +18,7 @@ transducer whose right-hand sides are tree shaped (:func:`mfx.mft.is_tree_rhs`).
   construction for macro forest transducers).  For an m1 state q and an
   m2 state p, the entry state ``(q,p)`` starts, for every rule of q, a
   walker at the root of the rule's right-hand side.  The walker at
-  address u in m2 state p applies m2's rule for the output node at u and
+  address u (:func:`mfx.mft.positions`) in m2 state p applies m2's rule for the output node at u and
   turns m2's moves into stay moves to the walkers at u.1 and u.2, so
   composed rules stay small (no exponential blow-up); a call of m1 at u
   becomes a call of the entry state for the called state and p.  Alphabet
@@ -48,7 +48,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .forest import CONCAT, NodeKind
 from .mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rhs, Rule,
-                  TEXT, _guard_order, is_tree_rhs, size, validate)
+                  TEXT, _guard_order, is_tree_rhs, map_rhs, positions, size,
+                  validate)
 
 
 # ---------------------------------------------------------------------------
@@ -82,20 +83,9 @@ def decompose_eval(m: Mft) -> Mft:
 
 
 def recompose_rhs(rhs: Rhs) -> Rhs:
-    out: List = []
-    for it in rhs:
-        if isinstance(it, Node):
-            kids = recompose_rhs(it.children)
-            if it.label == CONCAT:
-                out.extend(kids)
-            else:
-                out.append(Node(it.label, it.kind, kids))
-        elif isinstance(it, Call):
-            out.append(Call(it.state, it.var,
-                            tuple(recompose_rhs(a) for a in it.args)))
-        else:
-            out.append(it)
-    return tuple(out)
+    """Splice the children of every ``@`` node into its place."""
+    return map_rhs(rhs, lambda it, rec: rec(it.children)
+                   if isinstance(it, Node) and it.label == CONCAT else None)
 
 
 def recompose_eval(m: Mft) -> Mft:
@@ -155,57 +145,6 @@ def ft_to_mtt(m: Mft) -> Mft:
 
 
 # ---------------------------------------------------------------------------
-# Binary view of tree-shaped right-hand sides
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _BV:
-    """A node of an rhs seen as a binary tree.  kind: node | eps | call |
-    param.  For ``node``: label (None = %t), nodekind, children views at
-    addresses u.1/u.2.  For ``call``: argument views at u.2, u.3, ..."""
-
-    kind: str
-    addr: Tuple[int, ...]
-    label: Optional[str] = None
-    nodekind: Optional[NodeKind] = None
-    left: Optional["_BV"] = None
-    right: Optional["_BV"] = None
-    state: Optional[str] = None
-    var: int = 0
-    args: Tuple["_BV", ...] = ()
-    index: int = 0
-
-
-def bview(rhs: Rhs, addr: Tuple[int, ...] = ()) -> _BV:
-    if not rhs:
-        return _BV("eps", addr)
-    head, rest = rhs[0], rhs[1:]
-    if isinstance(head, Node):
-        return _BV("node", addr, label=head.label, nodekind=head.kind,
-                   left=bview(head.children, addr + (1,)),
-                   right=bview(rest, addr + (2,)))
-    if len(rhs) != 1:
-        raise ValueError("rhs is not tree shaped")
-    if isinstance(head, Call):
-        args = tuple(bview(a, addr + (j + 2,))
-                     for j, a in enumerate(head.args))
-        return _BV("call", addr, state=head.state, var=head.var, args=args)
-    return _BV("param", addr, index=head.index)
-
-
-def bview_nodes(bv: _BV) -> List[_BV]:
-    out = [bv]
-    if bv.kind == "node":
-        out.extend(bview_nodes(bv.left))
-        out.extend(bview_nodes(bv.right))
-    elif bv.kind == "call":
-        for a in bv.args:
-            out.extend(bview_nodes(a))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Alphabet completion
 # ---------------------------------------------------------------------------
 
@@ -213,18 +152,8 @@ def bview_nodes(bv: _BV) -> List[_BV]:
 def _instantiate(rhs: Rhs, label: str,
                  kind: NodeKind = NodeKind.ELEMENT) -> Rhs:
     """Replace dynamic-label (``%t``) outputs by a static label of a kind."""
-    out: List = []
-    for it in rhs:
-        if isinstance(it, Node):
-            lab, k = (label, kind) if it.label is None else (it.label, it.kind)
-            out.append(Node(lab, k, _instantiate(it.children, label, kind)))
-        elif isinstance(it, Call):
-            out.append(Call(it.state, it.var,
-                            tuple(_instantiate(a, label, kind)
-                                  for a in it.args)))
-        else:
-            out.append(it)
-    return tuple(out)
+    return map_rhs(rhs, lambda it, rec: (Node(label, kind, rec(it.children)),)
+                   if isinstance(it, Node) and it.label is None else None)
 
 
 def complete_alphabet(m1: Mft, m2: Mft) -> Mft:
@@ -248,25 +177,26 @@ def complete_alphabet(m1: Mft, m2: Mft) -> Mft:
     return m1
 
 
-def _m2_rhs(m2: Mft, p: str, bv: _BV, guard: Guard) -> Rhs:
-    """m2's applicable rhs in state p at the output position ``bv`` of an
-    m1 rule with the given guard.  A static node takes m2's rule for its
-    label, else (text nodes) m2's text rule, else m2's default rule with
-    its dynamic copies instantiated; a dynamic node takes m2's text rule
-    under a text guard, else m2's default rule as it is."""
-    if bv.kind == "eps":
+def _m2_rhs(m2: Mft, p: str, head: Optional[Node], guard: Guard) -> Rhs:
+    """m2's applicable rhs in state p at the output node ``head`` (None at
+    a leaf ε) of an m1 rule with the given guard.  A static node takes m2's
+    rule for its label, else (text nodes) m2's text rule, else m2's default
+    rule with its dynamic copies instantiated; a dynamic node takes m2's
+    text rule under a text guard, else m2's default rule as it is."""
+    if head is None:
         return m2.rules[(p, EPS)].rhs
-    if bv.label is None:
+    if head.label is None:
         is_text = guard.kind == "text"
     else:
-        r = m2.rules.get((p, Guard.sym(bv.label)))
+        r = m2.rules.get((p, Guard.sym(head.label)))
         if r is not None:
             return r.rhs
-        is_text = bv.nodekind is NodeKind.TEXT
+        is_text = head.kind is NodeKind.TEXT
     if is_text and (p, TEXT) in m2.rules:
         return m2.rules[(p, TEXT)].rhs
     rhs = m2.rules[(p, DEFAULT)].rhs
-    return rhs if bv.label is None else _instantiate(rhs, bv.label, bv.nodekind)
+    return rhs if head.label is None else _instantiate(rhs, head.label,
+                                                        head.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +259,15 @@ def _pair(m1: Mft, m2: Mft) -> Mft:
 
     def subst(rhs: Rhs, rkey, u, copies) -> Rhs:
         # rhs comes from m2: its moves become calls to walkers, and its
-        # parameters (only when m1 has none) stay where they are
-        out: List = []
-        for it in rhs:
-            if isinstance(it, Node):
-                out.append(Node(it.label, it.kind,
-                                subst(it.children, rkey, u, copies)))
-            elif isinstance(it, Call):
-                addr = u if it.var == 0 else u + (it.var,)
-                out.append(Call(walker(rkey, addr, it.state), 0,
-                                copies + tuple(subst(a, rkey, u, copies)
-                                               for a in it.args)))
-            else:
-                out.append(it)
-        return tuple(out)
+        # parameters (only when m1 has none) stay where they are.  The
+        # walker is made before the arguments, as state names count up.
+        def move(it, rec):
+            if not isinstance(it, Call):
+                return None
+            w = walker(rkey, u if it.var == 0 else u + (it.var,), it.state)
+            return (Call(w, 0, copies + tuple(rec(a) for a in it.args)),)
+
+        return map_rhs(rhs, move)
 
     by_state: Dict[str, List[Tuple]] = {}
     order = sorted(m1.rules.items(),
@@ -353,21 +278,22 @@ def _pair(m1: Mft, m2: Mft) -> Mft:
         copies = _params(1, (m1.states[q] - 1) * n)
         for rkey, rule in q_rules:
             g = rule.guard
-            for bv in bview_nodes(bview(rule.rhs)):
+            for u, sub in positions(rule.rhs):
+                head = sub[0] if sub else None
                 for p in p_list:
-                    w = walker(rkey, bv.addr, p)
-                    if bv.kind == "param":
-                        rhs: Rhs = (Param((bv.index - 1) * n + p_index[p]),)
-                    elif bv.kind == "call":
-                        args = tuple((Call(walker(rkey, a.addr, pp), 0,
+                    w = walker(rkey, u, p)
+                    if isinstance(head, Param):
+                        rhs: Rhs = (Param((head.index - 1) * n + p_index[p]),)
+                    elif isinstance(head, Call):
+                        args = tuple((Call(walker(rkey, u + (j,), pp), 0,
                                            copies),)
-                                     for a in bv.args for pp in p_list)
-                        rhs = (Call(entry(bv.state, p), bv.var,
+                                     for j in range(2, len(head.args) + 2)
+                                     for pp in p_list)
+                        rhs = (Call(entry(head.state, p), head.var,
                                     args + _params(len(copies) + 1,
                                                    states[w] - 1)),)
                     else:
-                        rhs = subst(_m2_rhs(m2, p, bv, g), rkey, bv.addr,
-                                    copies)
+                        rhs = subst(_m2_rhs(m2, p, head, g), rkey, u, copies)
                     # a walker has exactly one live rule
                     rules[(w, g)] = Rule(w, g, rhs)
                     for pad in (DEFAULT, EPS):

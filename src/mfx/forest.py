@@ -6,21 +6,20 @@ tagged with a :class:`NodeKind`.  A text node has no children, an attribute
 node has exactly one text child.  Forests are plain tuples of :class:`Tree`
 values and are immutable, so they can be shared freely.
 
-The module also provides the binary-tree view of a forest: the
-first-child/next-sibling encoding ``fcns``, its inverse, and the
-``eval_binary`` mapping that interprets the reserved binary symbol ``@``
-as forest concatenation.  Term notation (``a(b() #"hi")``) is the textual
-exchange format for forests throughout the package.
+Equality and :func:`coalesce_text` walk an explicit stack, so the
+recursion limit does not bound the depth they handle.  Term notation
+(``a(b() #"hi")``) is the textual exchange format for forests throughout
+the package.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-#: Reserved label for the concatenation symbol in binary trees.  It never
-#: appears as a forest label.
+#: Reserved label for the concatenation symbol in tree-shaped transducer
+#: output (see :mod:`mfx.compose`).  It never appears as a forest label.
 CONCAT = "@"
 
 
@@ -38,13 +37,24 @@ class Tree:
     kind: NodeKind = NodeKind.ELEMENT
     children: "Forest" = ()
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Tree):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if (a.label != b.label or a.kind is not b.kind
+                        or len(a.children) != len(b.children)):
+                    return False
+                stack.extend(zip(a.children, b.children))
+        return True
+
     def __repr__(self) -> str:  # compact, term-ish
         return "Tree(%s)" % print_term((self,))
 
 
 Forest = Tuple[Tree, ...]
-
-EMPTY: Forest = ()
 
 
 def elem(label: str, *children: Tree) -> Tree:
@@ -109,74 +119,31 @@ def check_forest(f: Forest) -> list:
 
 
 def coalesce_text(f: Forest) -> Forest:
-    """Merge adjacent text siblings (recursively), dropping empty text."""
-    out = []
-    for t in f:
-        if t.kind is not NodeKind.TEXT:
-            t = Tree(t.label, t.kind, coalesce_text(t.children))
-            out.append(t)
-            continue
-        if out and out[-1].kind is NodeKind.TEXT:
-            out[-1] = text(out[-1].label + t.label)
+    """Merge adjacent text siblings (at every depth), dropping empty text."""
+    # one frame per open node: (children left to read, merged children so
+    # far, the node, its parent's merged children); the root frame has no node
+    TEXT = NodeKind.TEXT
+    stack = [(iter(f), [], None, None)]
+    while True:
+        todo, out, node, parent_out = stack[-1]
+        for t in todo:
+            if t.kind is TEXT:
+                if not t.label:
+                    continue
+                if out and out[-1].kind is TEXT:
+                    out[-1] = text(out[-1].label + t.label)
+                else:
+                    out.append(t)
+            elif t.children:
+                stack.append((iter(t.children), [], t, out))
+                break
+            else:
+                out.append(t)
         else:
-            out.append(t)
-    return tuple(t for t in out if not (t.kind is NodeKind.TEXT and t.label == ""))
-
-
-# ---------------------------------------------------------------------------
-# Binary-tree view
-# ---------------------------------------------------------------------------
-
-#: A binary tree is either None (the leaf ε) or a :class:`BNode`.
-BinaryTree = Optional["BNode"]
-
-
-@dataclass(frozen=True)
-class BNode:
-    label: str
-    kind: NodeKind = NodeKind.ELEMENT
-    left: "BinaryTree" = None
-    right: "BinaryTree" = None
-
-
-def fcns(f: Forest) -> BinaryTree:
-    """First-child/next-sibling encoding: fcns(σ(f1) f2) = σ(fcns(f1), fcns(f2))."""
-    out: BinaryTree = None
-    for t in reversed(f):
-        out = BNode(t.label, t.kind, fcns(t.children), out)
-    return out
-
-
-def fcns_inverse(b: BinaryTree) -> Forest:
-    """Inverse of :func:`fcns`; rejects trees containing ``@`` labels."""
-    items = []
-    while b is not None:
-        if b.label == CONCAT:
-            raise ValueError("fcns_inverse: input contains the reserved symbol @")
-        items.append(Tree(b.label, b.kind, fcns_inverse(b.left)))
-        b = b.right
-    return tuple(items)
-
-
-def eval_binary(b: BinaryTree) -> Forest:
-    """Decode a binary tree to a forest, interpreting ``@`` as concatenation.
-
-    eval(@(t1, t2)) = eval(t1) eval(t2); for σ ≠ @, σ(l, r) becomes the tree
-    σ(eval(l)) followed by eval(r); the leaf ε becomes the empty forest.
-    """
-    out = []
-    stack = [b]
-    while stack:
-        b = stack.pop()
-        if b is None:
-            continue
-        if b.label == CONCAT:
-            stack.append(b.right)
-            stack.append(b.left)
-        else:
-            out.append(Tree(b.label, b.kind, eval_binary(b.left)))
-            stack.append(b.right)
-    return tuple(out)
+            stack.pop()
+            if node is None:
+                return tuple(out)
+            parent_out.append(Tree(node.label, node.kind, tuple(out)))
 
 
 # ---------------------------------------------------------------------------

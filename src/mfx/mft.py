@@ -56,7 +56,6 @@ class Call:
     args: Tuple["Rhs", ...] = ()
 
 
-RhsItem = (Node, Param, Call)
 Rhs = Tuple[object, ...]
 
 
@@ -71,6 +70,49 @@ def rhs_nodes(rhs: Rhs) -> Iterator[object]:
         elif isinstance(it, Call):
             for a in reversed(it.args):
                 stack.extend(reversed(a))
+
+
+def positions(rhs: Rhs) -> Iterator[Tuple[Tuple[int, ...], Rhs]]:
+    """An rhs as a binary tree: ``(address, sub-rhs)`` in prefix order, a
+    node at u with its children at u.1 and its right siblings at u.2, a
+    call at u with its arguments at u.2, u.3, ...  The sub-rhs at u starts
+    with the item at u (empty at a leaf ε); not tree-shaped tails after a
+    call or parameter have no position."""
+    stack = [((), rhs)]
+    while stack:
+        u, sub = stack.pop()
+        yield u, sub
+        if not sub:
+            continue
+        head = sub[0]
+        if isinstance(head, Node):
+            stack.append((u + (2,), sub[1:]))
+            stack.append((u + (1,), head.children))
+        elif isinstance(head, Call):
+            stack.extend(reversed([(u + (j,), a)
+                                   for j, a in enumerate(head.args, 2)]))
+
+
+def map_rhs(rhs: Rhs, fn) -> Rhs:
+    """Rebuild an rhs item by item.  ``fn(item, rec)`` returns the items
+    that replace ``item``, or None to keep it with its children and call
+    arguments rebuilt by ``rec`` (which maps an rhs the same way)."""
+
+    def rec(seq: Rhs) -> Rhs:
+        out: List = []
+        for it in seq:
+            got = fn(it, rec)
+            if got is not None:
+                out.extend(got)
+            elif type(it) is Node:
+                out.append(Node(it.label, it.kind, rec(it.children)))
+            elif type(it) is Call:
+                out.append(Call(it.state, it.var, tuple(map(rec, it.args))))
+            else:
+                out.append(it)
+        return tuple(out)
+
+    return rec(rhs)
 
 
 def rhs_size(rhs: Rhs) -> int:
@@ -343,18 +385,11 @@ def evaluate(m: Mft, f: Forest, stay_budget: Optional[int] = None) -> Forest:
 
 def is_tree_rhs(rhs: Rhs) -> bool:
     """True iff the rhs is a single tree whose alphabet nodes are binary in
-    the first-child/next-sibling view: a call or parameter leaf may not be
-    followed by further items (that would need concatenation)."""
-    if not rhs:
-        return True
-    head = rhs[0]
-    if isinstance(head, Node):
-        return is_tree_rhs(head.children) and is_tree_rhs(rhs[1:])
-    if len(rhs) != 1:
-        return False
-    if isinstance(head, Call):
-        return all(is_tree_rhs(a) for a in head.args)
-    return True  # single parameter leaf
+    the first-child/next-sibling view (:func:`positions`): a call or
+    parameter leaf may not be followed by further items (that would need
+    concatenation)."""
+    return all(len(sub) == 1 for _, sub in positions(rhs)
+               if sub and not isinstance(sub[0], Node))
 
 
 def classify(m: Mft) -> str:

@@ -17,7 +17,8 @@ from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .forest import Forest, Tree, coalesce_text
-from .mft import Call, Mft, Node, Param, Rhs, Rule, rhs_nodes, rhs_size
+from .mft import (Call, Mft, Node, Param, Rhs, Rule, map_rhs, rhs_nodes,
+                  rhs_size)
 from .xquery import Element, For, Let, PathExpr, Sequence, StringLit
 
 
@@ -117,21 +118,18 @@ def _drop_params(m: Mft, removed: Set[Tuple[str, int]],
              for q, kept in keep.items()}
 
     def rw(rhs: Rhs, q: str) -> Rhs:
-        out: List = []
-        for it in rhs:
+        def drop(it, rec):
             if isinstance(it, Param):
-                if (q, it.index) in removed:
-                    out.extend(rw(replacement[(q, it.index)], q)
-                               if replacement else ())
-                else:
-                    out.append(Param(renum[q][it.index]))
-            elif isinstance(it, Node):
-                out.append(Node(it.label, it.kind, rw(it.children, q)))
-            else:
-                args = tuple(rw(a, q) for idx, a in enumerate(it.args, 1)
-                             if (it.state, idx) not in removed)
-                out.append(Call(it.state, it.var, args))
-        return tuple(out)
+                if (q, it.index) not in removed:
+                    return (Param(renum[q][it.index]),)
+                return rec(replacement[(q, it.index)]) if replacement else ()
+            if isinstance(it, Call):
+                return (Call(it.state, it.var,
+                             tuple(rec(a) for idx, a in enumerate(it.args, 1)
+                                   if (it.state, idx) not in removed)),)
+            return None
+
+        return map_rhs(rhs, drop)
 
     rules = {key: Rule(r.state, r.guard, rw(r.rhs, r.state))
              for key, r in m.rules.items()}
@@ -221,16 +219,14 @@ def _stay_body(m: Mft, q: str) -> Optional[Rhs]:
 
 
 def _substitute(body: Rhs, var: int, args: Tuple[Rhs, ...]) -> Rhs:
-    out: List = []
-    for it in body:
+    def sub(it, rec):
         if isinstance(it, Param):
-            out.extend(args[it.index - 1])
-        elif isinstance(it, Node):
-            out.append(Node(it.label, it.kind, _substitute(it.children, var, args)))
-        else:
-            out.append(Call(it.state, var,
-                            tuple(_substitute(a, var, args) for a in it.args)))
-    return tuple(out)
+            return args[it.index - 1]
+        if isinstance(it, Call):
+            return (Call(it.state, var, tuple(rec(a) for a in it.args)),)
+        return None
+
+    return map_rhs(body, sub)
 
 
 def remove_stay_moves(m: Mft, warn=None) -> Mft:
@@ -250,22 +246,13 @@ def remove_stay_moves(m: Mft, warn=None) -> Mft:
             if sites > 1 and rhs_size(body) > _INLINE_SIZE_LIMIT:
                 continue
 
-            def rw(rhs: Rhs) -> Rhs:
-                out: List = []
-                for it in rhs:
-                    if isinstance(it, Node):
-                        out.append(Node(it.label, it.kind, rw(it.children)))
-                    elif isinstance(it, Call):
-                        args = tuple(rw(a) for a in it.args)
-                        if it.state == q:
-                            out.extend(_substitute(body, it.var, args))
-                        else:
-                            out.append(Call(it.state, it.var, args))
-                    else:
-                        out.append(it)
-                return tuple(out)
+            def inline(it, rec):
+                if isinstance(it, Call) and it.state == q:
+                    return _substitute(body, it.var,
+                                       tuple(rec(a) for a in it.args))
+                return None
 
-            m.rules = {key: Rule(r.state, r.guard, rw(r.rhs))
+            m.rules = {key: Rule(r.state, r.guard, map_rhs(r.rhs, inline))
                        for key, r in m.rules.items()
                        if key[0] != q}
             del m.states[q]

@@ -54,15 +54,13 @@ EOF = Eof()
 
 #: Push-based consumer of events.
 EventSink = Callable[[XmlEvent], None]
-#: Pull-based producer of events.
-EventSource = Iterator[XmlEvent]
 
 
 class XmlError(ValueError):
     pass
 
 
-def read_events(source, keep_whitespace: bool = False) -> EventSource:
+def read_events(source, keep_whitespace: bool = False) -> Iterator[XmlEvent]:
     """Parse XML bytes (or a binary file object, or str) into an event stream.
 
     Text is coalesced across entity/chunk boundaries.  With the default

@@ -4,84 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfx.forest import (BNode, CONCAT, NodeKind, Tree, attr, check_forest,
-                        coalesce_text, elem, eval_binary, fcns, fcns_inverse,
-                        node_count, parse_term, print_term, text)
+from mfx.forest import (CONCAT, NodeKind, Tree, attr, check_forest,
+                        coalesce_text, elem, parse_term, print_term, text)
 
 from util import random_forest
-
-
-def test_fcns_base_case():
-    assert fcns(()) is None
-
-
-def test_fcns_single_nested():
-    # a(b()) encodes as a(b(eps, eps), eps)
-    f = (elem("a", elem("b")),)
-    b = fcns(f)
-    assert b == BNode("a", NodeKind.ELEMENT, BNode("b"), None)
-
-
-def test_fcns_two_siblings():
-    # hand application of the defining equation
-    f = (elem("a"), elem("b"))
-    assert fcns(f) == BNode("a", NodeKind.ELEMENT, None,
-                            BNode("b", NodeKind.ELEMENT, None, None))
-
-
-def test_fcns_inverse_examples():
-    assert fcns_inverse(None) == ()
-    b = BNode("a", NodeKind.ELEMENT, BNode("b"), None)
-    assert fcns_inverse(b) == (elem("a", elem("b")),)
-
-
-def test_fcns_inverse_rejects_concat():
-    with pytest.raises(ValueError):
-        fcns_inverse(BNode(CONCAT))
-
-
-def test_fcns_roundtrip_random():
-    rng = random.Random(7)
-    for _ in range(100):
-        f = random_forest(rng, budget=20, attrs=True)
-        assert fcns_inverse(fcns(f)) == f
-
-
-def test_fcns_size_relation():
-    # node count of fcns(f) = node count of f (every node maps to one node)
-    rng = random.Random(8)
-    for _ in range(50):
-        f = random_forest(rng, budget=15)
-
-        def bcount(b):
-            return 0 if b is None else 1 + bcount(b.left) + bcount(b.right)
-
-        assert bcount(fcns(f)) == node_count(f)
-
-
-def test_eval_binary_concat():
-    b = BNode(CONCAT, NodeKind.ELEMENT, BNode("a"), BNode("b"))
-    assert eval_binary(b) == (elem("a"), elem("b"))
-
-
-def test_eval_binary_empty():
-    assert eval_binary(None) == ()
-
-
-def test_eval_identity_on_fcns():
-    rng = random.Random(9)
-    for _ in range(50):
-        f = random_forest(rng, budget=15)
-        assert eval_binary(fcns(f)) == f
-
-
-def test_eval_binary_nested_concats():
-    # @(q-free pieces): concatenation of three pieces in order
-    pieces = [BNode("a", NodeKind.ELEMENT, BNode("x"), None),
-              BNode("y"), BNode("b")]
-    b = BNode(CONCAT, NodeKind.ELEMENT, pieces[0],
-              BNode(CONCAT, NodeKind.ELEMENT, pieces[1], pieces[2]))
-    assert eval_binary(b) == (elem("a", elem("x")), elem("y"), elem("b"))
 
 
 def test_term_examples():
@@ -130,3 +56,29 @@ def test_check_forest_flags_violations():
 def test_coalesce_text():
     f = (elem("a", text("x"), text("y"), elem("b"), text("z")),)
     assert coalesce_text(f) == (elem("a", text("xy"), elem("b"), text("z")),)
+
+
+def _chain(depth, leaves):
+    f = tuple(leaves)
+    for _ in range(depth):
+        f = (elem("a", *f),)
+    return f
+
+
+def test_coalesce_text_survives_a_deep_chain():
+    # coalesce_text walks an explicit stack, so depth is not bounded by
+    # the recursion limit
+    f = _chain(5000, (text("x"), text(""), text("y"), elem("b"), text("")))
+    want = _chain(5000, (text("xy"), elem("b")))
+    assert coalesce_text(f) == want
+
+
+def test_tree_equality_is_structural_at_any_depth():
+    deep = _chain(5000, (text("x"),))
+    assert deep == _chain(5000, (text("x"),))
+    assert deep != _chain(5000, (text("y"),))
+    assert deep != _chain(5000, (elem("x"),))
+    assert deep != _chain(5000, (text("x"), text("x")))
+    assert deep != _chain(4999, (text("x"),))
+    assert elem("a") != "a" and elem("a") == Tree("a")
+    assert hash(elem("a", text("x"))) == hash(elem("a", text("x")))

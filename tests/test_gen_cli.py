@@ -97,6 +97,19 @@ def test_cli_run_query_direct(tmp_path: Path):
     assert ev.stdout.strip() == b"<out>JimLi</out>"
 
 
+def test_cli_eval_survives_a_deep_chain(tmp_path: Path):
+    # the eval path (build, evaluate, coalesce, serialise) has no
+    # recursion bounded by document depth
+    q = tmp_path / "id.xq"
+    q.write_text("<out>{$input/node()}</out>")
+    xml = tmp_path / "deep.xml"
+    data = generate_bytes("deep-chain", 5000)
+    xml.write_bytes(data)
+    ev = _run_cli(["eval", "--query", str(q), str(xml)])
+    assert ev.returncode == 0, ev.stderr[-300:]
+    assert ev.stdout.strip() == b"<out>" + data.strip() + b"</out>"
+
+
 def test_cli_no_opt_retains_more(tmp_path: Path):
     q = tmp_path / "q.xq"
     q.write_text("<out>{$input/node()}</out>")

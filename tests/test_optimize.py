@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from mfx.forest import elem
@@ -284,3 +285,28 @@ def test_eligibility_implies_parameter_free():
         m = optimize(compile_text(__import__("mfx.xquery", fromlist=["pretty"]).pretty(ast)))
         assert m.total_params() == 0, ast
     assert hits >= 5
+
+
+#: sha256 of print_mft(optimize(compile(q))) per corpus query, so a
+#: refactoring of the optimizer passes shows any change in what they build
+OPTIMIZED_CORPUS = {
+    "q01": "e25fb6c36abbb2afa6b8b6445d858e80ef29bc112f1ae3699d4090506fd0fca5",
+    "q02": "60a15512f5b97a84be3041a45973c9d51ebdd85fa0c1f7dffbe9069fe92aa7b6",
+    "q04": "a96d9ef379cde50743f08f45970ae6144082f9034d2d48bc36efeff497e466cb",
+    "q13": "72849081316f705d0d307747b01a9b681349a7120e9d60cc8f7f25c29eca69fc",
+    "q16": "e898d8eeca1eaa61ee440f5a20e7fd680332bf33d25a5084143d4e64fdc46aaa",
+    "q17": "c726ea0ea7fdca2890a246a61db10986e6c64e237ee3dd95b2ebdec8eb3c185c",
+    "double":
+        "9f666fbf30e9dc1e31c5a856dd1f66d55cdde07a0e04b112c0f3eea2204a3970",
+    "fourstar":
+        "430854173270b7654d24825308f0e8bf5bba3350e4f15e44ee6a0f1610bff65d",
+    "deepdup":
+        "e17b1882642eed69dac289a43e9e29fa4a21c812f6e5b14972fad8b5210ceb33",
+}
+
+
+def test_optimized_corpus_rule_files_are_pinned():
+    assert set(OPTIMIZED_CORPUS) == set(CORPUS_QUERIES)
+    for name, want in OPTIMIZED_CORPUS.items():
+        text = print_mft(optimize(compile_text(CORPUS_QUERIES[name])))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want, name

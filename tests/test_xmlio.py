@@ -94,12 +94,13 @@ def test_forest_events_inverse():
 
 
 def test_deep_chain_survives_a_round_trip():
-    # forest_events walks an explicit stack, so depth is not bounded by
-    # the recursion limit (forest == recurses, hence forest_eq)
+    # forest_events and forest equality walk explicit stacks, so depth is
+    # not bounded by the recursion limit
     data = generate_bytes("deep-chain", 5000)
     f = bytes_to_forest(data)
     assert forest_to_bytes(f) == data
     assert forest_eq(bytes_to_forest(forest_to_bytes(f)), f)
+    assert bytes_to_forest(forest_to_bytes(f)) == f
 
 
 class _CountingReader:
