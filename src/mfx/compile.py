@@ -299,9 +299,8 @@ class _ScanGen:
             j, rest = pending[0], pending[1:]
             then = self.branch(st, cls, rest, allowed_true | {j}, universe)
             els = self.branch(st, cls, rest, allowed_true, universe)
-            # keep the common continuation outside the if-then-else: the
-            # evaluator is strict in call arguments, so a sibling scan left
-            # inside both branches would run once per branch
+            # keep the common continuation outside the if-then-else, so a
+            # sibling scan is written once rather than once per branch
             shared = 0
             while (shared < len(then) and shared < len(els)
                    and then[len(then) - 1 - shared] == els[len(els) - 1 - shared]):

@@ -283,6 +283,16 @@ class StayBudgetExceeded(RuntimeError):
         self.state = state
 
 
+class _Thunk:
+    """A call argument and its caller's environment; ``value`` is the
+    argument's forest once a rule has read the parameter."""
+
+    __slots__ = ("rhs", "env", "value")
+
+    def __init__(self, rhs: Rhs, env: "_Env"):
+        self.rhs, self.env, self.value = rhs, env, None
+
+
 class _Env:
     __slots__ = ("g0", "g1", "g2", "params", "current", "stay")
 
@@ -299,7 +309,10 @@ def evaluate(m: Mft, f: Forest, stay_budget: Optional[int] = None) -> Forest:
     """Run the transducer on a forest and return the output forest.
 
     The evaluator is iterative (explicit work stack), so input depth and
-    width are only limited by memory.  A budget on consecutive stay moves
+    width are only limited by memory.  Call arguments are evaluated by
+    need, at most once each: composed transducers pass many parameter
+    copies that no rule reads, and evaluating those eagerly can take time
+    exponential in the input.  A budget on consecutive stay moves
     guards against non-terminating transducers; it defaults to
     ``10 * size(m)`` and raising :class:`StayBudgetExceeded` names the
     looping state.
@@ -310,61 +323,60 @@ def evaluate(m: Mft, f: Forest, stay_budget: Optional[int] = None) -> Forest:
 
     out: List[Tree] = []
     # ops: ("seq", rhs, env, acc) expand items in order into acc
+    #      ("item", item, env, acc) expand one item into acc
     #      ("close", label, kind, child_acc, acc) wrap finished children
-    #      ("apply", state, g, arg_accs, acc, stay) call once args are built
-    stack = [("apply", m.initial, f, [], out, 0)]
+    #      ("memo", thunk, value_acc, acc) keep a read argument's value
+    #      ("apply", state, g, params, acc, stay) select and enter a rule
+    stack = [("apply", m.initial, f, (), out, 0)]
     while stack:
         op = stack.pop()
         tag = op[0]
         if tag == "seq":
             _, rhs, env, acc = op
-            for it in reversed(rhs):
-                if isinstance(it, Param):
-                    stack.append(("param", it.index, env, acc))
-                elif isinstance(it, Node):
-                    stack.append(("node", it, env, acc))
-                else:
-                    stack.append(("call", it, env, acc))
-        elif tag == "param":
-            _, idx, env, acc = op
-            acc.extend(env.params[idx - 1])
-        elif tag == "node":
+            stack.extend(("item", it, env, acc) for it in reversed(rhs))
+        elif tag == "item":
             _, it, env, acc = op
-            if it.label is None:
-                if env.current is None:
-                    raise ValueError("%t output with no current input node")
-                label, kind = env.current.label, env.current.kind
+            if isinstance(it, Param):
+                v = env.params[it.index - 1]
+                if type(v) is _Thunk and v.value is None:
+                    value_acc: List[Tree] = []
+                    stack.append(("memo", v, value_acc, acc))
+                    stack.append(("seq", v.rhs, v.env, value_acc))
+                else:
+                    acc.extend(v.value if type(v) is _Thunk else v)
+            elif isinstance(it, Node):
+                if it.label is None:
+                    if env.current is None:
+                        raise ValueError("%t output with no current input node")
+                    label, kind = env.current.label, env.current.kind
+                else:
+                    label, kind = it.label, it.kind
+                child_acc: List[Tree] = []
+                stack.append(("close", label, kind, child_acc, acc))
+                stack.append(("seq", it.children, env, child_acc))
             else:
-                label, kind = it.label, it.kind
-            child_acc: List[Tree] = []
-            stack.append(("close", label, kind, child_acc, acc))
-            stack.append(("seq", it.children, env, child_acc))
+                g = (env.g0, env.g1, env.g2)[it.var]
+                stay = env.stay + 1 if it.var == 0 else 0
+                if stay > stay_budget:
+                    raise StayBudgetExceeded(it.state, stay_budget)
+                # a bare parameter argument aliases the caller's value: the
+                # pass-through of accumulating parameters must not copy them
+                params = tuple(
+                    env.params[arg[0].index - 1]
+                    if len(arg) == 1 and isinstance(arg[0], Param)
+                    else _Thunk(arg, env) if arg else ()
+                    for arg in it.args)
+                stack.append(("apply", it.state, g, params, acc, stay))
         elif tag == "close":
             _, label, kind, child_acc, acc = op
             acc.append(Tree(label, kind, tuple(child_acc)))
-        elif tag == "call":
-            _, it, env, acc = op
-            g = (env.g0, env.g1, env.g2)[it.var]
-            stay = env.stay + 1 if it.var == 0 else 0
-            if stay > stay_budget:
-                raise StayBudgetExceeded(it.state, stay_budget)
-            # a bare parameter argument aliases the caller's value: the
-            # pass-through of accumulating parameters must not copy them
-            slots = []
-            for arg in it.args:
-                if len(arg) == 1 and isinstance(arg[0], Param):
-                    slots.append(env.params[arg[0].index - 1])
-                else:
-                    slots.append([])
-            stack.append(("apply", it.state, g, slots, acc, stay))
-            for arg, slot in zip(reversed(it.args), reversed(slots)):
-                if isinstance(slot, list):
-                    stack.append(("seq", arg, env, slot))
+        elif tag == "memo":
+            _, thunk, value_acc, acc = op
+            thunk.value, thunk.env = tuple(value_acc), None
+            acc.extend(value_acc)
         elif tag == "apply":
-            _, state, g, slots, acc, stay = op
+            _, state, g, params, acc, stay = op
             syms, on_text, on_other, on_eps = table[state]
-            params = tuple(tuple(s) if isinstance(s, list) else s
-                           for s in slots)
             if not g:
                 rhs = on_eps
                 env = _Env(g, None, None, params, None, stay)

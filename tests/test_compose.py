@@ -1,5 +1,6 @@
 import hashlib
 import random
+import zlib
 
 import pytest
 
@@ -220,7 +221,8 @@ p1(eps) -> eps
     ("ft-tt", "ft", "tt"),
 ])
 def test_randomized_pipeline_equivalence(mode, gen1, gen2):
-    rng = random.Random(hash(mode) % (2 ** 31))
+    # a stable per-mode seed: hash(mode) would differ with PYTHONHASHSEED
+    rng = random.Random(zlib.crc32(mode.encode()))
 
     def make(kind):
         if kind == "tt":
@@ -240,6 +242,19 @@ def test_randomized_pipeline_equivalence(mode, gen1, gen2):
     # construction pays its constant twice
     limit = 16.0 if mode == "ft-tt" else 4.0
     assert worst_ratio < limit, (mode, worst_ratio)
+
+
+def test_fused_ft_tt_evaluates_unused_parameter_copies_lazily():
+    # draw 7 of random.Random(9), third forest: the fused transducer has
+    # 2,729 states; evaluating every argument eagerly took about 30 s
+    rng = random.Random(9)
+    for _ in range(8):
+        m1, m2 = random_ft(rng), random_tt(rng)
+        forests = [random_forest(rng, budget=8) for _ in range(4)]
+    comp, _ = compose(m1, m2, "ft-tt")
+    assert len(comp.states) == 2729
+    f = forests[2]
+    assert run_bytes(comp, f) == run_bytes(m2, evaluate(m1, f))
 
 
 def test_composed_classes():

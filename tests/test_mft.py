@@ -72,6 +72,21 @@ q(eps) -> q(x0)
     assert "q" in str(ei.value)
 
 
+def test_evaluate_reads_arguments_by_need():
+    # r loops on stay moves; p reads its argument only on an empty forest
+    m = parse_mft("""\
+q(%t(x1)x2) -> p(x1, r(x0)) p(x1, b())
+q(eps) -> eps
+p(%t(x1)x2, y1) -> eps
+p(eps, y1) -> y1 y1
+r(%t(x1)x2) -> r(x0)
+r(eps) -> r(x0)
+""")
+    assert evaluate(m, parse_term("a(c())")) == ()
+    with pytest.raises(StayBudgetExceeded):
+        evaluate(m, parse_term("a()"))
+
+
 def test_validate_missing_eps():
     m = parse_mft(Q_COPY)
     del m.rules[("q", EPS)]
