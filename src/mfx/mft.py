@@ -294,31 +294,30 @@ class _Thunk:
 
 
 class _Env:
-    __slots__ = ("g0", "g1", "g2", "params", "current", "stay")
+    """A rule application: input position x0 = forest[index:], unsliced."""
 
-    def __init__(self, g0, g1, g2, params, current, stay):
-        self.g0 = g0
-        self.g1 = g1
-        self.g2 = g2
+    __slots__ = ("forest", "index", "params", "stay")
+
+    def __init__(self, forest, index, params, stay):
+        self.forest = forest
+        self.index = index
         self.params = params
-        self.current = current
         self.stay = stay
 
 
-def evaluate(m: Mft, f: Forest, stay_budget: Optional[int] = None) -> Forest:
+def evaluate(m: Mft, f: Forest) -> Forest:
     """Run the transducer on a forest and return the output forest.
 
     The evaluator is iterative (explicit work stack), so input depth and
-    width are only limited by memory.  Call arguments are evaluated by
-    need, at most once each: composed transducers pass many parameter
-    copies that no rule reads, and evaluating those eagerly can take time
-    exponential in the input.  A budget on consecutive stay moves
-    guards against non-terminating transducers; it defaults to
-    ``10 * size(m)`` and raising :class:`StayBudgetExceeded` names the
-    looping state.
+    width are only limited by memory.  An input position is a forest and
+    an index into it: x1 and x2 copy nothing, so time is linear in the
+    width.  Call arguments are evaluated by need, at most once each:
+    composed transducers pass many parameter copies that no rule reads,
+    and evaluating those eagerly can take time exponential in the input.
+    More than ``max(100, 10 * size(m))`` consecutive stay moves raise
+    :class:`StayBudgetExceeded`, naming the looping state.
     """
-    if stay_budget is None:
-        stay_budget = max(100, 10 * size(m))
+    stay_budget = max(100, 10 * size(m))
     table = dispatch_table(m)
 
     out: List[Tree] = []
@@ -326,8 +325,8 @@ def evaluate(m: Mft, f: Forest, stay_budget: Optional[int] = None) -> Forest:
     #      ("item", item, env, acc) expand one item into acc
     #      ("close", label, kind, child_acc, acc) wrap finished children
     #      ("memo", thunk, value_acc, acc) keep a read argument's value
-    #      ("apply", state, g, params, acc, stay) select and enter a rule
-    stack = [("apply", m.initial, f, (), out, 0)]
+    #      ("apply", state, g, i, params, acc, stay) enter a rule at g[i]
+    stack = [("apply", m.initial, f, 0, (), out, 0)]
     while stack:
         op = stack.pop()
         tag = op[0]
@@ -346,19 +345,24 @@ def evaluate(m: Mft, f: Forest, stay_budget: Optional[int] = None) -> Forest:
                     acc.extend(v.value if type(v) is _Thunk else v)
             elif isinstance(it, Node):
                 if it.label is None:
-                    if env.current is None:
+                    if env.index == len(env.forest):
                         raise ValueError("%t output with no current input node")
-                    label, kind = env.current.label, env.current.kind
+                    head = env.forest[env.index]
+                    label, kind = head.label, head.kind
                 else:
                     label, kind = it.label, it.kind
                 child_acc: List[Tree] = []
                 stack.append(("close", label, kind, child_acc, acc))
                 stack.append(("seq", it.children, env, child_acc))
             else:
-                g = (env.g0, env.g1, env.g2)[it.var]
-                stay = env.stay + 1 if it.var == 0 else 0
-                if stay > stay_budget:
-                    raise StayBudgetExceeded(it.state, stay_budget)
+                if it.var == 0:
+                    g, i, stay = env.forest, env.index, env.stay + 1
+                    if stay > stay_budget:
+                        raise StayBudgetExceeded(it.state, stay_budget)
+                elif it.var == 1:
+                    g, i, stay = env.forest[env.index].children, 0, 0
+                else:
+                    g, i, stay = env.forest, env.index + 1, 0
                 # a bare parameter argument aliases the caller's value: the
                 # pass-through of accumulating parameters must not copy them
                 params = tuple(
@@ -366,7 +370,7 @@ def evaluate(m: Mft, f: Forest, stay_budget: Optional[int] = None) -> Forest:
                     if len(arg) == 1 and isinstance(arg[0], Param)
                     else _Thunk(arg, env) if arg else ()
                     for arg in it.args)
-                stack.append(("apply", it.state, g, params, acc, stay))
+                stack.append(("apply", it.state, g, i, params, acc, stay))
         elif tag == "close":
             _, label, kind, child_acc, acc = op
             acc.append(Tree(label, kind, tuple(child_acc)))
@@ -375,19 +379,17 @@ def evaluate(m: Mft, f: Forest, stay_budget: Optional[int] = None) -> Forest:
             thunk.value, thunk.env = tuple(value_acc), None
             acc.extend(value_acc)
         elif tag == "apply":
-            _, state, g, params, acc, stay = op
+            _, state, g, i, params, acc, stay = op
             syms, on_text, on_other, on_eps = table[state]
-            if not g:
+            if i == len(g):
                 rhs = on_eps
-                env = _Env(g, None, None, params, None, stay)
             else:
-                head = g[0]
+                head = g[i]
                 rhs = syms.get(head.label, on_text
                                if head.kind is NodeKind.TEXT else on_other)
-                env = _Env(g, head.children, g[1:], params, head, stay)
             if rhs is None:
                 raise ValueError("state %s has no rule to apply" % state)
-            stack.append(("seq", rhs, env, acc))
+            stack.append(("seq", rhs, _Env(g, i, params, stay), acc))
     return tuple(out)
 
 

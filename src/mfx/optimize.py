@@ -198,10 +198,9 @@ def constant_params(m: Mft) -> Mft:
 _INLINE_SIZE_LIMIT = 32
 
 
-def _stay_body(m: Mft, q: str) -> Optional[Rhs]:
-    """The rhs of a pure stay state: exactly one default and one eps rule,
-    identical, with x0-only calls and no dynamic-label output."""
-    rules = [r for (s, _), r in m.rules.items() if s == q]
+def _stay_body(rules: List[Rule]) -> Optional[Rhs]:
+    """The rhs of a pure stay state given its rules: exactly one default and
+    one eps rule, identical, x0-only calls, no dynamic-label output."""
     if len(rules) != 2:
         return None
     by_guard = {r.guard.kind: r for r in rules}
@@ -235,15 +234,18 @@ def remove_stay_moves(m: Mft, warn=None) -> Mft:
     callback), as are large bodies called from several sites."""
     m = m.copy()
     while True:
-        candidates = {q: body for q in list(m.states)
-                      if q != m.initial and (body := _stay_body(m, q)) is not None}
+        rules_of: Dict[str, List[Rule]] = {}
+        for (s, _), r in m.rules.items():
+            rules_of.setdefault(s, []).append(r)
+        candidates = {q: b for q in m.states if q != m.initial and
+                      (b := _stay_body(rules_of.get(q, []))) is not None}
         progress = False
         for q, body in candidates.items():
             if any(c.state in candidates for c in _calls(body)):
                 continue  # depends on another pending stay state (or itself)
-            sites = sum(1 for r in m.rules.values()
-                        for c in _calls(r.rhs) if c.state == q)
-            if sites > 1 and rhs_size(body) > _INLINE_SIZE_LIMIT:
+            sites = [key for key, r in m.rules.items()  # one per call site
+                     for c in _calls(r.rhs) if c.state == q]
+            if len(sites) > 1 and rhs_size(body) > _INLINE_SIZE_LIMIT:
                 continue
 
             def inline(it, rec):
@@ -252,9 +254,11 @@ def remove_stay_moves(m: Mft, warn=None) -> Mft:
                                        tuple(rec(a) for a in it.args))
                 return None
 
-            m.rules = {key: Rule(r.state, r.guard, map_rhs(r.rhs, inline))
-                       for key, r in m.rules.items()
-                       if key[0] != q}
+            for key in dict.fromkeys(sites):
+                r = m.rules[key]
+                m.rules[key] = Rule(r.state, r.guard, map_rhs(r.rhs, inline))
+            for r in rules_of[q]:
+                del m.rules[(q, r.guard)]
             del m.states[q]
             progress = True
             break

@@ -4,9 +4,11 @@ The engine evaluates the transducer demand-driven, left to right along
 the output, over an input buffer that materialises lazily:
 
 * The input is a chain of cells per sibling level (``_Cell``), filled by
-  a push builder as events arrive.  A cursor is simply a cell reference;
-  reading it either yields the node (its label and kind are known as soon
-  as its start event arrived), the end of the level, or "not yet".
+  a push builder as events arrive.  A filled cell is the buffered node
+  (label, kind, head cell of its children, next cell).  A cursor is a
+  cell reference; reading it yields the node, the end of the level, or
+  "not yet".  A rule's environment is just its cell (x0; x1 and x2 are
+  read off it), its parameter values and its run of stay moves.
 * Rules are selected through a per-state dispatch table
   (:func:`mfx.mft.dispatch_table`): one dict lookup per rule application.
 * Work sits on an explicit task stack, so input depth and output size
@@ -26,9 +28,9 @@ subtree is exactly one whose cell is still reachable from a live
 suspension or environment, so an optimized transducer that drops its
 whole-document parameter scans in bounded memory, while the unoptimized
 one keeps the document alive through that parameter.  ``StreamStats``
-tracks the peak number of live buffered nodes and of live suspensions,
-counted up on creation and down in ``__del__``; this is what the
-benchmark harness reports.
+tracks the peak number of live buffered nodes (filled cells) and of live
+suspensions, counted up on filling or creation and down in ``__del__``;
+this is what the benchmark harness reports.
 """
 
 from __future__ import annotations
@@ -67,22 +69,6 @@ class StreamStats:
 # ---------------------------------------------------------------------------
 
 
-class _Cell:
-    """One position in a sibling chain: empty (frontier), filled with a
-    node, or closed (end of the level)."""
-
-    __slots__ = ("tree", "next", "closed")
-
-    def __init__(self):
-        self.tree: Optional[_INode] = None
-        self.next: Optional[_Cell] = None
-        self.closed = False
-
-
-_CLOSED = _Cell()
-_CLOSED.closed = True
-
-
 class _Live:
     """Number of live objects of one kind in one run."""
 
@@ -92,21 +78,34 @@ class _Live:
         self.n = 0
 
 
-class _INode:
-    """A buffered input node; children is the head cell of its child chain."""
+class _Cell:
+    """One position in a sibling chain: empty (the frontier), filled with a
+    buffered node, or closed (end of the level).  A filled cell is the
+    node: ``label``, ``kind`` and ``children`` (the head cell of its child
+    chain), and it counts as live until it is collected."""
 
-    __slots__ = ("label", "kind", "children", "live")
+    __slots__ = ("label", "kind", "children", "next", "closed", "live")
 
-    def __init__(self, label: str, kind: NodeKind, children: _Cell,
-                 live: _Live):
-        self.label = label
-        self.kind = kind
-        self.children = children
+    def __init__(self):
+        self.kind: Optional[NodeKind] = None
+        self.closed = False
+
+    def fill(self, label: str, kind: NodeKind, children: "_Cell",
+             live: _Live) -> "_Cell":
+        """Make this cell the node; return the new frontier after it."""
+        self.label, self.kind, self.children = label, kind, children
         self.live = live
         live.n += 1
+        self.next = _Cell()
+        return self.next
 
     def __del__(self):
-        self.live.n -= 1
+        if self.kind is not None:
+            self.live.n -= 1
+
+
+_CLOSED = _Cell()
+_CLOSED.closed = True
 
 
 _ELEMENT, _ATTRIBUTE = NodeKind.ELEMENT, NodeKind.ATTRIBUTE
@@ -131,24 +130,21 @@ class _Buffer:
 
     def feed(self, ev: XmlEvent):
         t = type(ev)
+        tails = self._tails
         if t is StartElement or t is StartAttribute:
             kids = _Cell()
-            tail = self._tails[-1]
-            tail.tree = _INode(ev.name, _ELEMENT if t is StartElement
-                               else _ATTRIBUTE, kids, self.live)
-            tail.next = self._tails[-1] = _Cell()
-            self._tails.append(kids)
+            tails[-1] = tails[-1].fill(ev.name, _ELEMENT if t is StartElement
+                                       else _ATTRIBUTE, kids, self.live)
+            tails.append(kids)
         elif t is End:
-            self._tails.pop().closed = True
+            tails.pop().closed = True
         elif t is Text:
-            tail = self._tails[-1]
-            tail.tree = _INode(ev.content, _TEXT, _CLOSED, self.live)
-            tail.next = self._tails[-1] = _Cell()
+            tails[-1] = tails[-1].fill(ev.content, _TEXT, _CLOSED, self.live)
         elif t is Eof:
-            if len(self._tails) != 1:
+            if len(tails) != 1:
                 raise EngineError("input ended with %d open elements"
-                                  % (len(self._tails) - 1))
-            self._tails.pop().closed = True
+                                  % (len(tails) - 1))
+            tails.pop().closed = True
             self.done = True
 
 
@@ -175,15 +171,13 @@ class _Susp:
 
 
 class _Env:
-    __slots__ = ("c0", "c1", "c2", "params", "label", "kind", "stay")
+    """Input position x0 (a cell), parameter values, run of stay moves."""
 
-    def __init__(self, c0, c1, c2, params, label, kind, stay):
-        self.c0 = c0
-        self.c1 = c1
-        self.c2 = c2
+    __slots__ = ("cell", "params", "stay")
+
+    def __init__(self, cell: _Cell, params: tuple, stay: int):
+        self.cell = cell
         self.params = params
-        self.label = label
-        self.kind = kind
         self.stay = stay
 
 
@@ -206,10 +200,10 @@ _SINK = None
 
 
 class Engine:
-    def __init__(self, m: Mft, stay_budget: Optional[int] = None):
+    def __init__(self, m: Mft):
         self.m = m
         self.table = dispatch_table(m)
-        self.stay_budget = stay_budget or max(100, 10 * size(m))
+        self.stay_budget = max(100, 10 * size(m))
         self.stats = StreamStats()
         self.buffer = _Buffer()
         self._susps = _Live()
@@ -257,7 +251,7 @@ class Engine:
         # _drive creates no buffered nodes, so the peak above is final; and
         # while the cell it blocked on is empty, nothing on the stack can run
         wait = self._waiting
-        if wait is None or wait.tree is not None or wait.closed:
+        if wait is None or wait.kind is not None or wait.closed:
             self._drive()
             if self._susps.n > stats.peak_suspensions:
                 stats.peak_suspensions = self._susps.n
@@ -279,23 +273,20 @@ class Engine:
             tag = task[0]
             if tag == _APPLY:
                 _, state, cell, params, target, stay = task
-                node = cell.tree
-                if node is not None:
+                kind = cell.kind
+                if kind is not None:
                     syms, on_text, on_other, _ = table[state]
-                    rhs = syms.get(node.label, on_text if node.kind is _TEXT
+                    rhs = syms.get(cell.label, on_text if kind is _TEXT
                                    else on_other)
-                    env = _Env(cell, node.children, cell.next, params,
-                               node.label, node.kind, stay)
                 elif cell.closed:
                     rhs = table[state][3]
-                    env = _Env(cell, None, None, params, None, None, stay)
                 else:
                     stack.append(task)
                     self._waiting = cell
                     return  # blocked on unread input
                 if rhs is None:
                     raise EngineError("state %s has no rule to apply" % state)
-                self._push_seq(rhs, env, target)
+                self._push_seq(rhs, _Env(cell, params, stay), target)
             elif tag == _NODE:
                 _, label, kind, children, env, target = task
                 if target is _SINK:
@@ -348,17 +339,23 @@ class Engine:
             elif t is Node:
                 label, kind = it.label, it.kind
                 if label is None:
-                    if env.label is None:
+                    cell = env.cell
+                    if cell.kind is None:
                         raise EngineError("dynamic label with no current node")
-                    label, kind = env.label, env.kind
+                    label, kind = cell.label, cell.kind
                 if kind is _TEXT or not it.children:
                     # a leaf (text output nodes have no child expressions)
                     tasks.append((_EMITF, (Tree(label, kind, ()),), target))
                 else:
                     tasks.append((_NODE, label, kind, it.children, env, target))
             else:  # Call
-                cell = (env.c0, env.c1, env.c2)[it.var]
-                stay = env.stay + 1 if it.var == 0 else 0
+                var = it.var
+                cell = env.cell
+                if var == 0:
+                    stay = env.stay + 1
+                else:
+                    cell = cell.children if var == 1 else cell.next
+                    stay = 0
                 if stay > self.stay_budget:
                     raise EngineError(
                         "stay-move budget exceeded in state %s (%d consecutive"
@@ -388,12 +385,11 @@ class Engine:
 # ---------------------------------------------------------------------------
 
 
-def stream_run(m: Mft, src, sink: EventSink,
-               stay_budget: Optional[int] = None) -> StreamStats:
+def stream_run(m: Mft, src, sink: EventSink) -> StreamStats:
     """Run the transducer over an event source, pushing output events to
     the sink as they are determined.  Returns the run's statistics."""
     t0 = time.perf_counter()
-    eng = Engine(m, stay_budget)
+    eng = Engine(m)
     saw_eof = False
     for ev in src:
         for out in eng.step(ev):
@@ -410,17 +406,16 @@ def stream_run(m: Mft, src, sink: EventSink,
     return eng.stats
 
 
-def measure(m: Mft, src, stay_budget: Optional[int] = None) -> StreamStats:
+def measure(m: Mft, src) -> StreamStats:
     """Like :func:`stream_run` with the output discarded."""
-    return stream_run(m, src, lambda ev: None, stay_budget)
+    return stream_run(m, src, lambda ev: None)
 
 
-def stream_bytes(m: Mft, xml: bytes,
-                 stay_budget: Optional[int] = None) -> Tuple[bytes, StreamStats]:
+def stream_bytes(m: Mft, xml: bytes) -> Tuple[bytes, StreamStats]:
     """Convenience: XML bytes in, serialised output bytes and stats out."""
     import io
 
     from .xmlio import read_events, sink_to
     out = io.BytesIO()
-    stats = stream_run(m, read_events(xml), sink_to(out), stay_budget)
+    stats = stream_run(m, read_events(xml), sink_to(out))
     return out.getvalue(), stats

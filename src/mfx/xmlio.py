@@ -81,21 +81,19 @@ def read_events(source, keep_whitespace: bool = False) -> Iterator[XmlEvent]:
 
     pending: List[XmlEvent] = []
     text_buf: List[str] = []
-    in_attr_value = False  # text inside a synthesised attribute triple
 
     def flush_text():
         if not text_buf:
             return
         content = "".join(text_buf)
         text_buf.clear()
-        if not in_attr_value and not keep_whitespace:
+        if not keep_whitespace:
             content = content.strip()
             if not content:
                 return
         pending.append(Text(content))
 
     def start(name, attrs):
-        nonlocal in_attr_value
         flush_text()
         pending.append(StartElement(name))
         for i in range(0, len(attrs), 2):

@@ -1,15 +1,21 @@
 import random
+import time
 
 import pytest
 
+from mfx.bench import CORPUS_QUERIES
+from mfx.compile import compile_query
 from mfx.forest import elem, parse_term, text
+from mfx.gen import generate_bytes
 from mfx.mft import (Call, EPS, Guard, Node, Param, Rule,
                      StayBudgetExceeded, classify, evaluate, is_tree_rhs,
                      parse_mft, print_mft, size, validate)
+from mfx.optimize import optimize
 from mfx.xmlio import bytes_to_forest
+from mfx.xquery import parse_query
 
 from conftest import DOC2_VERBATIM, M_PERSON_TEXT
-from util import forest_eq, random_forest, random_mft, run_bytes
+from util import random_forest, random_mft, run_bytes
 
 Q_COPY = """\
 q(%t(x1)x2) -> %t(q(x1)) q(x2)
@@ -193,6 +199,22 @@ def test_deep_and_wide_inputs():
     deep = ()
     for _ in range(5000):
         deep = (elem("n", *deep),)
-    assert forest_eq(evaluate(m, deep), deep)
+    assert evaluate(m, deep) == deep
     wide = tuple(elem("w") for _ in range(5000))
-    assert forest_eq(evaluate(m, wide), wide)
+    assert evaluate(m, wide) == wide
+
+
+def test_evaluate_is_linear_in_the_width():
+    # 8x the width: walking siblings by index costs 7-12x the time, copying
+    # the remaining siblings at every step 20-28x.  Best of 3 per width,
+    # the two widths alternated so that a slow spell hits both.
+    m = optimize(compile_query(parse_query(CORPUS_QUERIES["double"])))
+    widths = (2500, 20000)
+    docs = [bytes_to_forest(generate_bytes("wide-flat", w)) for w in widths]
+    best = [float("inf")] * len(widths)
+    for _ in range(3):
+        for i, f in enumerate(docs):
+            t0 = time.perf_counter()
+            evaluate(m, f)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    assert best[1] / best[0] < 16

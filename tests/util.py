@@ -25,21 +25,6 @@ def run_bytes(m: Mft, f: Forest) -> bytes:
     return forest_to_bytes(coalesce_text(evaluate(m, f)))
 
 
-def forest_eq(a: Forest, b: Forest) -> bool:
-    """Iterative equality; tuple/dataclass == recurses and cannot compare
-    very deep trees."""
-    stack = [(a, b)]
-    while stack:
-        fa, fb = stack.pop()
-        if len(fa) != len(fb):
-            return False
-        for ta, tb in zip(fa, fb):
-            if ta.label != tb.label or ta.kind is not tb.kind:
-                return False
-            stack.append((ta.children, tb.children))
-    return True
-
-
 def oracle_bytes(ast, f: Forest) -> bytes:
     from mfx.xqeval import eval_query
     return forest_to_bytes(coalesce_text(eval_query(ast, f)))
