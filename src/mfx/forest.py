@@ -6,8 +6,9 @@ tagged with a :class:`NodeKind`.  A text node has no children, an attribute
 node has exactly one text child.  Forests are plain tuples of :class:`Tree`
 values and are immutable, so they can be shared freely.
 
-Equality and :func:`coalesce_text` walk an explicit stack, so the
-recursion limit does not bound the depth they handle.  Term notation
+Equality, hashing, :func:`check_forest`, :func:`coalesce_text` and the
+printers walk an explicit stack, so the recursion limit does not bound
+the depth they handle.  Term notation
 (``a(b() #"hi")``) is the textual exchange format for forests throughout
 the package.
 """
@@ -50,6 +51,9 @@ class Tree:
                 stack.extend(zip(a.children, b.children))
         return True
 
+    def __hash__(self) -> int:  # of what __eq__ compares
+        return hash(print_term((self,)))
+
     def __repr__(self) -> str:  # compact, term-ish
         return "Tree(%s)" % print_term((self,))
 
@@ -89,10 +93,12 @@ def check_forest(f: Forest) -> list:
     is only enforced for element and attribute labels.
     """
     problems = []
-
-    def walk(forest, path):
-        prev_text = False
-        for i, t in enumerate(forest):
+    # one frame per open level: its path and the children left to check
+    stack = [("", enumerate(f))]
+    prev_text = False
+    while stack:
+        path, todo = stack[-1]
+        for i, t in todo:
             where = "%s[%d]" % (path, i)
             if t.label == CONCAT:
                 problems.append("%s: reserved label %r" % (where, CONCAT))
@@ -102,19 +108,21 @@ def check_forest(f: Forest) -> list:
                 if prev_text:
                     problems.append("%s: adjacent text siblings" % where)
                 prev_text = True
-            else:
-                prev_text = False
-                if not t.label:
-                    problems.append("%s: empty label" % where)
-                if t.kind is NodeKind.ATTRIBUTE:
-                    ok = len(t.children) == 1 and t.children[0].kind is NodeKind.TEXT
-                    if not ok:
-                        problems.append(
-                            "%s: attribute must have exactly one text child" % where
-                        )
-                walk(t.children, where + "/" + t.label)
-
-    walk(f, "")
+                continue
+            prev_text = False
+            if not t.label:
+                problems.append("%s: empty label" % where)
+            if t.kind is NodeKind.ATTRIBUTE:
+                ok = len(t.children) == 1 and t.children[0].kind is NodeKind.TEXT
+                if not ok:
+                    problems.append(
+                        "%s: attribute must have exactly one text child" % where
+                    )
+            stack.append((where + "/" + t.label, enumerate(t.children)))
+            break
+        else:
+            stack.pop()
+            prev_text = False
     return problems
 
 
@@ -170,20 +178,36 @@ def _quote(label: str) -> str:
 
 
 def print_tree(t: Tree) -> str:
-    if t.kind is NodeKind.TEXT:
-        return "#" + _quote(t.label)
-    body = " ".join(print_tree(c) for c in t.children)
-    name = _quote(t.label) if _label_needs_quotes(t.label) else t.label
-    if t.kind is NodeKind.ATTRIBUTE:
-        return "@%s(%s)" % (name, body)
-    return "%s(%s)" % (name, body)
+    return print_term((t,))
 
 
 def print_term(f: Forest) -> str:
     """Forest to term notation; the empty forest prints as ``eps``."""
     if not f:
         return "eps"
-    return " ".join(print_tree(t) for t in f)
+    parts = []
+    stack = [iter(f)]
+    fresh = True  # nothing printed yet at the current level
+    while stack:
+        for t in stack[-1]:
+            if not fresh:
+                parts.append(" ")
+            fresh = False
+            if t.kind is NodeKind.TEXT:
+                parts.append("#" + _quote(t.label))
+                continue
+            name = _quote(t.label) if _label_needs_quotes(t.label) else t.label
+            parts.append(("@%s(" if t.kind is NodeKind.ATTRIBUTE else "%s(")
+                         % name)
+            stack.append(iter(t.children))
+            fresh = True
+            break
+        else:
+            stack.pop()
+            if stack:
+                parts.append(")")
+            fresh = False
+    return "".join(parts)
 
 
 class TermError(ValueError):

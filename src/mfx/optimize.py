@@ -19,7 +19,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from .forest import Forest, Tree, coalesce_text
 from .mft import (Call, Mft, Node, Param, Rhs, Rule, map_rhs, rhs_nodes,
                   rhs_size)
-from .xquery import Element, For, Let, PathExpr, Sequence, StringLit
 
 
 # ---------------------------------------------------------------------------
@@ -68,30 +67,6 @@ def necessary_params(m: Mft) -> Set[Tuple[str, int]]:
                             S.add((rule.state, i))
                             changed = True
     return S
-
-
-def necessary_params_oracle(m: Mft) -> Set[Tuple[str, int]]:
-    """Same set via an explicit dependency graph and breadth-first search;
-    used to cross-check the fixpoint."""
-    edges: Dict[Tuple[str, int], Set[Tuple[str, int]]] = {}
-    seeds: Set[Tuple[str, int]] = set()
-    for rule in m.rules.values():
-        for i in bare_params(rule.rhs):
-            seeds.add((rule.state, i))
-        for call in _calls(rule.rhs):
-            for idx, arg in enumerate(call.args, start=1):
-                for i in bare_params(arg):
-                    edges.setdefault((call.state, idx), set()).add(
-                        (rule.state, i))
-    seen = set(seeds)
-    todo = deque(seeds)
-    while todo:
-        u = todo.popleft()
-        for v in edges.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                todo.append(v)
-    return seen
 
 
 def unused_params(m: Mft) -> Mft:
@@ -319,47 +294,3 @@ def optimize(m: Mft, warn=None, max_rounds: int = 50) -> Mft:
             return m
         last = cur
     raise RuntimeError("optimizer did not converge in %d rounds" % max_rounds)
-
-
-# ---------------------------------------------------------------------------
-# Syntactic parameter-freeness check
-# ---------------------------------------------------------------------------
-
-
-def check_ft_eligibility(ast) -> bool:
-    """True iff the query is guaranteed to optimize to a parameter-free
-    transducer: no path predicates anywhere, and no output variable used
-    under a for clause deeper than its binder."""
-
-    def steps_ok(steps) -> bool:
-        return all(not s.predicates for s in steps)
-
-    ok = True
-
-    def walk(q, depth: int, binders: Dict[str, int]):
-        nonlocal ok
-        if isinstance(q, Element):
-            for c in q.children:
-                walk(c, depth, binders)
-        elif isinstance(q, StringLit):
-            pass
-        elif isinstance(q, Sequence):
-            for c in q.items:
-                walk(c, depth, binders)
-        elif isinstance(q, For):
-            if not steps_ok(q.path.steps):
-                ok = False
-            walk(q.body, depth + 1, {**binders, q.var: depth + 1})
-        elif isinstance(q, Let):
-            walk(q.bound, depth, binders)
-            walk(q.body, depth, {**binders, q.var: depth})
-        elif isinstance(q, PathExpr):
-            if not steps_ok(q.path.steps):
-                ok = False
-            if not q.path.steps and depth != binders.get(q.path.start, 0):
-                ok = False
-        else:
-            raise TypeError(q)
-
-    walk(ast, 0, {"input": 0})
-    return ok

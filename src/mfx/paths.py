@@ -29,7 +29,7 @@ paths over a candidate's children behave.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from .forest import Forest, NodeKind, Tree
 from .xquery import NodeTest, Path, Predicate, Step
@@ -141,15 +141,6 @@ def pred_holds(pred: Predicate, ctx: NodeCtx) -> bool:
     if pred.kind == "empty":
         return not select_ctx(pred.steps, ctx)
     return bool(select_ctx(fold_comparison(pred), ctx))
-
-
-def select_nodes_oracle(path: Path, doc: Forest,
-                        anchor: Optional[NodeCtx] = None) -> List[NodeCtx]:
-    """Reference path semantics.  ``anchor`` overrides the start context
-    (used for variables bound by enclosing for clauses); by default the
-    path starts at the virtual document node."""
-    return select_ctx(path.steps, anchor if anchor is not None
-                      else virtual_ctx(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -308,42 +299,3 @@ def compile_path(path: Path, anchored: bool) -> PathAutomaton:
         if s.predicates:
             raise ValueError("compile_path requires a predicate-free path")
     return PathAutomaton(path.steps, anchored)
-
-
-def dump_dot(auto: PathAutomaton, sigma=None) -> str:
-    """DOT-like text of the reachable part of the automaton (debugging)."""
-    sigma = set(sigma) if sigma else set(auto.sigma)
-    classes: List[LabelClass] = [(s, False) for s in sorted(sigma)]
-    classes += [(None, True), (None, False)]
-    names: Dict[State, str] = {}
-    lines = ["digraph path {"]
-
-    def name(st: State) -> str:
-        if st not in names:
-            names[st] = "s%d" % len(names)
-            lines.append('  %s [label="%s"];'
-                         % (names[st], ",".join(map(str, sorted(st))) or "dead"))
-        return names[st]
-
-    todo = [auto.initial()]
-    seen = set()
-    while todo:
-        st = todo.pop()
-        if st in seen or not st:
-            continue
-        seen.add(st)
-        for cls in classes:
-            sel, down, right = auto.move(st, cls)
-            label = (cls[0] or ("text" if cls[1] else "other"))
-            if down:
-                lines.append('  %s -> %s [label="%s down%s"];'
-                             % (name(st), name(down), label,
-                                " sel" if sel else ""))
-                todo.append(down)
-            if right:
-                lines.append('  %s -> %s [label="%s right%s"];'
-                             % (name(st), name(right), label,
-                                " sel" if sel and not down else ""))
-                todo.append(right)
-    lines.append("}")
-    return "\n".join(lines)

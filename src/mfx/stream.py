@@ -31,13 +31,26 @@ one keeps the document alive through that parameter.  ``StreamStats``
 tracks the peak number of live buffered nodes (filled cells) and of live
 suspensions, counted up on filling or creation and down in ``__del__``;
 this is what the benchmark harness reports.
+
+Reference counting also tells the buffer which input no one can read: if
+only its own tail stack holds the frontier cell of a level, no sibling,
+parent or task can reach that level, now or later.  The buffer then drops
+a text event there, and a start with everything up to its matching
+``End`` (the tail stack counts the depth with one empty cell per open
+dropped node), and an ``End`` that closes a dead level.  A dropped event
+fills no cell and costs :func:`stream_run` no engine step.  Peaks cannot
+move: such a cell used to be counted live and dead within one ``feed``,
+before the peak is sampled.  Like the ``__del__`` counts, this relies on
+CPython's reference counting.  A source with a ``drop_subtree()`` method
+(:func:`mfx.xmlio.read_events`) is told when a dropped subtree starts.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from sys import getrefcount
+from typing import List, Optional, Sequence, Tuple
 
 from .forest import Forest, NodeKind, Tree
 from .mft import Mft, Node, Param, Rhs, dispatch_table, size
@@ -51,17 +64,19 @@ class EngineError(RuntimeError):
 
 @dataclass
 class StreamStats:
-    events_in: int = 0
+    events_in: int = 0  # events the engine received
     events_out: int = 0
+    nodes_buffered: int = 0  # cells filled
     peak_nodes: int = 0
     peak_suspensions: int = 0
     seconds: float = 0.0
 
     def lines(self) -> str:
-        return ("events_in=%d\nevents_out=%d\npeak_nodes=%d\n"
-                "peak_suspensions=%d\nms=%.1f"
-                % (self.events_in, self.events_out, self.peak_nodes,
-                   self.peak_suspensions, self.seconds * 1000.0))
+        return ("events_in=%d\nevents_out=%d\nnodes_buffered=%d\n"
+                "peak_nodes=%d\npeak_suspensions=%d\nms=%.1f"
+                % (self.events_in, self.events_out, self.nodes_buffered,
+                   self.peak_nodes, self.peak_suspensions,
+                   self.seconds * 1000.0))
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +85,13 @@ class StreamStats:
 
 
 class _Live:
-    """Number of live objects of one kind in one run."""
+    """Number of live objects of one kind in one run, and of all made."""
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "made")
 
     def __init__(self):
         self.n = 0
+        self.made = 0
 
 
 class _Cell:
@@ -96,6 +112,7 @@ class _Cell:
         self.label, self.kind, self.children = label, kind, children
         self.live = live
         live.n += 1
+        live.made += 1
         self.next = _Cell()
         return self.next
 
@@ -113,7 +130,8 @@ _TEXT = NodeKind.TEXT
 
 
 class _Buffer:
-    """Builds the cell structure from events and counts live nodes."""
+    """Builds the cell structure from events, counts live nodes and drops
+    the events no one can read (see the module docstring)."""
 
     def __init__(self):
         self.live = _Live()
@@ -128,24 +146,38 @@ class _Buffer:
         root, self._root = self._root, None
         return root
 
-    def feed(self, ev: XmlEvent):
+    def feed(self, ev: XmlEvent) -> int:
+        """Buffer one event; say whether it was kept, dropped, or dropped
+        as the start of a subtree."""
         t = type(ev)
         tails = self._tails
-        if t is StartElement or t is StartAttribute:
-            kids = _Cell()
-            tails[-1] = tails[-1].fill(ev.name, _ELEMENT if t is StartElement
-                                       else _ATTRIBUTE, kids, self.live)
-            tails.append(kids)
-        elif t is End:
-            tails.pop().closed = True
-        elif t is Text:
-            tails[-1] = tails[-1].fill(ev.content, _TEXT, _CLOSED, self.live)
-        elif t is Eof:
+        if t is Eof:
             if len(tails) != 1:
                 raise EngineError("input ended with %d open elements"
                                   % (len(tails) - 1))
             tails.pop().closed = True
             self.done = True
+        elif getrefcount(tails[-1]) == 2:
+            # only the tail stack holds the level's cell: the level is dead
+            if t is End:
+                tails.pop()
+            elif t is not Text:
+                tails.append(_Cell())  # and so is the inside of this node
+                return _DROPS_SUBTREE
+            return _DROPPED
+        elif t is End:
+            tails.pop().closed = True
+        elif t is Text:
+            tails[-1] = tails[-1].fill(ev.content, _TEXT, _CLOSED, self.live)
+        else:
+            kids = _Cell()
+            tails[-1] = tails[-1].fill(ev.name, _ELEMENT if t is StartElement
+                                       else _ATTRIBUTE, kids, self.live)
+            tails.append(kids)
+        return _KEPT
+
+
+_KEPT, _DROPPED, _DROPS_SUBTREE = 0, 1, 2
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +259,7 @@ class Engine:
 
     def _out(self, ev: XmlEvent):
         # coalesce adjacent text
-        if isinstance(ev, Text):
+        if type(ev) is Text:
             if self._text_run is None:
                 self._text_run = [ev.content]
             else:
@@ -239,13 +271,19 @@ class Engine:
 
     # -- stepping ---------------------------------------------------------------
 
-    def step(self, ev: XmlEvent) -> List[XmlEvent]:
-        """Feed one input event; return the output events it unlocked."""
+    def step(self, ev: XmlEvent) -> Sequence[XmlEvent]:
+        """Feed one input event; return the output events it unlocked
+        (the shared empty tuple if none)."""
         if type(ev) is Eof and self.buffer.done:
-            return []
+            return ()
+        self.stats.events_in += 1
+        if self.buffer.feed(ev):
+            return ()
+        return self._advance()
+
+    def _advance(self) -> Sequence[XmlEvent]:
+        """Run what the event just buffered unlocked; return its output."""
         stats = self.stats
-        stats.events_in += 1
-        self.buffer.feed(ev)
         if self.buffer.live.n > stats.peak_nodes:
             stats.peak_nodes = self.buffer.live.n
         # _drive creates no buffered nodes, so the peak above is final; and
@@ -255,12 +293,16 @@ class Engine:
             self._drive()
             if self._susps.n > stats.peak_suspensions:
                 stats.peak_suspensions = self._susps.n
-        if self.buffer.done and not self.stack:
-            self._flush_text()
-            if not self.finished:
-                self.finished = True
-                self._emitted.append(EOF)
+        if self.buffer.done:
+            stats.nodes_buffered = self.buffer.live.made
+            if not self.stack:
+                self._flush_text()
+                if not self.finished:
+                    self.finished = True
+                    self._emitted.append(EOF)
         out = self._emitted
+        if not out:
+            return ()
         self._emitted = []
         return out
 
@@ -387,14 +429,24 @@ class Engine:
 
 def stream_run(m: Mft, src, sink: EventSink) -> StreamStats:
     """Run the transducer over an event source, pushing output events to
-    the sink as they are determined.  Returns the run's statistics."""
+    the sink as they are determined.  Returns the run's statistics.  If the
+    source has a ``drop_subtree()`` method, it is called whenever the
+    buffer starts dropping a subtree."""
     t0 = time.perf_counter()
     eng = Engine(m)
+    stats, feed, advance = eng.stats, eng.buffer.feed, eng._advance
+    hint = getattr(src, "drop_subtree", None)
     saw_eof = False
     for ev in src:
-        for out in eng.step(ev):
+        stats.events_in += 1
+        verdict = feed(ev)
+        if verdict:
+            if verdict == _DROPS_SUBTREE and hint is not None:
+                hint()
+            continue
+        for out in advance():
             sink(out)
-        if isinstance(ev, Eof):
+        if type(ev) is Eof:
             saw_eof = True
             break
     if not saw_eof:
@@ -402,8 +454,8 @@ def stream_run(m: Mft, src, sink: EventSink) -> StreamStats:
             sink(out)
     if eng.stack:
         raise EngineError("engine blocked at end of input")
-    eng.stats.seconds = time.perf_counter() - t0
-    return eng.stats
+    stats.seconds = time.perf_counter() - t0
+    return stats
 
 
 def measure(m: Mft, src) -> StreamStats:

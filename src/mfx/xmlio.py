@@ -9,6 +9,14 @@ of their element, each with a single text child.
 Reading is incremental (expat, fed in small chunks); writing is a push
 sink that serialises events as they arrive, which is what the streaming
 engine needs to emit output before the input is finished.
+
+A consumer that will not read a subtree may call the reader's
+``drop_subtree()`` right after it got the subtree's start; the reader then
+skips the inside and delivers the subtree's ``End`` next.  Within the
+batch already parsed it moves the batch iterator to that ``End``; past
+it, the expat handlers only count depth and build no events.  The hint is
+advisory: the dropped part is balanced, so a consumer that counts depth
+is right whether it was honoured or not.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ class XmlError(ValueError):
     pass
 
 
-def read_events(source, keep_whitespace: bool = False) -> Iterator[XmlEvent]:
+def read_events(source, keep_whitespace: bool = False) -> EventReader:
     """Parse XML bytes (or a binary file object, or str) into an event stream.
 
     Text is coalesced across entity/chunk boundaries.  With the default
@@ -81,10 +89,9 @@ def read_events(source, keep_whitespace: bool = False) -> Iterator[XmlEvent]:
 
     pending: List[XmlEvent] = []
     text_buf: List[str] = []
+    skip = 0  # open elements of a dropped subtree that runs past the batch
 
     def flush_text():
-        if not text_buf:
-            return
         content = "".join(text_buf)
         text_buf.clear()
         if not keep_whitespace:
@@ -94,7 +101,8 @@ def read_events(source, keep_whitespace: bool = False) -> Iterator[XmlEvent]:
         pending.append(Text(content))
 
     def start(name, attrs):
-        flush_text()
+        if text_buf:
+            flush_text()
         pending.append(StartElement(name))
         for i in range(0, len(attrs), 2):
             pending.append(StartAttribute(attrs[i]))
@@ -103,15 +111,30 @@ def read_events(source, keep_whitespace: bool = False) -> Iterator[XmlEvent]:
             pending.append(END)
 
     def end(name):
-        flush_text()
+        if text_buf:
+            flush_text()
         pending.append(END)
 
     def chars(data):
         text_buf.append(data)
 
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.CharacterDataHandler = chars
+    def set_handlers(on_start, on_end, on_chars):
+        parser.StartElementHandler = on_start
+        parser.EndElementHandler = on_end
+        parser.CharacterDataHandler = on_chars
+
+    def skip_start(name, attrs):
+        nonlocal skip
+        skip += 1
+
+    def skip_end(name):
+        nonlocal skip
+        skip -= 1
+        if not skip:
+            set_handlers(start, end, chars)
+            pending.append(END)
+
+    set_handlers(start, end, chars)
 
     def events() -> Iterator[XmlEvent]:
         while True:
@@ -129,7 +152,54 @@ def read_events(source, keep_whitespace: bool = False) -> Iterator[XmlEvent]:
                 yield EOF
                 return
 
-    return events()
+    gen = events()
+
+    def drop_subtree():
+        nonlocal skip
+        # the list iterator that ``yield from pending`` is delivering from
+        it = gen.gi_yieldfrom
+        if it is None:
+            return
+        n = len(pending)
+        i = n - it.__length_hint__()
+        t = type(pending[i - 1])
+        if t is not StartElement and t is not StartAttribute:
+            return  # not right after a start
+        depth = 1
+        while i < n:
+            t = type(pending[i])
+            if t is End:
+                depth -= 1
+                if not depth:
+                    it.__setstate__(i)  # deliver the closing End next
+                    return
+            elif t is not Text:
+                depth += 1
+            i += 1
+        # past the batch: drop its text so far and its callbacks to its End
+        it.__setstate__(n)
+        text_buf.clear()
+        skip = depth
+        set_handlers(skip_start, skip_end, None)
+
+    return EventReader(gen, drop_subtree)
+
+
+class EventReader:
+    """An event iterator that takes the ``drop_subtree()`` hint (see the
+    module docstring).  ``for`` loops run on the generator itself."""
+
+    __slots__ = ("_events", "drop_subtree")
+
+    def __init__(self, events: Iterator[XmlEvent], drop_subtree):
+        self._events = events
+        self.drop_subtree: Callable[[], None] = drop_subtree
+
+    def __iter__(self) -> Iterator[XmlEvent]:
+        return self._events
+
+    def __next__(self) -> XmlEvent:
+        return next(self._events)
 
 
 def build_forest(src: Iterable[XmlEvent]) -> Forest:

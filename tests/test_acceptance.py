@@ -17,8 +17,7 @@ from mfx.compile import compile_query, compile_text
 from mfx.forest import coalesce_text, parse_term
 from mfx.gen import generate_bytes, generate_events
 from mfx.mft import classify, evaluate, parse_mft, size, validate
-from mfx.optimize import (constant_params, necessary_params,
-                          necessary_params_oracle, optimize,
+from mfx.optimize import (constant_params, necessary_params, optimize,
                           remove_stay_moves, remove_unreachable,
                           unused_params)
 from mfx.compose import compose, ft_to_mtt
@@ -28,8 +27,9 @@ from mfx.xquery import parse_query, query_size
 
 from conftest import (DOC1, DOC2, M_PERSON_TEXT, NESTED_DOC, NESTED_PROGRAM,
                       P_PERSON_TEXT)
-from util import (oracle_bytes, random_forest, random_ft, random_mft,
-                  random_person_doc, random_query, random_tt, run_bytes)
+from util import (necessary_params_oracle, oracle_bytes, random_forest,
+                  random_ft, random_mft, random_person_doc, random_query,
+                  random_tt, run_bytes)
 
 
 def _ok(name: str, detail: str = ""):
@@ -220,7 +220,8 @@ def test_criterion_7_streaming_memory():
 
 def test_criterion_8_exhaustive_small_instance_oracles():
     from test_paths import all_forests
-    from mfx.paths import compile_path, select_nodes_oracle, virtual_ctx
+    from mfx.paths import compile_path, virtual_ctx
+    from util import select_nodes_oracle
     from mfx.xquery import parse_query as pq
 
     def path_of(expr):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfx.forest import (CONCAT, NodeKind, Tree, attr, check_forest,
-                        coalesce_text, elem, parse_term, print_term, text)
+                        coalesce_text, elem, parse_term, print_term,
+                        print_tree, text)
 
 from util import random_forest
 
@@ -82,3 +83,23 @@ def test_tree_equality_is_structural_at_any_depth():
     assert deep != _chain(4999, (text("x"),))
     assert elem("a") != "a" and elem("a") == Tree("a")
     assert hash(elem("a", text("x"))) == hash(elem("a", text("x")))
+
+
+def test_helpers_handle_a_5000_deep_chain():
+    t = text("x")
+    for k in range(5000):
+        t = Tree("n", NodeKind.ATTRIBUTE if k == 0 else NodeKind.ELEMENT,
+                 (t,))
+    want = "n(" * 4999 + '@n(#"x")' + ")" * 4999
+    assert print_term((t,)) == want
+    assert print_tree(t) == want
+    assert repr(t) == "Tree(%s)" % want
+    assert check_forest((t,)) == []
+    bad = Tree("n", NodeKind.ELEMENT, (t, text("a"), text("b")))
+    assert check_forest((bad,)) == ["[0]/n[2]: adjacent text siblings"]
+    twin = text("x")
+    for k in range(5000):
+        twin = Tree("n", NodeKind.ATTRIBUTE if k == 0 else NodeKind.ELEMENT,
+                    (twin,))
+    assert twin == t and hash(twin) == hash(t)
+    assert len({t, twin, bad}) == 2

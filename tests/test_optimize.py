@@ -3,8 +3,7 @@ import random
 
 from mfx.forest import elem
 from mfx.mft import classify, evaluate, parse_mft, print_mft, size, validate
-from mfx.optimize import (check_ft_eligibility, constant_params,
-                          necessary_params, necessary_params_oracle, optimize,
+from mfx.optimize import (constant_params, necessary_params, optimize,
                           reachable_states, remove_stay_moves,
                           remove_unreachable, unused_params)
 from mfx.xquery import parse_query
@@ -12,7 +11,8 @@ from mfx.compile import compile_text
 from mfx.bench import CORPUS_QUERIES
 
 from conftest import M_PERSON_TEXT, P_PERSON_TEXT
-from util import random_forest, random_mft, random_query, run_bytes
+from util import (check_ft_eligibility, necessary_params_oracle,
+                  random_forest, random_mft, random_query, run_bytes)
 
 # Five-rule parameter-flow example (wrapped in a rank-1 initial state):
 # y2 of q is used directly, which makes y1 of q2 used (it is passed as

@@ -3,12 +3,11 @@ import random
 import pytest
 
 from mfx.forest import elem, text
-from mfx.paths import (NodeCtx, PathAutomaton, compile_path, dump_dot,
-                       fold_comparison, select_ctx, select_nodes_oracle,
-                       virtual_ctx)
+from mfx.paths import (NodeCtx, PathAutomaton, compile_path,
+                       fold_comparison, select_ctx, virtual_ctx)
 from mfx.xquery import NodeTest, Path, Predicate, Step, parse_query
 
-from util import random_forest
+from util import dump_dot, random_forest, select_nodes_oracle
 
 
 def _path(expr: str) -> Path:

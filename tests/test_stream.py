@@ -3,13 +3,15 @@ import random
 
 import pytest
 
+import mfx.stream
 from mfx.compile import compile_text
 from mfx.forest import elem, text
 from mfx.mft import EPS, evaluate, parse_mft
 from mfx.optimize import optimize
 from mfx.stream import Engine, EngineError, measure, stream_bytes, stream_run
-from mfx.xmlio import (EOF, End, StartElement, Text, bytes_to_forest,
-                       forest_events, forest_to_bytes, read_events, sink_to)
+from mfx.xmlio import (_CHUNK, EOF, End, StartElement, Text, XmlError,
+                       bytes_to_forest, forest_events, forest_to_bytes,
+                       read_events, sink_to)
 
 from conftest import DOC1, DOC2
 from util import random_forest, random_ft, random_mft, random_tt, run_bytes
@@ -176,7 +178,7 @@ def test_corpus_peaks_and_output_sizes_are_pinned():
     assert got == BOUNDED_MEMORY
 
 
-def _per_step_outputs(m, events, force_drive):
+def _per_step_outputs(m, events, force_drive=False):
     eng = Engine(m)
     steps = []
     for ev in events:
@@ -205,6 +207,66 @@ def test_waiting_on_a_cell_does_not_delay_output():
         for m in (random_ft(rng), random_tt(rng), random_mft(rng)):
             f = random_forest(rng, budget=12)
             _assert_skip_is_transparent(m, list(forest_events(f)) + [EOF])
+
+
+@pytest.fixture
+def never_drop(monkeypatch):
+    """A switch that makes the buffer's reachability check never fire, so
+    that every event is buffered."""
+    def switch():
+        monkeypatch.setattr(mfx.stream, "getrefcount", lambda cell: 3)
+    return switch
+
+
+def test_dropping_unreachable_input_is_transparent(never_drop):
+    from mfx.bench import CORPUS_QUERIES
+    from mfx.gen import generate_bytes
+    data = generate_bytes("xmark-lite", 900, seed=5)
+    events = list(read_events(data))
+    rng = random.Random(94)
+    cases = [(optimize(compile_text(q)), events)
+             for q in CORPUS_QUERIES.values()]
+    for _ in range(20):
+        for m in (random_ft(rng), random_tt(rng), random_mft(rng)):
+            f = random_forest(rng, budget=12)
+            cases.append((m, list(forest_events(f)) + [EOF]))
+    dropping = [_per_step_outputs(m, evs) for m, evs in cases]
+    by_reader = [stream_bytes(m, data) for m, _ in cases[:9]]
+    never_drop()
+    assert dropping == [_per_step_outputs(m, evs) for m, evs in cases]
+    for (m, _), (out, st) in zip(cases, by_reader):
+        out2, st2 = stream_bytes(m, data)
+        assert out == out2
+        assert ((st.events_out, st.peak_nodes, st.peak_suspensions)
+                == (st2.events_out, st2.peak_nodes, st2.peak_suspensions))
+        assert st.nodes_buffered <= st2.nodes_buffered
+
+
+def test_q13_buffers_under_half_of_the_input():
+    from mfx.bench import CORPUS_QUERIES
+    from mfx.gen import count_nodes, generate_bytes, generate_events
+    doc = generate_bytes("xmark-lite", 5000, 0)
+    out, st = stream_bytes(optimize(compile_text(CORPUS_QUERIES["q13"])), doc)
+    assert (st.peak_nodes, st.peak_suspensions, st.events_out,
+            len(out)) == BOUNDED_MEMORY["q13"]
+    assert st.nodes_buffered < count_nodes(
+        generate_events("xmark-lite", 5000, 0)) / 2
+
+
+def test_input_cut_inside_a_dropped_subtree_fails_typed(never_drop):
+    # a constant query reads nothing below the root: <b> and <c> are dropped
+    m = compile_text("<r>c</r>")
+    events = [StartElement("a"), StartElement("b"), Text("t"),
+              StartElement("c"), EOF]
+    msg = "input ended with 3 open elements"
+    with pytest.raises(EngineError, match=msg):
+        stream_run(m, iter(events), lambda ev: None)
+    body = b"<i>x</i>" * (3 * _CHUNK)
+    with pytest.raises(XmlError, match=r"line 1, column \d+"):
+        stream_bytes(m, b"<a><b>" + body)
+    never_drop()
+    with pytest.raises(EngineError, match=msg):
+        stream_run(m, iter(events), lambda ev: None)
 
 
 def test_symbol_rule_beats_text_guard_in_both_interpreters():

@@ -4,8 +4,8 @@ import pytest
 
 from mfx.forest import NodeKind, attr, elem, text
 from mfx.gen import generate_bytes
-from mfx.xmlio import (END, EOF, StartAttribute, StartElement, Text, XmlError,
-                       build_forest, bytes_to_forest, forest_events,
+from mfx.xmlio import (_CHUNK, END, EOF, StartAttribute, StartElement, Text,
+                       XmlError, build_forest, bytes_to_forest, forest_events,
                        forest_to_bytes, read_events, write_events)
 
 from util import random_forest
@@ -138,3 +138,103 @@ def test_events_keep_order_across_chunks_and_errors_keep_position():
             got.append(ev)
     # whole chunks before the malformed one were delivered, in order
     assert got and got == good[:len(got)]
+
+
+def _random_document(rng, budget):
+    """XML bytes with attributes, whitespace-only text, mixed content and,
+    now and then, a subtree several read chunks long."""
+    out = []
+
+    def node(depth):
+        nonlocal budget
+        name = rng.choice("abcd")
+        attrs = "".join(' %s="%s"' % (k, rng.choice(["", "v", " w "]))
+                        for k in rng.sample("xyz", rng.randrange(3)))
+        out.append("<%s%s>" % (name, attrs))
+        if depth < 6 and rng.random() < 0.05:
+            out.append("<big>%s</big>" % "".join(
+                '<i n="%d">t%d</i>\n ' % (k, k) for k in range(300)))
+        while budget > 0 and rng.random() < 0.6:
+            budget -= 1
+            r = rng.random()
+            if r < 0.2:
+                out.append(rng.choice([" ", "\n  ", "x", " y &amp; z "]))
+            elif depth < 6:
+                node(depth + 1)
+        out.append("</%s>" % name)
+
+    node(0)
+    return "".join(out).encode()
+
+
+def _is_start(ev):
+    return type(ev) in (StartElement, StartAttribute)
+
+
+def _hinted(reader, decide):
+    got = []
+    for ev in reader:
+        got.append(ev)
+        if _is_start(ev) and decide():
+            reader.drop_subtree()
+    return got
+
+
+def _without_insides(events, decide):
+    """``events`` with the inside of every subtree ``decide`` picks, in
+    the order a hinting consumer sees the starts, removed."""
+    out, k = [], 0
+    while k < len(events):
+        ev = events[k]
+        out.append(ev)
+        k += 1
+        if _is_start(ev) and decide():
+            depth = 1
+            while depth:
+                depth += (1 if _is_start(events[k])
+                          else -1 if events[k] == END else 0)
+                k += 1
+            k -= 1  # the closing End is delivered
+    return out
+
+
+def _coin(seed, p):
+    r = random.Random(seed)
+    return lambda: r.random() < p
+
+
+def test_dropped_subtrees_lose_exactly_their_insides():
+    # hints at random starts, in and across read batches
+    rng = random.Random(23)
+    for trial in range(60):
+        data = _random_document(rng, rng.randrange(5, 120))
+        keep = trial % 3 == 0
+        full = list(read_events(data, keep_whitespace=keep))
+        for p in (0.05, 0.3, 1.0):
+            seed = rng.random()
+            got = _hinted(read_events(data, keep_whitespace=keep),
+                          _coin(seed, p))
+            assert got == _without_insides(full, _coin(seed, p))
+
+
+def test_a_dropped_subtree_longer_than_a_chunk():
+    big = b"".join(b'<i n="%d">t%d <e/> u</i>\n' % (k, k) for k in range(400))
+    assert len(big) > 2 * _CHUNK
+    data = b'<r>before<d k="v">' + big + b'</d>after<d/> tail</r>'
+    first_d = iter([False, True])  # <r>, then the first <d>
+    got = _hinted(read_events(data), lambda: next(first_d, False))
+    assert got == [StartElement("r"), Text("before"), StartElement("d"), END,
+                   Text("after"), StartElement("d"), END, Text("tail"), END,
+                   EOF]
+
+
+def test_hints_elsewhere_than_after_a_start_are_ignored():
+    data = b"<r>x<a>y</a></r>"
+    reader = read_events(data)
+    reader.drop_subtree()  # before the first event
+    got = []
+    for ev in reader:
+        got.append(ev)
+        if not _is_start(ev):
+            reader.drop_subtree()
+    assert got == list(read_events(data))

@@ -1,4 +1,6 @@
-"""Shared test helpers: byte-level runners and random generators.
+"""Shared test helpers: byte-level runners, reference oracles that only
+the tests use (path selection, necessary parameters, the automaton dump)
+and random generators.
 
 The generators keep element-name and text-content alphabets disjoint
 (text contents double as comparison constants), which is the regime the
@@ -10,12 +12,18 @@ x2), except stay calls into designated call-free states.
 from __future__ import annotations
 
 import random
+from collections import deque
+from typing import Dict, List, Optional, Set, Tuple
 
 from mfx.forest import Forest, NodeKind, Tree, coalesce_text, elem, text
 from mfx.mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rule, TEXT,
-                     evaluate, validate)
+                     evaluate, rhs_nodes, validate)
+from mfx.optimize import bare_params
+from mfx.paths import (LabelClass, NodeCtx, PathAutomaton, State, select_ctx,
+                       virtual_ctx)
 from mfx.xmlio import forest_to_bytes
-from mfx.xquery import NodeTest, Path, Predicate, Step
+from mfx.xquery import (Element, For, Let, NodeTest, Path, PathExpr, Predicate,
+                        Sequence, Step, StringLit)
 
 ELEM_LABELS = ("a", "b", "c")
 TEXT_CONTENTS = ("t1", "t2", "t3")
@@ -28,6 +36,120 @@ def run_bytes(m: Mft, f: Forest) -> bytes:
 def oracle_bytes(ast, f: Forest) -> bytes:
     from mfx.xqeval import eval_query
     return forest_to_bytes(coalesce_text(eval_query(ast, f)))
+
+
+def necessary_params_oracle(m: Mft) -> Set[Tuple[str, int]]:
+    """``optimize.necessary_params`` via an explicit dependency graph and
+    breadth-first search; used to cross-check the fixpoint."""
+    edges: Dict[Tuple[str, int], Set[Tuple[str, int]]] = {}
+    seeds: Set[Tuple[str, int]] = set()
+    for rule in m.rules.values():
+        for i in bare_params(rule.rhs):
+            seeds.add((rule.state, i))
+        for call in rhs_nodes(rule.rhs):
+            if not isinstance(call, Call):
+                continue
+            for idx, arg in enumerate(call.args, start=1):
+                for i in bare_params(arg):
+                    edges.setdefault((call.state, idx), set()).add(
+                        (rule.state, i))
+    seen = set(seeds)
+    todo = deque(seeds)
+    while todo:
+        u = todo.popleft()
+        for v in edges.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def select_nodes_oracle(path: Path, doc: Forest,
+                        anchor: Optional[NodeCtx] = None) -> List[NodeCtx]:
+    """Reference path semantics.  ``anchor`` overrides the start context
+    (used for variables bound by enclosing for clauses); by default the
+    path starts at the virtual document node."""
+    return select_ctx(path.steps, anchor if anchor is not None
+                      else virtual_ctx(doc))
+
+
+def dump_dot(auto: PathAutomaton, sigma=None) -> str:
+    """DOT-like text of the reachable part of the automaton (debugging)."""
+    sigma = set(sigma) if sigma else set(auto.sigma)
+    classes: List[LabelClass] = [(s, False) for s in sorted(sigma)]
+    classes += [(None, True), (None, False)]
+    names: Dict[State, str] = {}
+    lines = ["digraph path {"]
+
+    def name(st: State) -> str:
+        if st not in names:
+            names[st] = "s%d" % len(names)
+            lines.append('  %s [label="%s"];'
+                         % (names[st], ",".join(map(str, sorted(st))) or "dead"))
+        return names[st]
+
+    todo = [auto.initial()]
+    seen = set()
+    while todo:
+        st = todo.pop()
+        if st in seen or not st:
+            continue
+        seen.add(st)
+        for cls in classes:
+            sel, down, right = auto.move(st, cls)
+            label = (cls[0] or ("text" if cls[1] else "other"))
+            if down:
+                lines.append('  %s -> %s [label="%s down%s"];'
+                             % (name(st), name(down), label,
+                                " sel" if sel else ""))
+                todo.append(down)
+            if right:
+                lines.append('  %s -> %s [label="%s right%s"];'
+                             % (name(st), name(right), label,
+                                " sel" if sel and not down else ""))
+                todo.append(right)
+    lines.append("}")
+    return "\n".join(lines)
+
+
+
+def check_ft_eligibility(ast) -> bool:
+    """True iff the query is guaranteed to optimize to a parameter-free
+    transducer: no path predicates anywhere, and no output variable used
+    under a for clause deeper than its binder."""
+
+    def steps_ok(steps) -> bool:
+        return all(not s.predicates for s in steps)
+
+    ok = True
+
+    def walk(q, depth: int, binders: Dict[str, int]):
+        nonlocal ok
+        if isinstance(q, Element):
+            for c in q.children:
+                walk(c, depth, binders)
+        elif isinstance(q, StringLit):
+            pass
+        elif isinstance(q, Sequence):
+            for c in q.items:
+                walk(c, depth, binders)
+        elif isinstance(q, For):
+            if not steps_ok(q.path.steps):
+                ok = False
+            walk(q.body, depth + 1, {**binders, q.var: depth + 1})
+        elif isinstance(q, Let):
+            walk(q.bound, depth, binders)
+            walk(q.body, depth, {**binders, q.var: depth})
+        elif isinstance(q, PathExpr):
+            if not steps_ok(q.path.steps):
+                ok = False
+            if not q.path.steps and depth != binders.get(q.path.start, 0):
+                ok = False
+        else:
+            raise TypeError(q)
+
+    walk(ast, 0, {"input": 0})
+    return ok
 
 
 # ---------------------------------------------------------------------------
