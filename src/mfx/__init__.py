@@ -9,16 +9,18 @@ The package is organised around one value domain and one machine model:
   rewriter and binary view, validation, in-memory evaluation (the oracle),
   classification, and rule-file syntax.
 * :mod:`mfx.xquery` -- the MinXQuery front end (parser, scope checker).
-* :mod:`mfx.paths` -- XPath steps compiled to total node-selection automata,
-  plus the naive selection oracle.
-* :mod:`mfx.xqeval` -- a direct MinXQuery interpreter (reference semantics).
+* :mod:`mfx.paths` -- node tests, the reference path selection over a
+  document numbered in pre-order (a node is its pre-order number), and the
+  total node-selection automata the compiler builds scans from.
+* :mod:`mfx.xqeval` -- a direct MinXQuery interpreter (reference semantics)
+  over that numbering.
 * :mod:`mfx.compile` -- the query-to-transducer translation.
 * :mod:`mfx.optimize` -- parameter reduction, stay-move inlining, and
   unreachable-state removal, iterated to a fixpoint.
 * :mod:`mfx.compose` -- transducer (de)compositions and pipeline fusion.
 * :mod:`mfx.stream` -- single-pass evaluation over an XML event stream.
 * :mod:`mfx.gen`, :mod:`mfx.bench`, :mod:`mfx.cli` -- document generator,
-  benchmark harness, and the command-line front end.
+  the benchmark corpus, and the command-line front end.
 """
 
 __version__ = "0.1.0"

@@ -1,24 +1,16 @@
-"""Benchmark harness: the nine benchmark queries at desk scale.
+"""The benchmark corpus: the nine benchmark queries and their transducers.
 
-Runs each query's (compiled, optionally optimized) transducer over
-generated documents and reports wall time, the peak number of retained
-input nodes (the memory proxy; process RSS is deliberately not measured)
-and output volume, one machine-parseable record per line:
-
-    query=q01 nodes=10000 ms=123.4 peak=17 out_bytes=42
+``mfx bench`` streams each query's transducer over generated xmark-lite
+documents and prints one record per run (see :func:`mfx.cli.cmd_bench`).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from .compile import compile_text
-from .gen import count_nodes, generate_events
 from .mft import Mft
 from .optimize import optimize
-from .stream import stream_run
 
 #: The benchmark programs, as printed (predicate forms, no where-clauses).
 CORPUS_QUERIES: Dict[str, str] = {
@@ -67,65 +59,7 @@ return <person><name>{$person/name/text()}</name></person>
 }</deepdup>""",
 }
 
-#: Generator profile each query runs against by default.
-QUERY_PROFILES: Dict[str, str] = {name: "xmark-lite" for name in CORPUS_QUERIES}
-
-
-@dataclass(frozen=True)
-class BenchSpec:
-    query: str                  # corpus query id
-    profile: str = "xmark-lite"
-    size: int = 10_000          # node-count target of the generated input
-    seed: int = 0
-    repetitions: int = 1
-    no_opt: bool = False
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-
-
-@dataclass
-class BenchResult:
-    query: str
-    nodes: int
-    ms: float
-    peak: int
-    out_bytes: int
-
-    def record(self) -> str:
-        return ("query=%s nodes=%d ms=%.1f peak=%d out_bytes=%d"
-                % (self.query, self.nodes, self.ms, self.peak, self.out_bytes))
-
 
 def corpus_transducer(name: str, no_opt: bool = False) -> Mft:
     m = compile_text(CORPUS_QUERIES[name])
     return m if no_opt else optimize(m)
-
-
-class _ByteCounter:
-    def __init__(self):
-        self.n = 0
-
-    def write(self, data: bytes):
-        self.n += len(data)
-
-
-def run_spec(spec: BenchSpec, transducer: Optional[Mft] = None) -> BenchResult:
-    from .xmlio import sink_to
-    m = transducer if transducer is not None \
-        else corpus_transducer(spec.query, spec.no_opt)
-    nodes = count_nodes(generate_events(spec.profile, spec.size, spec.seed))
-    times: List[float] = []
-    peak = out_bytes = 0
-    for _ in range(max(1, spec.repetitions)):
-        counter = _ByteCounter()
-        t0 = time.perf_counter()
-        stats = stream_run(m, generate_events(spec.profile, spec.size,
-                                              spec.seed), sink_to(counter))
-        times.append((time.perf_counter() - t0) * 1000.0)
-        peak = stats.peak_nodes
-        out_bytes = counter.n
-    times.sort()
-    return BenchResult(spec.query, nodes, times[len(times) // 2], peak,
-                       out_bytes)

@@ -6,9 +6,9 @@ tagged with a :class:`NodeKind`.  A text node has no children, an attribute
 node has exactly one text child.  Forests are plain tuples of :class:`Tree`
 values and are immutable, so they can be shared freely.
 
-Equality, hashing, :func:`check_forest`, :func:`coalesce_text` and the
-printers walk an explicit stack, so the recursion limit does not bound
-the depth they handle.  Term notation
+Equality, hashing, :func:`check_forest`, :func:`coalesce_text`, the
+printers and the term parser walk an explicit stack, so the recursion
+limit does not bound the depth they handle.  Term notation
 (``a(b() #"hi")``) is the textual exchange format for forests throughout
 the package.
 """
@@ -261,37 +261,37 @@ class _TermScanner:
 
 
 def _parse_forest(sc: _TermScanner) -> Forest:
-    items = []
+    """Trees up to an unmatched ``)`` or the end of input."""
+    # one frame per open tree: (label, kind, its children so far); the
+    # bottom frame collects the top level
+    stack = [(None, None, [])]
     while True:
         sc.skip_ws()
         c = sc.peek()
         if c in ("", ")"):
-            break
-        items.append(_parse_tree(sc))
-    return tuple(items)
-
-
-def _parse_tree(sc: _TermScanner) -> Tree:
-    c = sc.peek()
-    if c == "#":
-        sc.pos += 1
-        return text(sc.quoted())
-    kind = NodeKind.ELEMENT
-    if c == "@":
-        sc.pos += 1
-        kind = NodeKind.ATTRIBUTE
-        c = sc.peek()
-    if c == '"':
-        label = sc.quoted()
-    else:
-        label = sc.bare()
-        if label == "eps":
-            raise TermError("eps is not a tree", sc.pos)
-    sc.expect("(")
-    children = _parse_forest(sc)
-    sc.skip_ws()
-    sc.expect(")")
-    return Tree(label, kind, children)
+            if len(stack) == 1:
+                return tuple(stack[0][2])
+            sc.expect(")")
+            label, kind, items = stack.pop()
+            stack[-1][2].append(Tree(label, kind, tuple(items)))
+            continue
+        if c == "#":
+            sc.pos += 1
+            stack[-1][2].append(text(sc.quoted()))
+            continue
+        kind = NodeKind.ELEMENT
+        if c == "@":
+            sc.pos += 1
+            kind = NodeKind.ATTRIBUTE
+            c = sc.peek()
+        if c == '"':
+            label = sc.quoted()
+        else:
+            label = sc.bare()
+            if label == "eps":
+                raise TermError("eps is not a tree", sc.pos)
+        sc.expect("(")
+        stack.append((label, kind, []))
 
 
 def parse_term(s: str) -> Forest:

@@ -1,7 +1,8 @@
-"""Path selection: a naive reference oracle and a total selection automaton.
+"""Path selection: the reference selection over a numbered document and the
+total selection automaton the compiler builds its scans from.
 
-Node-test semantics shared by the oracle, the automaton, and the compiled
-transducers:
+Node-test semantics shared by the reference selection, the automaton, and
+the compiled transducers:
 
 * a name test matches any node with that label, regardless of kind (this is
   what makes string-comparison guards possible, and means a text node whose
@@ -14,6 +15,16 @@ transducers:
   ``/text()`` first.
 
 Selection order is document pre-order, without duplicates.
+
+The reference selection runs on a :class:`Numbering` of the document, the
+pre/size plane of Grust's *Accelerating XPath location steps* (SIGMOD
+2002): a node is its pre-order number, the virtual document node is 0, and
+node ``k`` keeps its tree, ``parent[k]`` and ``end[k]``, one past its last
+descendant.  Every axis is a range of numbers: the children of ``k`` start
+at ``k+1`` and step by ``end``, its descendants are ``range(k+1, end[k])``,
+and its following siblings run from ``end[k]`` to its parent's ``end``.
+Order and de-duplication are integer comparisons, and nothing recurses on
+the document.
 
 The automaton is a subset construction over "seek tokens": token ``j``
 means "looking for a node matching step j".  A child or following-sibling
@@ -28,50 +39,35 @@ paths over a candidate's children behave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
 from .forest import Forest, NodeKind, Tree
-from .xquery import NodeTest, Path, Predicate, Step
+from .xquery import NodeTest, Predicate, Step
 
 State = FrozenSet[int]
 
+#: A label class: (label, is_text).  The automaton replaces a label outside
+#: its alphabet by None, which no name test matches.
+LabelClass = Tuple[Optional[str], bool]
+
 
 # ---------------------------------------------------------------------------
-# Node contexts and test matching
+# Node tests
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodeCtx:
-    """A node together with its following siblings; ``tree=None`` is the
-    virtual document node (children = the whole top-level forest)."""
-
-    tree: Optional[Tree]
-    tail: Forest = ()
-    doc: Forest = ()
-    pos: Tuple[int, ...] = ()
-
-    @property
-    def children(self) -> Forest:
-        return self.doc if self.tree is None else self.tree.children
-
-
-def virtual_ctx(doc: Forest) -> NodeCtx:
-    return NodeCtx(None, (), doc, ())
-
-
-def test_matches(test: NodeTest, tree: Tree) -> bool:
+def class_test(test: NodeTest, cls: LabelClass) -> bool:
+    label, is_text = cls
     if test.kind == "name":
-        return tree.label == test.name
+        return label == test.name
     if test.kind == "star":
-        return tree.kind is not NodeKind.TEXT
+        return not is_text
     if test.kind == "text":
-        return tree.kind is NodeKind.TEXT
+        return is_text
     if test.kind == "node":
         return True
     if test.kind == "neq":
-        return tree.kind is NodeKind.TEXT and tree.label != test.name
+        return is_text and label != test.name
     raise ValueError(test.kind)
 
 
@@ -89,58 +85,85 @@ def fold_comparison(pred: Predicate) -> Tuple[Step, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Naive selection oracle
+# Reference selection over the pre-order numbering
 # ---------------------------------------------------------------------------
 
 
-def _descendants(children: Forest, base: Tuple[int, ...]) -> List[NodeCtx]:
-    out = []
-    for i, t in enumerate(children):
-        ctx = NodeCtx(t, children[i + 1:], (), base + (i,))
-        out.append(ctx)
-        out.extend(_descendants(t.children, ctx.pos))
-    return out
+class Numbering:
+    """A forest numbered in pre-order.  ``trees[k]`` is node ``k``'s tree
+    (``None`` for the virtual document node 0), ``parent[k]`` its parent
+    (0 for the top level and for node 0 itself) and ``end[k]`` one past
+    its last descendant."""
+
+    __slots__ = ("forest", "trees", "parent", "end")
+
+    def __init__(self, forest: Forest):
+        self.forest = forest
+        trees: List[Optional[Tree]] = [None]
+        parent, end = [0], [0]
+        # one frame per open node: its number and its children left to read
+        stack = [(0, iter(forest))]
+        while stack:
+            p, todo = stack[-1]
+            for t in todo:
+                k = len(trees)
+                trees.append(t)
+                parent.append(p)
+                end.append(k + 1)
+                if t.children:
+                    stack.append((k, iter(t.children)))
+                    break
+            else:
+                stack.pop()
+                end[p] = len(trees)
+        self.trees, self.parent, self.end = trees, parent, end
 
 
-def _step_candidates(step: Step, ctx: NodeCtx) -> List[NodeCtx]:
-    if step.axis == "child":
-        kids = ctx.children
-        return [NodeCtx(t, kids[i + 1:], (), ctx.pos + (i,))
-                for i, t in enumerate(kids)]
-    if step.axis == "descendant":
-        return _descendants(ctx.children, ctx.pos)
-    if step.axis == "following-sibling":
-        base, last = ctx.pos[:-1], (ctx.pos[-1] if ctx.pos else 0)
-        return [NodeCtx(t, ctx.tail[i + 1:], (), base + (last + 1 + i,))
-                for i, t in enumerate(ctx.tail)]
-    raise ValueError(step.axis)
-
-
-def select_ctx(steps, anchor: NodeCtx) -> List[NodeCtx]:
-    """All nodes reached from the anchor by the steps, in document
-    pre-order, without duplicates.  Handles predicates recursively."""
+def select_ctx(steps, doc: Numbering, anchor: int) -> List[int]:
+    """All nodes reached from node ``anchor`` by the steps, in pre-order,
+    without duplicates.  Handles predicates recursively."""
+    trees, parent, end = doc.trees, doc.parent, doc.end
+    TEXT = NodeKind.TEXT
     frontier = [anchor]
     for step in steps:
-        nxt: List[NodeCtx] = []
-        seen = set()
-        for ctx in frontier:
-            for cand in _step_candidates(step, ctx):
-                if cand.pos in seen:
-                    continue
-                if not test_matches(step.test, cand.tree):
-                    continue
-                if all(pred_holds(p, cand) for p in step.predicates):
-                    seen.add(cand.pos)
-                    nxt.append(cand)
-        nxt.sort(key=lambda c: c.pos)
-        frontier = nxt
+        cands: List[int] = []
+        if step.axis == "descendant":
+            covered = 0
+            for k in frontier:  # a nested context adds no descendants
+                if k >= covered:
+                    covered = end[k]
+                    cands.extend(range(k + 1, covered))
+        elif step.axis == "child":
+            for k in frontier:
+                j, stop = k + 1, end[k]
+                while j < stop:
+                    cands.append(j)
+                    j = end[j]
+            cands.sort()
+        elif step.axis == "following-sibling":
+            scanned = set()  # the first sibling scans for the later ones
+            for k in frontier:
+                if parent[k] not in scanned:
+                    scanned.add(parent[k])
+                    j, stop = end[k], end[parent[k]]
+                    while j < stop:
+                        cands.append(j)
+                        j = end[j]
+            cands.sort()
+        else:
+            raise ValueError(step.axis)
+        test, preds = step.test, step.predicates
+        frontier = [j for j in cands
+                    if class_test(test, (trees[j].label,
+                                         trees[j].kind is TEXT))
+                    and all(pred_holds(p, doc, j) for p in preds)]
     return frontier
 
 
-def pred_holds(pred: Predicate, ctx: NodeCtx) -> bool:
+def pred_holds(pred: Predicate, doc: Numbering, k: int) -> bool:
     if pred.kind == "empty":
-        return not select_ctx(pred.steps, ctx)
-    return bool(select_ctx(fold_comparison(pred), ctx))
+        return not select_ctx(pred.steps, doc, k)
+    return bool(select_ctx(fold_comparison(pred), doc, k))
 
 
 # ---------------------------------------------------------------------------
@@ -148,29 +171,6 @@ def pred_holds(pred: Predicate, ctx: NodeCtx) -> bool:
 # ---------------------------------------------------------------------------
 
 ANCHOR = 0
-
-#: A label class: (label if it is an alphabet symbol else None, is_text).
-LabelClass = Tuple[Optional[str], bool]
-
-
-def class_of(tree: Tree, sigma) -> LabelClass:
-    return (tree.label if tree.label in sigma else None,
-            tree.kind is NodeKind.TEXT)
-
-
-def class_test(test: NodeTest, cls: LabelClass) -> bool:
-    label, is_text = cls
-    if test.kind == "name":
-        return label == test.name
-    if test.kind == "star":
-        return not is_text
-    if test.kind == "text":
-        return is_text
-    if test.kind == "node":
-        return True
-    if test.kind == "neq":
-        return is_text and label != test.name
-    raise ValueError(test.kind)
 
 
 class PathAutomaton:
@@ -244,58 +244,3 @@ class PathAutomaton:
 
     def token_predicates(self, j: int) -> Tuple[Predicate, ...]:
         return () if j == ANCHOR else self.steps[j - 1].predicates
-
-    def select(self, anchor: NodeCtx) -> List[NodeCtx]:
-        """Automaton-driven selection (predicate-free paths only)."""
-        for s in self.steps:
-            if s.predicates:
-                raise ValueError("automaton selection requires a "
-                                 "predicate-free path")
-        out: List[NodeCtx] = []
-        sigma = self.sigma
-
-        def walk(state: State, items):
-            s = state
-            for (t, tail, pos) in items:
-                if not s:
-                    return
-                sel, down, right = self.move(s, class_of(t, sigma))
-                if sel:
-                    out.append(NodeCtx(t, tail, (), pos))
-                if down:
-                    kids = t.children
-                    walk(down, [(c, kids[i + 1:], pos + (i,))
-                                for i, c in enumerate(kids)])
-                s = right
-
-        start = self.initial()
-        if self.anchored:
-            if anchor.tree is None:
-                raise ValueError("anchored selection needs a real anchor")
-            pos = anchor.pos or (0,)
-            items = [(anchor.tree, anchor.tail, pos)]
-            for i, t in enumerate(anchor.tail):
-                items.append((t, anchor.tail[i + 1:],
-                              pos[:-1] + (pos[-1] + 1 + i,)))
-            walk(start, items)
-        elif self.k and self.steps[0].axis == "following-sibling":
-            # an unanchored scan seeded by a sibling axis runs over the
-            # anchor's tail (empty for the virtual document node)
-            pos = anchor.pos or (0,)
-            walk(start, [(t, anchor.tail[i + 1:],
-                          pos[:-1] + (pos[-1] + 1 + i,))
-                         for i, t in enumerate(anchor.tail)])
-        else:
-            kids = anchor.children
-            walk(start, [(c, kids[i + 1:], anchor.pos + (i,))
-                         for i, c in enumerate(kids)])
-        out.sort(key=lambda c: c.pos)
-        return out
-
-
-def compile_path(path: Path, anchored: bool) -> PathAutomaton:
-    """Build the selection automaton for a predicate-free path."""
-    for s in path.steps:
-        if s.predicates:
-            raise ValueError("compile_path requires a predicate-free path")
-    return PathAutomaton(path.steps, anchored)

@@ -1,75 +1,71 @@
 """Direct MinXQuery interpreter: the reference semantics.
 
-Evaluates a scoped query over a document forest by structural recursion,
-using the naive path oracle for selection.  This is the independent
-yardstick the compiled transducers are tested against; it shares nothing
-with the compilation pipeline except the node-test semantics defined in
-:mod:`mfx.paths`.
+Evaluates a scoped query over a document forest by structural recursion
+on the query, selecting paths with :func:`mfx.paths.select_ctx` over the
+document's pre-order :class:`~mfx.paths.Numbering`, so no step recurses
+on the document.  This is the independent yardstick the compiled
+transducers are tested against; it shares nothing with the compilation
+pipeline except the node-test semantics defined in :mod:`mfx.paths`.
 
-For-variables bind the matched node together with its following siblings
-(so following-sibling steps from the variable work); let-variables bind
-the value forest.  Used as an output variable, a for-variable contributes
-a copy of just the matched node, ``$input`` the whole document.
+For-variables bind a node, that is, its pre-order number (so
+following-sibling steps from the variable work); ``$input`` is the
+virtual document node 0; let-variables bind the value forest.  Used as an
+output variable, a for-variable contributes a copy of just the matched
+node, ``$input`` the whole document.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Union
 
-from .forest import Forest, Tree
-from .paths import NodeCtx, select_ctx, virtual_ctx
-from .xquery import Element, For, Let, Path, PathExpr, Sequence, StringLit
-from .forest import NodeKind
+from .forest import Forest, NodeKind, Tree
+from .paths import Numbering, select_ctx
+from .xquery import Element, For, Let, PathExpr, Sequence, StringLit
 
-Value = Union[NodeCtx, Forest]
+Value = Union[int, Forest]
 
 
 def eval_query(ast, doc: Forest) -> Forest:
-    env: Dict[str, Value] = {"input": virtual_ctx(doc)}
-    return _eval(ast, env)
+    return _eval(ast, {"input": 0}, Numbering(doc))
 
 
-def _output_value(v: Value) -> Forest:
-    if isinstance(v, NodeCtx):
-        return v.doc if v.tree is None else (v.tree,)
+def _anchor(env: Dict[str, Value], var: str) -> int:
+    v = env[var]
+    if not isinstance(v, int):
+        raise ValueError("path starts at a let variable $%s" % var)
     return v
 
 
-def _eval(q, env) -> Forest:
+def _eval(q, env: Dict[str, Value], doc: Numbering) -> Forest:
     if isinstance(q, Element):
         kids: List[Tree] = []
         for c in q.children:
-            kids.extend(_eval(c, env))
+            kids.extend(_eval(c, env, doc))
         return (Tree(q.name, NodeKind.ELEMENT, tuple(kids)),)
     if isinstance(q, StringLit):
         return (Tree(q.value, NodeKind.TEXT, ()),)
     if isinstance(q, Sequence):
         out: List[Tree] = []
         for c in q.items:
-            out.extend(_eval(c, env))
+            out.extend(_eval(c, env, doc))
         return tuple(out)
     if isinstance(q, For):
-        anchor = env[q.path.start]
-        if not isinstance(anchor, NodeCtx):
-            raise ValueError("path starts at a let variable $%s" % q.path.start)
         out = []
-        for match in select_ctx(q.path.steps, anchor):
+        for k in select_ctx(q.path.steps, doc, _anchor(env, q.path.start)):
             inner = dict(env)
-            inner[q.var] = match
-            out.extend(_eval(q.body, inner))
+            inner[q.var] = k
+            out.extend(_eval(q.body, inner, doc))
         return tuple(out)
     if isinstance(q, Let):
         inner = dict(env)
-        inner[q.var] = _eval(q.bound, env)
-        return _eval(q.body, inner)
+        inner[q.var] = _eval(q.bound, env, doc)
+        return _eval(q.body, inner, doc)
     if isinstance(q, PathExpr):
+        if q.path.steps:
+            return tuple(doc.trees[k] for k in select_ctx(
+                q.path.steps, doc, _anchor(env, q.path.start)))
         v = env[q.path.start]
-        if not q.path.steps:
-            return _output_value(v)
-        if not isinstance(v, NodeCtx):
-            raise ValueError("path starts at a let variable $%s" % q.path.start)
-        out = []
-        for match in select_ctx(q.path.steps, v):
-            out.append(match.tree)
-        return tuple(out)
+        if not isinstance(v, int):
+            return v
+        return doc.forest if v == 0 else (doc.trees[v],)
     raise TypeError(q)

@@ -220,8 +220,8 @@ def test_criterion_7_streaming_memory():
 
 def test_criterion_8_exhaustive_small_instance_oracles():
     from test_paths import all_forests
-    from mfx.paths import compile_path, virtual_ctx
-    from util import select_nodes_oracle
+    from mfx.paths import Numbering, PathAutomaton, select_ctx
+    from util import automaton_select
     from mfx.xquery import parse_query as pq
 
     def path_of(expr):
@@ -232,14 +232,14 @@ def test_criterion_8_exhaustive_small_instance_oracles():
               "$input/*/a", "$input//a//c",
               "$input/a/following-sibling::b",
               "$input//a/following-sibling::*/c")]
-    autos = [(p, compile_path(p, False)) for p in paths]
+    autos = [(p, PathAutomaton(p.steps, False)) for p in paths]
     forests = 0
     for f in all_forests(("a", "b", "c"), 6):
         forests += 1
-        ctx = virtual_ctx(f)
+        doc = Numbering(f)
         for p, auto in autos:
-            want = [c.pos for c in select_nodes_oracle(p, f)]
-            got = [c.pos for c in auto.select(ctx)]
+            want = select_ctx(p.steps, doc, 0)
+            got = automaton_select(auto, doc)
             assert got == want, (p, f)
     assert forests > 2000
 

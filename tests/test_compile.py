@@ -164,6 +164,30 @@ def test_randomized_queries_against_interpreter():
     assert checked > 200
 
 
+@pytest.mark.parametrize("profile,size", [("deep-chain", 5000),
+                                           ("wide-flat", 20000)])
+@pytest.mark.parametrize("query", [
+    '$input//text()',
+    'for $x in $input//n return <k>x</k>',
+    '$input/*/leaf[./text()="v7"]',
+    '$input//leaf/following-sibling::leaf',
+    'for $x in $input//n[./n] return <k>{$x/text()}</k>'],
+    ids=["text", "for", "filter", "siblings", "for-filter"])
+def test_three_semantics_agree_deep_and_wide(profile, size, query):
+    # the interpreter, the in-memory evaluator and the stream engine, on
+    # input deeper than the recursion limit and wider than a quadratic
+    # walk finishes on
+    from mfx.gen import generate_bytes
+    from mfx.stream import stream_bytes
+    data = generate_bytes(profile, size)
+    doc = bytes_to_forest(data)
+    ast = parse_query(query)
+    m = optimize(compile_query(ast))
+    want = oracle_bytes(ast, doc)
+    assert run_bytes(m, doc) == want
+    assert stream_bytes(m, data)[0] == want
+
+
 def test_compile_is_deterministic():
     a = compile_text(P_PERSON_TEXT)
     b = compile_text(P_PERSON_TEXT)

@@ -103,3 +103,15 @@ def test_helpers_handle_a_5000_deep_chain():
                     (twin,))
     assert twin == t and hash(twin) == hash(t)
     assert len({t, twin, bad}) == 2
+
+
+def test_term_round_trip_on_a_5000_deep_chain():
+    chain = text("bottom")
+    for _ in range(5000):
+        chain = elem("n", chain)
+    term = "n(" * 5000 + '#"bottom"' + ")" * 5000
+    assert print_term((chain,)) == term
+    assert parse_term(term) == (chain,)
+    assert parse_term("n(" * 5000 + ")" * 5000)[0].children[0].label == "n"
+    with pytest.raises(ValueError, match="expected '\\)'"):
+        parse_term("n(" * 5000 + ")" * 4999)

@@ -2,7 +2,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from mfx.bench import BenchSpec, CORPUS_QUERIES, corpus_transducer, run_spec
+from mfx.bench import CORPUS_QUERIES, corpus_transducer
 from mfx.gen import generate_bytes
 from mfx.xmlio import bytes_to_forest
 from mfx.cli import main
@@ -40,9 +40,9 @@ def test_minimal_site_accepted_by_all_queries():
         assert out.startswith(b"<")
 
 
-def test_bench_record_format():
-    res = run_spec(BenchSpec("q13", size=800))
-    rec = res.record()
+def test_bench_record_format(capsys):
+    assert main(["bench", "--queries", "q13", "--sizes", "800"]) == 0
+    rec = capsys.readouterr().out
     assert rec.startswith("query=q13 nodes=")
     for key in ("nodes=", "ms=", "peak=", "out_bytes="):
         assert key in rec

@@ -1,6 +1,6 @@
 """Shared test helpers: byte-level runners, reference oracles that only
-the tests use (path selection, necessary parameters, the automaton dump)
-and random generators.
+the tests use (automaton-driven path selection, necessary parameters, the
+automaton dump) and random generators.
 
 The generators keep element-name and text-content alphabets disjoint
 (text contents double as comparison constants), which is the regime the
@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from mfx.forest import Forest, NodeKind, Tree, coalesce_text, elem, text
 from mfx.mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rule, TEXT,
                      evaluate, rhs_nodes, validate)
 from mfx.optimize import bare_params
-from mfx.paths import (LabelClass, NodeCtx, PathAutomaton, State, select_ctx,
-                       virtual_ctx)
+from mfx.paths import LabelClass, Numbering, PathAutomaton, State
 from mfx.xmlio import forest_to_bytes
 from mfx.xquery import (Element, For, Let, NodeTest, Path, PathExpr, Predicate,
                         Sequence, Step, StringLit)
@@ -64,13 +63,38 @@ def necessary_params_oracle(m: Mft) -> Set[Tuple[str, int]]:
     return seen
 
 
-def select_nodes_oracle(path: Path, doc: Forest,
-                        anchor: Optional[NodeCtx] = None) -> List[NodeCtx]:
-    """Reference path semantics.  ``anchor`` overrides the start context
-    (used for variables bound by enclosing for clauses); by default the
-    path starts at the virtual document node."""
-    return select_ctx(path.steps, anchor if anchor is not None
-                      else virtual_ctx(doc))
+def automaton_select(auto: PathAutomaton, doc: Numbering,
+                     anchor: int = 0) -> List[int]:
+    """Selection driven by the automaton alone (predicate-free paths), as
+    pre-order numbers of ``doc``: one walk down and along the siblings
+    from the anchor, comparable with ``paths.select_ctx``."""
+    if any(s.predicates for s in auto.steps):
+        raise ValueError("automaton selection requires a predicate-free path")
+    trees, end, sigma = doc.trees, doc.end, auto.sigma
+    if auto.anchored:
+        if anchor == 0:
+            raise ValueError("anchored selection needs a real anchor")
+        first, stop = anchor, end[doc.parent[anchor]]
+    elif auto.k and auto.steps[0].axis == "following-sibling":
+        # an unanchored scan seeded by a sibling axis runs over the
+        # anchor's following siblings (none for the virtual document node)
+        first, stop = end[anchor], end[doc.parent[anchor]]
+    else:
+        first, stop = anchor + 1, end[anchor]
+    out: List[int] = []
+    todo = [(auto.initial(), first, stop)]  # (state, next sibling, stop)
+    while todo:
+        state, j, stop = todo.pop()
+        if not state or j >= stop:
+            continue
+        t = trees[j]
+        sel, down, right = auto.move(state, (
+            t.label if t.label in sigma else None, t.kind is NodeKind.TEXT))
+        if sel:
+            out.append(j)
+        todo.append((right, end[j], stop))
+        todo.append((down, j + 1, end[j]))  # children first: pre-order
+    return out
 
 
 def dump_dot(auto: PathAutomaton, sigma=None) -> str:
