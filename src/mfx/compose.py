@@ -7,12 +7,12 @@ transducer whose right-hand sides are tree shaped (:func:`mfx.mft.is_tree_rhs`).
 
 * :func:`decompose_eval` replaces concatenation in right-hand sides by the
   reserved binary symbol ``@`` (making them tree shaped);
-  :func:`recompose_eval` removes ``@`` again.
-* :func:`eval_mtt` is the concatenation interpreter as a two-state
-  transducer with one accumulating right-context parameter; it has rules
-  only for ``@``, the default case and the empty forest.
+  :func:`recompose_eval` removes ``@`` again.  ``tt-ft`` and ``mtt-ft``
+  decompose their second operand, pair, and recompose.
 * :func:`ft_to_mtt` rewrites a parameter-free transducer into tree shape
-  by threading a continuation parameter ("the rest of my output").
+  by threading a continuation parameter ("the rest of my output"), the
+  parameter encoding of forest concatenation.  ``ft-tt`` is this encoding
+  of its first operand followed by one ``mtt-tt`` pairing.
 * The pairing constructions :func:`compose_tt_tt`, :func:`compose_mtt_tt`
   and :func:`compose_tt_mtt` are one walker product (Perst and Seidl's
   construction for macro forest transducers).  For an m1 state q and an
@@ -95,27 +95,10 @@ def recompose_eval(m: Mft) -> Mft:
     return Mft(m.states, m.sigma - {CONCAT}, m.initial, rules)
 
 
-def eval_mtt() -> Mft:
-    """The concatenation interpreter: one rank-2 state carrying the right
-    context, with only an ``@`` rule, a default rule and an eps rule."""
-    e0, e = "e0", "e"
-    y1 = (Param(1),)
-    rules = {}
-    rules[(e0, DEFAULT)] = Rule(e0, DEFAULT, (Call(e, 0, ((),)),))
-    rules[(e0, EPS)] = Rule(e0, EPS, (Call(e, 0, ((),)),))
-    rules[(e, Guard.sym(CONCAT))] = Rule(
-        e, Guard.sym(CONCAT),
-        (Call(e, 1, ((Call(e, 2, (y1,)),),)),))
-    rules[(e, DEFAULT)] = Rule(
-        e, DEFAULT,
-        (Node(None, NodeKind.ELEMENT, (Call(e, 1, ((),)),)), Call(e, 2, (y1,))))
-    rules[(e, EPS)] = Rule(e, EPS, y1)
-    return Mft({e0: 1, e: 2}, frozenset({CONCAT}), e0, rules)
-
-
 def ft_to_mtt(m: Mft) -> Mft:
     """Tree-shape a parameter-free transducer by threading a continuation
-    parameter; behaviourally the identity."""
+    parameter, the output that follows a state's own; behaviourally the
+    identity.  A fresh rank-1 initial state passes the empty forest."""
     if any(r != 1 for r in m.states.values()):
         raise ValueError("ft_to_mtt needs a parameter-free transducer")
     init = "t0"
@@ -159,10 +142,8 @@ def _instantiate(rhs: Rhs, label: str,
 def complete_alphabet(m1: Mft, m2: Mft) -> Mft:
     """Add to m1, per state, a symbol rule (instantiated from its default
     rule) for every symbol m2 distinguishes, and a text rule if m2 has
-    any; afterwards m1's default rules only fire where m2's do.  The
-    reserved ``@`` never occurs in first-transducer inputs and is skipped."""
-    labels = sorted({g.label for (q, g) in m2.rules
-                     if g.kind == "sym" and g.label != CONCAT})
+    any; afterwards m1's default rules only fire where m2's do."""
+    labels = sorted({g.label for (q, g) in m2.rules if g.kind == "sym"})
     need_text = any(g.kind == "text" for (q, g) in m2.rules)
     m1 = m1.copy()
     for q in list(m1.states):
@@ -355,13 +336,11 @@ def compose_tt_ft(m1: Mft, m2: Mft) -> Mft:
 
 
 def compose_ft_tt(m1: Mft, m2: Mft) -> Mft:
-    """Parameter-free first, tree-shaped second.  The first operand is
-    decomposed and fused with the concatenation interpreter (which has no
-    symbol rules, so no alphabet completion happens there), then paired
-    with the second operand."""
-    t1 = decompose_eval(m1)
-    m1e = compose_tt_mtt(t1, eval_mtt())
-    return compose_mtt_tt(m1e, m2)
+    """Parameter-free first, tree-shaped second: the first operand is
+    tree-shaped by :func:`ft_to_mtt`, then paired with the second as in
+    ``mtt-tt``."""
+    _require_rank1(m1, "first operand")
+    return compose_mtt_tt(ft_to_mtt(m1), m2)
 
 
 #: mode name -> construction; ``mfx compose --mode`` offers these names

@@ -275,6 +275,16 @@ def _check_rhs(m: Mft, rule: Rule, where: str) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
+#: a stay run up to this long never needs the transducer's size
+STAY_FLOOR = 100
+
+
+def stay_budget(m: Mft) -> int:
+    """The longest stay run both interpreters allow.  ``size`` walks every
+    rule, so they compute it once, when a stay run passes STAY_FLOOR."""
+    return max(STAY_FLOOR, 10 * size(m))
+
+
 class StayBudgetExceeded(RuntimeError):
     def __init__(self, state: str, budget: int):
         super().__init__(
@@ -317,7 +327,7 @@ def evaluate(m: Mft, f: Forest) -> Forest:
     More than ``max(100, 10 * size(m))`` consecutive stay moves raise
     :class:`StayBudgetExceeded`, naming the looping state.
     """
-    stay_budget = max(100, 10 * size(m))
+    budget = None  # stay_budget(m), once a stay run passes STAY_FLOOR
     table = dispatch_table(m)
 
     out: List[Tree] = []
@@ -357,8 +367,10 @@ def evaluate(m: Mft, f: Forest) -> Forest:
             else:
                 if it.var == 0:
                     g, i, stay = env.forest, env.index, env.stay + 1
-                    if stay > stay_budget:
-                        raise StayBudgetExceeded(it.state, stay_budget)
+                    if stay > STAY_FLOOR:
+                        budget = budget or stay_budget(m)
+                        if stay > budget:
+                            raise StayBudgetExceeded(it.state, budget)
                 elif it.var == 1:
                     g, i, stay = env.forest[env.index].children, 0, 0
                 else:

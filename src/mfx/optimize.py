@@ -279,12 +279,15 @@ def remove_unreachable(m: Mft) -> Mft:
 # ---------------------------------------------------------------------------
 
 
-def optimize(m: Mft, warn=None, max_rounds: int = 50) -> Mft:
+_MAX_ROUNDS = 50
+
+
+def optimize(m: Mft, warn=None) -> Mft:
     """Apply unreachable / unused / constant / stay-move removal until
     nothing changes."""
     from .mft import print_mft
     last = print_mft(m)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         m = remove_unreachable(m)
         m = unused_params(m)
         m = constant_params(m)
@@ -293,4 +296,4 @@ def optimize(m: Mft, warn=None, max_rounds: int = 50) -> Mft:
         if cur == last:
             return m
         last = cur
-    raise RuntimeError("optimizer did not converge in %d rounds" % max_rounds)
+    raise RuntimeError("optimizer did not converge in %d rounds" % _MAX_ROUNDS)

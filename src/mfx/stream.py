@@ -53,7 +53,8 @@ from sys import getrefcount
 from typing import List, Optional, Sequence, Tuple
 
 from .forest import Forest, NodeKind, Tree
-from .mft import Mft, Node, Param, Rhs, dispatch_table, size
+from .mft import (STAY_FLOOR, Mft, Node, Param, Rhs, dispatch_table,
+                  stay_budget)
 from .xmlio import (END, EOF, Eof, End, EventSink, StartAttribute,
                     StartElement, Text, XmlEvent, forest_events)
 
@@ -235,7 +236,7 @@ class Engine:
     def __init__(self, m: Mft):
         self.m = m
         self.table = dispatch_table(m)
-        self.stay_budget = max(100, 10 * size(m))
+        self.stay_budget: Optional[int] = None  # set past STAY_FLOOR
         self.stats = StreamStats()
         self.buffer = _Buffer()
         self._susps = _Live()
@@ -395,13 +396,17 @@ class Engine:
                 cell = env.cell
                 if var == 0:
                     stay = env.stay + 1
+                    if stay > STAY_FLOOR:
+                        if not self.stay_budget:
+                            self.stay_budget = stay_budget(self.m)
+                        if stay > self.stay_budget:
+                            raise EngineError(
+                                "stay-move budget exceeded in state %s (%d"
+                                " consecutive non-consuming steps)"
+                                % (it.state, self.stay_budget))
                 else:
                     cell = cell.children if var == 1 else cell.next
                     stay = 0
-                if stay > self.stay_budget:
-                    raise EngineError(
-                        "stay-move budget exceeded in state %s (%d consecutive"
-                        " non-consuming steps)" % (it.state, self.stay_budget))
                 params = tuple(self._param_value(arg, env) for arg in it.args)
                 tasks.append((_APPLY, it.state, cell, params, target, stay))
         self.stack.extend(reversed(tasks))

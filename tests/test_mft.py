@@ -3,14 +3,16 @@ import time
 
 import pytest
 
+import mfx.mft
 from mfx.bench import CORPUS_QUERIES
 from mfx.compile import compile_query
 from mfx.forest import elem, parse_term, text
 from mfx.gen import generate_bytes
-from mfx.mft import (Call, EPS, Guard, Node, Param, Rule,
+from mfx.mft import (Call, EPS, Guard, Node, Param, Rule, STAY_FLOOR,
                      StayBudgetExceeded, classify, evaluate, is_tree_rhs,
                      parse_mft, print_mft, size, validate)
 from mfx.optimize import optimize
+from mfx.stream import EngineError, stream_bytes
 from mfx.xmlio import bytes_to_forest
 from mfx.xquery import parse_query
 
@@ -76,6 +78,34 @@ q(eps) -> q(x0)
     with pytest.raises(StayBudgetExceeded) as ei:
         evaluate(m, parse_term("a()"))
     assert "q" in str(ei.value)
+
+
+def test_stay_budget_sizes_the_transducer_only_on_long_stay_runs(
+        monkeypatch):
+    # size walks every rule, so neither interpreter may call it before a
+    # stay run passes STAY_FLOOR, and each calls it at most once per run
+    calls = []
+    monkeypatch.setattr(mfx.mft, "size", lambda m: calls.append(m) or 1)
+    # a copy that makes exactly STAY_FLOOR stay moves before each node
+    n = STAY_FLOOR
+    chain = "".join("s%d(%%t(x1)x2) -> s%d(x0)\ns%d(eps) -> s%d(x0)\n"
+                    % (i, i + 1, i, i + 1) for i in range(n))
+    m = parse_mft(chain + "s%d(%%t(x1)x2) -> %%t(s0(x1)) s0(x2)\n"
+                  "s%d(eps) -> eps\n" % (n, n))
+    doc = b"<a><b/>t<c>u</c></a>"
+    assert run_bytes(m, bytes_to_forest(doc)) == doc
+    assert stream_bytes(m, doc)[0] == doc
+    assert calls == []
+    loop = parse_mft("""\
+q(%t(x1)x2) -> q(x0)
+q(eps) -> q(x0)
+""")
+    with pytest.raises(StayBudgetExceeded):
+        evaluate(loop, parse_term("a()"))
+    assert calls == [loop]
+    with pytest.raises(EngineError):
+        stream_bytes(loop, b"<a/>")
+    assert calls == [loop, loop]
 
 
 def test_evaluate_reads_arguments_by_need():
