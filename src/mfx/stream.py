@@ -9,8 +9,14 @@ the output, over an input buffer that materialises lazily:
   cell reference; reading it yields the node, the end of the level, or
   "not yet".  A rule's environment is just its cell (x0; x1 and x2 are
   read off it), its parameter values and its run of stay moves.
-* Rules are selected through a per-state dispatch table
-  (:func:`mfx.mft.dispatch_table`): one dict lookup per rule application.
+* Rule bodies are compiled once per run, a state's dispatch row
+  (:func:`mfx.mft.dispatch_table`) when the state is first applied: leaf
+  outputs are prebuilt, parameters become indexes, and a call carries a
+  plan of empty, pass-through and suspended arguments.  Selecting a rule is
+  one dict lookup.  A body that is one call without arguments (a scan
+  step, or a stay walker of a fused transducer) is applied in place,
+  without a task, and only a body with an output node that has children
+  or a suspended argument builds an environment.
 * Work sits on an explicit task stack, so input depth and output size
   never touch the Python recursion limit, and the engine can stop
   mid-expression when it needs unread input.  The blocking task stays on
@@ -53,7 +59,7 @@ from sys import getrefcount
 from typing import List, Optional, Sequence, Tuple
 
 from .forest import Forest, NodeKind, Tree
-from .mft import (STAY_FLOOR, Mft, Node, Param, Rhs, dispatch_table,
+from .mft import (STAY_FLOOR, Call, Mft, Param, Rhs, dispatch_table,
                   stay_budget)
 from .xmlio import (END, EOF, Eof, End, EventSink, StartAttribute,
                     StartElement, Text, XmlEvent, forest_events)
@@ -71,13 +77,15 @@ class StreamStats:
     peak_nodes: int = 0
     peak_suspensions: int = 0
     seconds: float = 0.0
+    first_output_ms: float = 0.0  # stream_run: start to first output event
 
     def lines(self) -> str:
         return ("events_in=%d\nevents_out=%d\nnodes_buffered=%d\n"
-                "peak_nodes=%d\npeak_suspensions=%d\nms=%.1f"
+                "peak_nodes=%d\npeak_suspensions=%d\nms=%.1f\n"
+                "first_output_ms=%.1f"
                 % (self.events_in, self.events_out, self.nodes_buffered,
                    self.peak_nodes, self.peak_suspensions,
-                   self.seconds * 1000.0))
+                   self.seconds * 1000.0, self.first_output_ms))
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +190,114 @@ _KEPT, _DROPPED, _DROPS_SUBTREE = 0, 1, 2
 
 
 # ---------------------------------------------------------------------------
+# Compiled rule bodies
+# ---------------------------------------------------------------------------
+
+# A rule body is compiled once per run, when its state's dispatch row is
+# first used, into ``(ops, env, stay, tail)``:
+#
+# * ``ops``: one op per body item, in reverse order (the order they go on
+#   the task stack), each a tuple headed by its code:
+#   ``(_O_LEAF, forest, events)`` a static leaf, prebuilt for either target;
+#   ``(_O_NODE, label, kind, start event, children)`` a static node with
+#   child expressions; ``(_O_COPY, children or None)`` a %t node, resolved
+#   against the input cell when scheduled; ``(_O_PARAM, index)`` with a
+#   0-based index; ``(_O_CALL, state, var, plan)``, where each argument of
+#   the plan is ``()`` (empty), an int (a pass-through parameter's index) or
+#   the compiled body of a suspension.
+# * ``env``: whether the body needs an ``_Env`` at all (an op holds it: an
+#   output node with children or a suspended argument).
+# * ``stay``: the state of the first x0 call, which the stay budget names.
+# * ``tail``: ``(state, var)`` if the body is one call without arguments;
+#   the engine applies it in place, without a task.
+_O_LEAF, _O_NODE, _O_COPY, _O_PARAM, _O_CALL = range(5)
+
+
+def _start(label: str, kind: NodeKind) -> XmlEvent:
+    return StartElement(label) if kind is _ELEMENT else StartAttribute(label)
+
+
+def _leaf_events(label: str, kind: NodeKind) -> tuple:
+    """The events of an output leaf."""
+    if kind is _TEXT:
+        return (Text(label),)
+    return _start(label, kind), END
+
+
+def _compile(rhs: Optional[Rhs]) -> Optional[tuple]:
+    if rhs is None:
+        return None  # no such rule
+    ops: List[tuple] = []
+    env = False
+    stay = None
+    for it in rhs:
+        t = type(it)
+        if t is Param:
+            ops.append((_O_PARAM, it.index - 1))
+        elif t is Call:
+            plan = tuple(map(_compile_arg, it.args))
+            env = env or any(type(a) is tuple and a for a in plan)
+            if it.var == 0 and stay is None:
+                stay = it.state
+            ops.append((_O_CALL, it.state, it.var, plan))
+        elif it.label is None:
+            kids = _compile(it.children) if it.children else None
+            env = env or kids is not None
+            ops.append((_O_COPY, kids))
+        elif it.kind is _TEXT or not it.children:
+            ops.append((_O_LEAF, (Tree(it.label, it.kind, ()),),
+                        _leaf_events(it.label, it.kind)))
+        else:
+            env = True
+            ops.append((_O_NODE, it.label, it.kind,
+                        _start(it.label, it.kind), _compile(it.children)))
+    tail = None
+    if len(rhs) == 1 and type(rhs[0]) is Call and not rhs[0].args:
+        tail = (rhs[0].state, rhs[0].var)
+    return tuple(reversed(ops)), env, stay, tail
+
+
+def _compile_arg(arg: Rhs):
+    """A call argument in a plan: see the comment above."""
+    if not arg:
+        return ()
+    if len(arg) == 1 and type(arg[0]) is Param:
+        return arg[0].index - 1  # pass-through: share the caller's value
+    return _compile(arg)
+
+
+class _Rows(dict):
+    """State -> dispatch row of compiled bodies, compiled on first use
+    from :func:`mfx.mft.dispatch_table`: most runs of a fused transducer
+    reach only part of its states."""
+
+    def __init__(self, m: Mft):
+        super().__init__()
+        self.table = dispatch_table(m)
+
+    def __missing__(self, state: str) -> tuple:
+        syms, on_text, on_other, on_eps = self.table[state]
+        other = _compile(on_other)
+        row = self[state] = (
+            {g: _compile(rhs) for g, rhs in syms.items()},
+            other if on_text is on_other else _compile(on_text),
+            other, _compile(on_eps))
+        return row
+
+
+# ---------------------------------------------------------------------------
 # Suspensions
 # ---------------------------------------------------------------------------
 
 
 class _Susp:
-    """A pending right-hand-side expression closed over an environment.
-    Forced at most once; the result forest is cached."""
+    """A compiled argument closed over an environment.  Forced at most
+    once; the result forest is cached."""
 
-    __slots__ = ("rhs", "env", "cache", "live")
+    __slots__ = ("body", "env", "cache", "live")
 
-    def __init__(self, rhs: Rhs, env: "_Env", live: _Live):
-        self.rhs = rhs
+    def __init__(self, body: tuple, env: "_Env", live: _Live):
+        self.body = body
         self.env = env
         self.cache: Optional[Forest] = None
         self.live = live
@@ -220,22 +324,25 @@ class _Env:
 
 # Task tags.  APPLY selects and enters a rule (the only task that can
 # block on unread input); NODE emits an output node's start and schedules
-# its children; FORCE/MEMO realise call-by-need parameters; CLOSE/ENDTAG
-# finish an output node in a list target or on the sink.
+# its children; FORCE/MEMO realise call-by-need parameters; CLOSE finishes
+# an output node in a list target; EMITF emits a forest to a target and
+# EVENTS prebuilt events to the sink.
 #
 # Rule bodies are resolved against their environment at scheduling time:
 # a pending call holds just its input cell (never the whole environment),
 # so a task waiting behind a long subtree does not pin that subtree.
-_APPLY, _NODE, _ENDTAG, _CLOSE, _FORCE, _MEMO, _EMITF = range(7)
+_APPLY, _NODE, _CLOSE, _FORCE, _MEMO, _EMITF, _EVENTS = range(7)
 
 #: target value for "emit to the output stream"
 _SINK = None
+
+_ENDTAG = (_EVENTS, (END,))
 
 
 class Engine:
     def __init__(self, m: Mft):
         self.m = m
-        self.table = dispatch_table(m)
+        self.rows = _Rows(m)
         self.stay_budget: Optional[int] = None  # set past STAY_FLOOR
         self.stats = StreamStats()
         self.buffer = _Buffer()
@@ -266,7 +373,8 @@ class Engine:
             else:
                 self._text_run.append(ev.content)
             return
-        self._flush_text()
+        if self._text_run is not None:
+            self._flush_text()
         self._emitted.append(ev)
         self.stats.events_out += 1
 
@@ -309,40 +417,61 @@ class Engine:
 
     def _drive(self):
         stack = self.stack
-        table = self.table
+        rows = self.rows
+        out = self._out
         self._waiting = None
         while stack:
             task = stack.pop()
             tag = task[0]
             if tag == _APPLY:
                 _, state, cell, params, target, stay = task
-                kind = cell.kind
-                if kind is not None:
-                    syms, on_text, on_other, _ = table[state]
-                    rhs = syms.get(cell.label, on_text if kind is _TEXT
-                                   else on_other)
-                elif cell.closed:
-                    rhs = table[state][3]
-                else:
-                    stack.append(task)
-                    self._waiting = cell
-                    return  # blocked on unread input
-                if rhs is None:
-                    raise EngineError("state %s has no rule to apply" % state)
-                self._push_seq(rhs, _Env(cell, params, stay), target)
+                while True:
+                    kind = cell.kind
+                    if kind is not None:
+                        syms, on_text, on_other, _ = rows[state]
+                        body = syms.get(cell.label, on_text if kind is _TEXT
+                                        else on_other)
+                    elif cell.closed:
+                        body = rows[state][3]
+                    else:
+                        stack.append((_APPLY, state, cell, params, target,
+                                      stay))
+                        self._waiting = cell
+                        return  # blocked on unread input
+                    if body is None:
+                        raise EngineError("state %s has no rule to apply"
+                                          % state)
+                    if body[3] is None:
+                        break
+                    # one call without arguments: apply it in place
+                    state, var = body[3]
+                    params = ()
+                    if var == 0:
+                        stay += 1
+                        if stay > STAY_FLOOR:
+                            self._check_stay(stay, state)
+                    else:
+                        cell = cell.children if var == 1 else cell.next
+                        stay = 0
+                if body[0]:
+                    self._schedule(body, cell, params, stay,
+                                   _Env(cell, params, stay) if body[1]
+                                   else None, target)
+            elif tag == _EVENTS:
+                for ev in task[1]:
+                    out(ev)
             elif tag == _NODE:
-                _, label, kind, children, env, target = task
+                _, start, label, kind, children, env, target = task
                 if target is _SINK:
-                    self._out(StartElement(label) if kind is NodeKind.ELEMENT
-                              else StartAttribute(label))
-                    stack.append((_ENDTAG,))
-                    self._push_seq(children, env, _SINK)
+                    out(start or _start(label, kind))
+                    stack.append(_ENDTAG)
+                    self._schedule(children, env.cell, env.params, env.stay,
+                                   env, _SINK)
                 else:
                     kids: List[Tree] = []
                     stack.append((_CLOSE, label, kind, kids, target))
-                    self._push_seq(children, env, kids)
-            elif tag == _ENDTAG:
-                self._out(END)
+                    self._schedule(children, env.cell, env.params, env.stay,
+                                   env, kids)
             elif tag == _CLOSE:
                 _, label, kind, kids, target = task
                 target.append(Tree(label, kind, tuple(kids)))
@@ -353,11 +482,13 @@ class Engine:
                 else:
                     acc: List[Tree] = []
                     stack.append((_MEMO, susp, acc, target))
-                    self._push_seq(susp.rhs, susp.env, acc)
+                    env = susp.env
+                    self._schedule(susp.body, env.cell, env.params, env.stay,
+                                   env, acc)
             elif tag == _MEMO:
                 _, susp, acc, target = task
                 susp.cache = tuple(acc)
-                susp.rhs = ()
+                susp.body = None
                 susp.env = None  # release pinned input
                 self._emit_forest(susp.cache, target)
             elif tag == _EMITF:
@@ -366,58 +497,55 @@ class Engine:
             else:
                 raise AssertionError(tag)
 
-    def _push_seq(self, rhs: Rhs, env: _Env, target):
-        """Schedule a rule body.  Every item is resolved against the
-        environment now; only output nodes with child expressions keep a
-        reference to it (their children may move from the current node)."""
-        tasks: List[tuple] = []
-        for it in rhs:
-            t = type(it)
-            if t is Param:
-                v = env.params[it.index - 1]
-                if type(v) is _Susp:
-                    tasks.append((_FORCE, v, target))
-                elif v:
-                    tasks.append((_EMITF, v, target))
-            elif t is Node:
-                label, kind = it.label, it.kind
-                if label is None:
-                    cell = env.cell
-                    if cell.kind is None:
-                        raise EngineError("dynamic label with no current node")
-                    label, kind = cell.label, cell.kind
-                if kind is _TEXT or not it.children:
-                    # a leaf (text output nodes have no child expressions)
-                    tasks.append((_EMITF, (Tree(label, kind, ()),), target))
-                else:
-                    tasks.append((_NODE, label, kind, it.children, env, target))
-            else:  # Call
-                var = it.var
-                cell = env.cell
+    def _schedule(self, body: tuple, cell: _Cell, params: tuple, stay: int,
+                  env: Optional[_Env], target):
+        """Push the tasks of a compiled body, resolved against its input
+        cell and parameters now; only output nodes with children and
+        suspended arguments keep the environment."""
+        ops, _, stay_state, _ = body
+        if stay_state is not None and stay >= STAY_FLOOR:
+            self._check_stay(stay + 1, stay_state)
+        push = self.stack.append
+        for op in ops:
+            code = op[0]
+            if code == _O_CALL:
+                _, state, var, plan = op
                 if var == 0:
-                    stay = env.stay + 1
-                    if stay > STAY_FLOOR:
-                        if not self.stay_budget:
-                            self.stay_budget = stay_budget(self.m)
-                        if stay > self.stay_budget:
-                            raise EngineError(
-                                "stay-move budget exceeded in state %s (%d"
-                                " consecutive non-consuming steps)"
-                                % (it.state, self.stay_budget))
+                    x, xstay = cell, stay + 1
                 else:
-                    cell = cell.children if var == 1 else cell.next
-                    stay = 0
-                params = tuple(self._param_value(arg, env) for arg in it.args)
-                tasks.append((_APPLY, it.state, cell, params, target, stay))
-        self.stack.extend(reversed(tasks))
+                    x, xstay = cell.children if var == 1 else cell.next, 0
+                if plan:
+                    plan = tuple([params[a] if type(a) is int
+                                  else _Susp(a, env, self._susps) if a
+                                  else () for a in plan])
+                push((_APPLY, state, x, plan, target, xstay))
+            elif code == _O_LEAF:
+                push((_EVENTS, op[2]) if target is _SINK
+                     else (_EMITF, op[1], target))
+            elif code == _O_PARAM:
+                v = params[op[1]]
+                if v:  # a suspension, not the empty forest
+                    push((_FORCE, v, target))
+            elif code == _O_NODE:
+                push((_NODE, op[3], op[1], op[2], op[4], env, target))
+            else:  # _O_COPY
+                kind = cell.kind
+                if kind is None:
+                    raise EngineError("dynamic label with no current node")
+                if kind is _TEXT or op[1] is None:
+                    push((_EVENTS, _leaf_events(cell.label, kind))
+                         if target is _SINK else
+                         (_EMITF, (Tree(cell.label, kind, ()),), target))
+                else:
+                    push((_NODE, None, cell.label, kind, op[1], env, target))
 
-    def _param_value(self, arg: Rhs, env: _Env):
-        if not arg:
-            return ()
-        if len(arg) == 1 and type(arg[0]) is Param:
-            # pass-through: share the caller's value (and its memo)
-            return env.params[arg[0].index - 1]
-        return _Susp(arg, env, self._susps)
+    def _check_stay(self, stay: int, state: str):
+        if not self.stay_budget:
+            self.stay_budget = stay_budget(self.m)
+        if stay > self.stay_budget:
+            raise EngineError(
+                "stay-move budget exceeded in state %s (%d consecutive"
+                " non-consuming steps)" % (state, self.stay_budget))
 
     def _emit_forest(self, forest: Forest, target):
         if target is _SINK:
@@ -440,6 +568,15 @@ def stream_run(m: Mft, src, sink: EventSink) -> StreamStats:
     t0 = time.perf_counter()
     eng = Engine(m)
     stats, feed, advance = eng.stats, eng.buffer.feed, eng._advance
+
+    def first(ev):
+        # times the first output event, then hands the sink over for good
+        nonlocal emit
+        stats.first_output_ms = (time.perf_counter() - t0) * 1000.0
+        emit = sink
+        sink(ev)
+
+    emit = first
     hint = getattr(src, "drop_subtree", None)
     saw_eof = False
     for ev in src:
@@ -450,13 +587,13 @@ def stream_run(m: Mft, src, sink: EventSink) -> StreamStats:
                 hint()
             continue
         for out in advance():
-            sink(out)
+            emit(out)
         if type(ev) is Eof:
             saw_eof = True
             break
     if not saw_eof:
         for out in eng.step(EOF):
-            sink(out)
+            emit(out)
     if eng.stack:
         raise EngineError("engine blocked at end of input")
     stats.seconds = time.perf_counter() - t0

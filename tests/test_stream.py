@@ -301,3 +301,83 @@ q(eps) -> eps
         stream_bytes(m, b"<a/>")
     with pytest.raises(ValueError, match="state q"):
         evaluate(m, (elem("a"),))
+
+
+#: one rule body per kind of compiled op and argument plan: static leaves
+#: (#"end", sep(), last()) and nodes with children (doc, dd), %t with
+#: children and %t on a text node (whose children are dropped), parameter
+#: output, an empty argument (eps), suspended arguments (sep(), dup(x0)),
+#: pass-through arguments (pass), a suspension read three times (y3), and
+#: argument-less tail calls on x0 (walk), x1 (down) and x2 (skip)
+ALL_OPS = """\
+main(%t(x1)x2) -> doc(walk(x0)) #"end"
+main(eps) -> none()
+walk(%t(x1)x2) -> copy(x0)
+walk(eps) -> eps
+copy(%text(x1)x2) -> %t(lost()) copy(x2)
+copy(%t(x1)x2) -> %t(copy(x1)) args(x1, eps, sep(), dup(x0)) copy(x2)
+copy(eps) -> eps
+args(%text(x1)x2, y1, y2, y3) -> y1 y3 y3 #"t" pass(x2, y2, y3)
+args(%t(x1)x2, y1, y2, y3) -> y2 y1 y3
+args(eps, y1, y2, y3) -> y3
+pass(%t(x1)x2, y1, y2) -> y1 y2 pass(x2, y1, y2)
+pass(eps, y1, y2) -> last()
+dup(%t(x1)x2) -> dd(down(x1))
+dup(eps) -> eps
+down(%text(x1)x2) -> #"leaf" skip(x2)
+down(%t(x1)x2) -> down(x1)
+down(eps) -> bottom()
+skip(%text(x1)x2) -> %t() skip(x2)
+skip(%t(x1)x2) -> skip(x2)
+skip(eps) -> eps
+"""
+
+#: a suspension (%t()) read once per child of the root: forced once, it
+#: must let go of the root, or the root pins every child
+SHARED = """r(%t(x1)x2) -> each(x1, %t())
+r(eps) -> eps
+each(%t(x1)x2, y1) -> y1 each(x2, y1)
+each(eps, y1) -> eps
+"""
+
+
+def test_compiled_ops_agree_with_evaluate():
+    # pinned values as the uncompiled engine measured them
+    m = parse_mft(ALL_OPS)
+    doc = b"<a><b>t1<c/>t2<g><h>v</h></g></b>t3<d><e>u</e><f/></d></a>"
+    out, st = stream_bytes(m, doc)
+    assert out == run_bytes(m, bytes_to_forest(doc))
+    assert b"<lost/>" not in out and out.count(b"<dd>leaft2</dd>") == 6
+    assert (st.peak_nodes, st.peak_suspensions, st.events_out,
+            len(out)) == (13, 8, 89, 336)
+    out, st = stream_bytes(m, b"<a/>")
+    assert out == b"<doc><a/><dd><bottom/></dd></doc>end"
+    assert (st.peak_nodes, st.peak_suspensions, st.events_out) == (1, 2, 9)
+    m = parse_mft(SHARED)
+    out, st = stream_bytes(m, _flat(200))
+    assert out == b"<root/>" * 200
+    assert (st.peak_nodes, st.peak_suspensions, st.events_out) == (2, 1, 400)
+
+
+def test_rows_are_compiled_on_first_use():
+    from mfx.bench import CORPUS_QUERIES
+    from mfx.compose import compose
+    from mfx.gen import generate_bytes
+    m1, m2 = (optimize(compile_text(CORPUS_QUERIES[q]))
+              for q in ("q13", "double"))
+    fused = compose(m1, m2, "ft-tt")[0]
+    data = generate_bytes("xmark-lite", 250, 0)
+    eng = Engine(fused)
+    out = io.BytesIO()
+    sink = sink_to(out)
+    for ev in read_events(data):
+        for o in eng.step(ev):
+            sink(o)
+    assert out.getvalue() == run_bytes(fused, bytes_to_forest(data))
+    assert 0 < len(eng.rows) < len(fused.states) / 2
+
+
+def test_first_output_is_timed(m_person):
+    _, st = stream_bytes(m_person, DOC1)
+    assert 0.0 < st.first_output_ms <= st.seconds * 1000.0
+    assert "first_output_ms=" in st.lines()
