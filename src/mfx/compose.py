@@ -35,21 +35,28 @@ transducer whose right-hand sides are tree shaped (:func:`mfx.mft.is_tree_rhs`).
   state's parameters (for one of m2's calls, its translated arguments).
   A call into m1 passes one translated argument per (argument, m2 state),
   each a walker over that argument, then m2's parameters.
+* The product is built on demand, from the entry state of the two initial
+  states outward: a state is named when a rule first calls it and gets
+  its rules when it leaves a worklist, so every state built is reachable
+  and none is built only to be pruned.
 
 Sizes are tracked in a :class:`CompositionReport` so the
-O(|Σ| |M1| |M2|) bounds can be checked empirically.
+O(|Σ| |M1| |M2|) bounds can be checked empirically.  Its ``size_out`` is
+the size of the whole product, every state pair included, counted by
+:func:`_full_size` without building the unreachable part.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .forest import CONCAT, NodeKind
 from .mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rhs, Rule,
-                  TEXT, _guard_order, is_tree_rhs, map_rhs, positions, size,
-                  validate)
+                  TEXT, is_tree_rhs, map_rhs, positions,
+                  rhs_nodes, rhs_size, size, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -158,26 +165,25 @@ def complete_alphabet(m1: Mft, m2: Mft) -> Mft:
     return m1
 
 
-def _m2_rhs(m2: Mft, p: str, head: Optional[Node], guard: Guard) -> Rhs:
-    """m2's applicable rhs in state p at the output node ``head`` (None at
-    a leaf ε) of an m1 rule with the given guard.  A static node takes m2's
-    rule for its label, else (text nodes) m2's text rule, else m2's default
-    rule with its dynamic copies instantiated; a dynamic node takes m2's
-    text rule under a text guard, else m2's default rule as it is."""
+def _m2_rule(m2: Mft, p: str, head: Optional[Node],
+             guard: Guard) -> Tuple[Tuple[str, Guard], bool]:
+    """m2's applicable rule in state p at the output node ``head`` (None at
+    a leaf ε) of an m1 rule with the given guard, and whether to instantiate
+    it.  A static node takes m2's rule for its label, else (text nodes) m2's
+    text rule, else m2's default rule with its dynamic copies instantiated;
+    a dynamic node takes m2's text rule under a text guard, else m2's
+    default rule as it is."""
     if head is None:
-        return m2.rules[(p, EPS)].rhs
+        return (p, EPS), False
     if head.label is None:
         is_text = guard.kind == "text"
     else:
-        r = m2.rules.get((p, Guard.sym(head.label)))
-        if r is not None:
-            return r.rhs
+        if (p, Guard.sym(head.label)) in m2.rules:
+            return (p, Guard.sym(head.label)), False
         is_text = head.kind is NodeKind.TEXT
     if is_text and (p, TEXT) in m2.rules:
-        return m2.rules[(p, TEXT)].rhs
-    rhs = m2.rules[(p, DEFAULT)].rhs
-    return rhs if head.label is None else _instantiate(rhs, head.label,
-                                                        head.kind)
+        return (p, TEXT), False
+    return (p, DEFAULT), head.label is not None
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +193,10 @@ def _m2_rhs(m2: Mft, p: str, head: Optional[Node], guard: Guard) -> Rhs:
 
 @dataclass
 class CompositionReport:
+    """Sizes of one composition.  ``size_out`` and ``rules_out`` are those
+    of the whole product, every state pair included, as counted by
+    :func:`_full_size`; the returned transducer is its reachable part."""
+
     mode: str
     sigma: int
     size1: int
@@ -213,23 +223,84 @@ def _params(first: int, last: int) -> Tuple[Rhs, ...]:
     return tuple((Param(i),) for i in range(first, last + 1))
 
 
-def _pair(m1: Mft, m2: Mft) -> Mft:
+def _full_size(m1: Mft, m2: Mft, spliced: bool) -> Tuple[int, int]:
+    """Size and rule count of the whole product of the alphabet-completed
+    m1 and m2, an entry state for every pair of states and a walker for
+    every (m1 rule, address, m2 state), counted without building a rule;
+    with ``spliced``, as after :func:`recompose_eval`.  A walker's rhs is
+    a parameter (1), a call into m1 (the call, one walker call with c
+    copies per argument and m2 state, and m2's parameters), or m2's rhs
+    with c copies added to each of its calls."""
+    n = len(m2.states)
+    stats = {}   # m2 rule -> (rhs size, calls, @ nodes, %t nodes)
+    for key, rule in m2.rules.items():
+        items = list(rhs_nodes(rule.rhs))
+        stats[key] = (rhs_size(rule.rhs),
+                      sum(isinstance(it, Call) for it in items),
+                      sum(isinstance(it, Node) and it.label == CONCAT
+                          for it in items),
+                      sum(isinstance(it, Node) and it.label is None
+                          for it in items))
+    sigma = m1.sigma | m2.sigma
+    total = len(sigma - {CONCAT} if spliced else sigma)
+    count = 0
+    for (q, g), rule in m1.rules.items():
+        c = (m1.states[q] - 1) * n
+        pat = 1 if g.kind == "eps" else 3
+        # pattern sizes (see mft.lhs_size) of the walker's rule and its pads
+        pats = [pat] + [3 if pad is DEFAULT else 1
+                        for pad in (DEFAULT, EPS) if g.kind != pad.kind]
+        for p, k in m2.states.items():
+            # the entry rule: its lhs, and one call passing all parameters
+            total += pat + 2 * (c + k) + 1
+        count += n
+        for u, sub in positions(rule.rhs):
+            head = sub[0] if sub else None
+            for p, k in m2.states.items():
+                r = c + k
+                total += sum(pats) + len(pats) * r
+                count += len(pats)
+                if isinstance(head, Param):
+                    total += 1
+                elif isinstance(head, Call):
+                    total += 2 + len(head.args) * n * (2 + c) + (r - 1 - c)
+                else:
+                    key, inst = _m2_rule(m2, p, head, g)
+                    size2, calls, ats, dyn = stats[key]
+                    total += size2 + c * calls
+                    if spliced:
+                        total -= ats + (dyn if inst and head.label == CONCAT
+                                        else 0)
+    return total, count
+
+
+def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
     """The walker product of two tree-shaped transducers, at most one of
-    which has parameters (see the module docstring)."""
+    which has parameters (see the module docstring), with the size and
+    rule count of the whole product (:func:`_full_size`).  Only the states
+    reachable from the entry state of the two initial states are built:
+    a state gets its rules when it leaves the worklist."""
     _require_tree(m1, "first operand")
     _require_tree(m2, "second operand")
     m1 = complete_alphabet(m1, m2)
     p_list = sorted(m2.states)
     n = len(p_list)
     p_index = {p: i + 1 for i, p in enumerate(p_list)}
+    copies = {q: _params(1, (r - 1) * n) for q, r in m1.states.items()}
+    by_state: Dict[str, List[Tuple[str, Guard]]] = {}
+    for rkey in m1.rules:
+        by_state.setdefault(rkey[0], []).append(rkey)
+    subs: Dict[Tuple[str, Guard], Dict[Tuple[int, ...], Rhs]] = {}
     states: Dict[str, int] = {}
     rules: Dict[Tuple[str, Guard], Rule] = {}
     names: Dict[Tuple, str] = {}
+    todo: deque = deque()
 
     def fresh(key: Tuple, q: str, p: str) -> str:
         if key not in names:
             names[key] = name = "%s%d" % (key[0], len(names))
             states[name] = 1 + (m1.states[q] - 1) * n + (m2.states[p] - 1)
+            todo.append(key)
         return names[key]
 
     def entry(q: str, p: str) -> str:
@@ -238,84 +309,104 @@ def _pair(m1: Mft, m2: Mft) -> Mft:
     def walker(rkey, addr, p) -> str:
         return fresh(("w", rkey, addr, p), rkey[0], p)
 
-    def subst(rhs: Rhs, rkey, u, copies) -> Rhs:
+    def subst(rhs: Rhs, rkey, u, cp) -> Rhs:
         # rhs comes from m2: its moves become calls to walkers, and its
-        # parameters (only when m1 has none) stay where they are.  The
-        # walker is made before the arguments, as state names count up.
+        # parameters (only when m1 has none) stay where they are
         def move(it, rec):
             if not isinstance(it, Call):
                 return None
             w = walker(rkey, u if it.var == 0 else u + (it.var,), it.state)
-            return (Call(w, 0, copies + tuple(rec(a) for a in it.args)),)
+            return (Call(w, 0, cp + tuple(rec(a) for a in it.args)),)
 
         return map_rhs(rhs, move)
 
-    by_state: Dict[str, List[Tuple]] = {}
-    order = sorted(m1.rules.items(),
-                   key=lambda kv: (kv[0][0],) + _guard_order(kv[0][1]))
-    for rkey, rule in order:
-        by_state.setdefault(rule.state, []).append((rkey, rule))
-    for q, q_rules in by_state.items():
-        copies = _params(1, (m1.states[q] - 1) * n)
-        for rkey, rule in q_rules:
-            g = rule.guard
-            for u, sub in positions(rule.rhs):
-                head = sub[0] if sub else None
-                for p in p_list:
-                    w = walker(rkey, u, p)
-                    if isinstance(head, Param):
-                        rhs: Rhs = (Param((head.index - 1) * n + p_index[p]),)
-                    elif isinstance(head, Call):
-                        args = tuple((Call(walker(rkey, u + (j,), pp), 0,
-                                           copies),)
-                                     for j in range(2, len(head.args) + 2)
-                                     for pp in p_list)
-                        rhs = (Call(entry(head.state, p), head.var,
-                                    args + _params(len(copies) + 1,
-                                                   states[w] - 1)),)
-                    else:
-                        rhs = subst(_m2_rhs(m2, p, head, g), rkey, u, copies)
-                    # a walker has exactly one live rule
-                    rules[(w, g)] = Rule(w, g, rhs)
-                    for pad in (DEFAULT, EPS):
-                        if g.kind != pad.kind:
-                            rules[(w, pad)] = Rule(w, pad, ())
-    for q in sorted(m1.states):
-        for p in p_list:
-            e = entry(q, p)
-            for rkey, rule in by_state.get(q, ()):
-                rules[(e, rule.guard)] = Rule(
-                    e, rule.guard,
-                    (Call(walker(rkey, (), p), 0, _params(1, states[e] - 1)),))
-    m = Mft(states, m1.sigma | m2.sigma, entry(m1.initial, m2.initial), rules)
+    initial = entry(m1.initial, m2.initial)
+    while todo:
+        key = todo.popleft()
+        w = names[key]
+        if key[0] == "c":
+            _, q, p = key
+            ps = _params(1, states[w] - 1)
+            for rkey in by_state.get(q, ()):
+                rules[(w, rkey[1])] = Rule(
+                    w, rkey[1], (Call(walker(rkey, (), p), 0, ps),))
+            continue
+        _, rkey, u, p = key
+        g = rkey[1]
+        cp = copies[rkey[0]]
+        if rkey not in subs:
+            subs[rkey] = dict(positions(m1.rules[rkey].rhs))
+        sub = subs[rkey][u]
+        head = sub[0] if sub else None
+        if isinstance(head, Param):
+            rhs: Rhs = (Param((head.index - 1) * n + p_index[p]),)
+        elif isinstance(head, Call):
+            args = tuple((Call(walker(rkey, u + (j,), pp), 0, cp),)
+                         for j in range(2, len(head.args) + 2)
+                         for pp in p_list)
+            rhs = (Call(entry(head.state, p), head.var,
+                        args + _params(len(cp) + 1, states[w] - 1)),)
+        else:
+            mkey, inst = _m2_rule(m2, p, head, g)
+            rhs = m2.rules[mkey].rhs
+            if inst:
+                rhs = _instantiate(rhs, head.label, head.kind)
+            rhs = subst(rhs, rkey, u, cp)
+        # a walker has exactly one live rule
+        rules[(w, g)] = Rule(w, g, rhs)
+        for pad in (DEFAULT, EPS):
+            if g.kind != pad.kind:
+                rules[(w, pad)] = Rule(w, pad, ())
+    m = Mft(states, m1.sigma | m2.sigma, initial, rules)
     problems = validate(m)
     if problems:
         raise AssertionError("composition produced an invalid transducer: "
                              + "; ".join(problems))
-    return m
+    return (m,) + _full_size(m1, m2, spliced)
+
+
+#: mode name -> (first operand parameter-free?, second parameter-free?,
+#: encodings of the two operands, recompose the product?); ``mfx compose
+#: --mode`` offers these names
+MODES = {
+    "tt-tt": (True, True, None, None, False),
+    "mtt-tt": (False, True, None, None, False),
+    "tt-mtt": (True, False, None, None, False),
+    "mtt-ft": (False, True, None, decompose_eval, True),
+    "tt-ft": (True, True, None, decompose_eval, True),
+    "ft-tt": (True, True, ft_to_mtt, None, False),
+}
+
+
+def _run(mode: str, m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
+    """One construction: the fused transducer, and the size and rule count
+    of the whole product it is the reachable part of."""
+    free1, free2, enc1, enc2, spliced = MODES[mode]
+    for m, free, who in ((m1, free1, "first"), (m2, free2, "second")):
+        if free:
+            _require_rank1(m, who + " operand")
+    m, size_out, rules_out = _pair(enc1(m1) if enc1 else m1,
+                                   enc2(m2) if enc2 else m2, spliced)
+    return (recompose_eval(m) if spliced else m), size_out, rules_out
 
 
 def compose_tt_tt(m1: Mft, m2: Mft) -> Mft:
     """One transducer running first m1, then m2 over m1's output.  Both
     operands must be parameter-free and tree shaped."""
-    _require_rank1(m1, "first operand")
-    _require_rank1(m2, "second operand")
-    return _pair(m1, m2)
+    return _run("tt-tt", m1, m2)[0]
 
 
 def compose_mtt_tt(m1: Mft, m2: Mft) -> Mft:
     """First a transducer with parameters, then a parameter-free one, both
     tree shaped.  Walkers carry n translated copies of each of m1's
     parameters (n = number of m2 states)."""
-    _require_rank1(m2, "second operand")
-    return _pair(m1, m2)
+    return _run("mtt-tt", m1, m2)[0]
 
 
 def compose_tt_mtt(m1: Mft, m2: Mft) -> Mft:
     """First a parameter-free transducer, then one with parameters, both
     tree shaped.  Walkers carry the current m2 state's own parameters."""
-    _require_rank1(m1, "first operand")
-    return _pair(m1, m2)
+    return _run("tt-mtt", m1, m2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,32 +417,18 @@ def compose_tt_mtt(m1: Mft, m2: Mft) -> Mft:
 def compose_mtt_ft(m1: Mft, m2: Mft) -> Mft:
     """Parameters first, parameter-free second: decompose the second into
     tree shape plus concatenation, pair, then re-interpret concatenation."""
-    m2tt = decompose_eval(m2)
-    return recompose_eval(compose_mtt_tt(m1, m2tt))
+    return _run("mtt-ft", m1, m2)[0]
 
 
 def compose_tt_ft(m1: Mft, m2: Mft) -> Mft:
-    m2tt = decompose_eval(m2)
-    return recompose_eval(compose_tt_tt(m1, m2tt))
+    return _run("tt-ft", m1, m2)[0]
 
 
 def compose_ft_tt(m1: Mft, m2: Mft) -> Mft:
     """Parameter-free first, tree-shaped second: the first operand is
     tree-shaped by :func:`ft_to_mtt`, then paired with the second as in
     ``mtt-tt``."""
-    _require_rank1(m1, "first operand")
-    return compose_mtt_tt(ft_to_mtt(m1), m2)
-
-
-#: mode name -> construction; ``mfx compose --mode`` offers these names
-MODES = {
-    "tt-tt": compose_tt_tt,
-    "mtt-tt": compose_mtt_tt,
-    "tt-mtt": compose_tt_mtt,
-    "mtt-ft": compose_mtt_ft,
-    "tt-ft": compose_tt_ft,
-    "ft-tt": compose_ft_tt,
-}
+    return _run("ft-tt", m1, m2)[0]
 
 
 def compose(m1: Mft, m2: Mft, mode: str) -> Tuple[Mft, CompositionReport]:
@@ -360,20 +437,10 @@ def compose(m1: Mft, m2: Mft, mode: str) -> Tuple[Mft, CompositionReport]:
     if mode not in MODES:
         raise ValueError("unknown mode %r (one of %s)"
                          % (mode, ", ".join(sorted(MODES))))
-    fn = MODES[mode]
     t0 = time.perf_counter()
-    out = fn(m1, m2)
+    # the construction builds only the reachable state pairs and counts
+    # the whole product's size on the side
+    out, size_out, rules_out = _run(mode, m1, m2)
     dt = time.perf_counter() - t0
-    report = CompositionReport(
-        mode=mode,
-        sigma=len(m1.sigma | m2.sigma),
-        size1=size(m1),
-        size2=size(m2),
-        size_out=size(out),   # the full product, before pruning
-        rules_out=len(out.rules),
-        seconds=dt,
-    )
-    # the constructions build every state pair; unreachable pairs carry no
-    # behaviour and are dropped from the returned transducer
-    from .optimize import remove_unreachable
-    return remove_unreachable(out), report
+    return out, CompositionReport(mode, len(m1.sigma | m2.sigma), size(m1),
+                                  size(m2), size_out, rules_out, dt)

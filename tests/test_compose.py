@@ -8,8 +8,8 @@ from mfx.bench import CORPUS_QUERIES
 from mfx.compile import compile_query
 from mfx.forest import CONCAT, parse_term
 from mfx.mft import (Call, Node, classify, evaluate, is_tree_rhs,
-                     parse_mft, print_mft, validate)
-from mfx.optimize import optimize
+                     parse_mft, validate)
+from mfx.optimize import optimize, reachable_states, remove_unreachable
 from mfx.xquery import parse_query
 from mfx.compose import (compose, compose_ft_tt, compose_mtt_tt,
                          compose_tt_ft, compose_tt_mtt, compose_tt_tt,
@@ -17,7 +17,8 @@ from mfx.compose import (compose, compose_ft_tt, compose_mtt_tt,
                          recompose_eval, recompose_rhs)
 import mfx.mft as MF
 
-from util import random_forest, random_ft, random_mft, random_tt, run_bytes
+from util import (canonical_mft, random_forest, random_ft, random_mft,
+                  random_tt, run_bytes)
 
 CHAIN_TT = """\
 q0(a(x1)x2) -> b(b(b(b(q0(x1)))))
@@ -287,57 +288,72 @@ def test_mode_validation():
 
 
 def _sha(m) -> str:
-    return hashlib.sha256(print_mft(m).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_mft(m).encode("utf-8")).hexdigest()
+
+
+def _corpus_pair(a: str, b: str):
+    return tuple(optimize(compile_query(parse_query(CORPUS_QUERIES[q])))
+                 for q in (a, b))
 
 
 # the benchmark's seven fused pairs: (first, second, mode) ->
-# (sha256 of print_mft, report.size_out, report.rules_out)
+# (sha256 of canonical_mft, report.size_out, report.rules_out)
 CORPUS_FUSED = {
     ("double", "deepdup", "tt-tt"): (
-        "bab452fff6a356375b43a42769ff490781c440bf90ec210db83bd5bbe15ad6db",
+        "ff18991842dafc57f3420d309f705e4d67a11f666585d286e2f933d9a58f88ec",
         1897, 430),
     ("deepdup", "double", "mtt-tt"): (
-        "23757f147172c7da78e7c8fc2e4021dc660ac45da4b5f320af1801dd4e753097",
+        "fee4c9e35a46c95fadcc7f5864ec42dd2ca63448312b06d73cc58e0c40633423",
         1690, 376),
     ("double", "deepdup", "tt-mtt"): (
-        "bab452fff6a356375b43a42769ff490781c440bf90ec210db83bd5bbe15ad6db",
+        "ff18991842dafc57f3420d309f705e4d67a11f666585d286e2f933d9a58f88ec",
         1897, 430),
     ("double", "fourstar", "tt-ft"): (
-        "c02bbbd8e361129582a79bd55b18c4953a9f408f6c74171addbe06fd31942ccf",
+        "677c5893318919f6a45e97d1f4de2f1c391745d9a128c87b136a3403e72a0c25",
         2253, 516),
     ("deepdup", "fourstar", "mtt-ft"): (
-        "51b4d0ff2d5ca49b27bbd4b24af73ce7c51c9588b8f14d8985cf49d136ac9493",
+        "d8845bbf39b8dca934104020d7381970987ea677f14d99c27c80a277047bef8e",
         2442, 564),
     ("q13", "double", "ft-tt"): (
-        "03556c8df3ae0e87b47891a39f11ce2c8803b50fb458def26031afb418c5ac0f",
+        "83a3f724f6b197f9152d183c333506d8589a4b4df292d8b2c2a0b692efa89917",
         16686, 1404),
     ("q13", "deepdup", "ft-tt"): (
-        "1d0d09d5a4f6ff79021c4822150935b86112f78f69e660ff1fabe64696312aaf",
+        "e263268da65ca63e681703fbd4f13caf2e62bef1e37590e18e3734129a781ba7",
         25168, 1755),
 }
 
-# unpruned pairing constructions on random.Random(n) draws, n = 0, 1, 2
+# pairing constructions on random.Random(n) draws, n = 0, 1, 2: (sha256 of
+# canonical_mft of the reachable part, size and rule count of the whole
+# product)
 RAW_PAIRED = {
-    "tt-tt": ("4e3e2758306161d62eba2aa0be1a775d36a39afd3a326607e04f95ad4fa83be9",
-              "06bdcf11a58581c46ec0a494a785c20c07eae8506ab26a7dede76bf211d15289",
-              "2efc72e35a3b3455ecda089c9d9c6314a7612af4cf7b9198709ce6503b285c29"),
-    "mtt-tt": ("bc620807cc6cdc03d02dcd1831e363ed688e79a495ff66bfaf141fea55b9f3d6",
-               "6622125ab87e585b3901f385e7f0eacea9019df55588dbc698c7ec5de50be069",
-               "10180b201a46d7e944120f77978b9aa282c3e81d65755b80b3a0a4be8c9f922d"),
-    "tt-mtt": ("bab2e6d1becb7d850abe9174923f562e206ee51cacb134f914b501e60893ddd6",
-               "5ed6a7ea5a025209d626f837aa72db1fed8377e01c3e2943daca6ad82d507b12",
-               "7344bd48c701d675a4047316b87d689b12eef6f288dd602d028c16ff7d90eef3"),
+    "tt-tt": (
+        ("5be5d515a8ba3c7dbabdfec8a7cb07ce4fb041557617e7faaec9f5af78f8a885",
+         2876, 624),
+        ("dcdb8f1b3995c708d9acd6a5c551eae17a802769374bc058157a9b55bca6a200",
+         3684, 880),
+        ("2dc2d912268635d8d683330ee02dcec8a834817a957fefbac3751c83ab97763f",
+         3339, 810),
+    ),
+    "mtt-tt": (
+        ("b24251fcbb5b44021a90f5ce5c59c53e75f89ff835d865d38b81f0724f54c10f",
+         10008, 1341),
+        ("ef47e2e3747e6171c4afbdc8d2ed3abfc9e48e19b7c3a7b9d9edd39d2cb50d8b",
+         3335, 648),
+        ("f09beeabe89fd3d411454ae3da66679a06a2036210f274dbc2ec4f7742642eb1",
+         6983, 1165),
+    ),
+    "tt-mtt": (
+        ("6cddf923f0a2c7750364e2450f00162494786509c30c294e08afc4ceea577db3",
+         2643, 552),
+        ("3424d6afca467435763331adcd22791b834d36bd1fef8034d078c3d39e7de15d",
+         3231, 712),
+        ("064252e8870a5638b8bfb0b170808413ae14d86c481856ff9e439e0d74ce08e4",
+         4292, 810),
+    ),
 }
 
 
-def test_composed_rule_files_are_pinned():
-    # the exact rule files, state names included, so a refactoring of the
-    # walker product shows any change in what it builds
-    for (a, b, mode), want in CORPUS_FUSED.items():
-        m1, m2 = (optimize(compile_query(parse_query(CORPUS_QUERIES[q])))
-                  for q in (a, b))
-        comp, rep = compose(m1, m2, mode)
-        assert (_sha(comp), rep.size_out, rep.rules_out) == want, (a, b, mode)
+def _raw_draws():
     mtt = lambda rng: random_mft(rng, tree_shaped=True)  # noqa: E731
     for mode, fn, g1, g2 in (("tt-tt", compose_tt_tt, random_tt, random_tt),
                              ("mtt-tt", compose_mtt_tt, mtt, random_tt),
@@ -345,4 +361,28 @@ def test_composed_rule_files_are_pinned():
         for n, want in enumerate(RAW_PAIRED[mode]):
             rng = random.Random(n)
             m1 = g1(rng)
-            assert _sha(fn(m1, g2(rng))) == want, (mode, n)
+            yield mode, fn, m1, g2(rng), want
+
+
+def test_composed_rule_files_are_pinned():
+    # the rule files up to state names, so a refactoring of the walker
+    # product shows any change in what it builds
+    for (a, b, mode), want in CORPUS_FUSED.items():
+        comp, rep = compose(*_corpus_pair(a, b), mode)
+        assert (_sha(comp), rep.size_out, rep.rules_out) == want, (a, b, mode)
+    for mode, fn, m1, m2, want in _raw_draws():
+        assert _sha(remove_unreachable(fn(m1, m2))) == want[0], mode
+
+
+def test_walker_product_builds_only_reachable_pairs():
+    # the product is built from the initial pair outward, and the report
+    # still counts the whole product (sizes pinned from the construction
+    # that built every state pair)
+    for a, b, mode in CORPUS_FUSED:
+        comp, _ = compose(*_corpus_pair(a, b), mode)
+        assert reachable_states(comp) == set(comp.states), (a, b, mode)
+    for mode, fn, m1, m2, want in _raw_draws():
+        comp = fn(m1, m2)
+        assert reachable_states(comp) == set(comp.states), mode
+        _, rep = compose(m1, m2, mode)
+        assert (rep.size_out, rep.rules_out) == want[1:], mode

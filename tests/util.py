@@ -17,7 +17,8 @@ from typing import Dict, List, Set, Tuple
 
 from mfx.forest import Forest, NodeKind, Tree, coalesce_text, elem, text
 from mfx.mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rule, TEXT,
-                     evaluate, rhs_nodes, validate)
+                     _guard_order, evaluate, map_rhs, print_mft, rhs_nodes,
+                     validate)
 from mfx.optimize import bare_params
 from mfx.paths import LabelClass, Numbering, PathAutomaton, State
 from mfx.xmlio import forest_to_bytes
@@ -61,6 +62,39 @@ def necessary_params_oracle(m: Mft) -> Set[Tuple[str, int]]:
                 seen.add(v)
                 todo.append(v)
     return seen
+
+
+def canonical_mft(m: Mft) -> str:
+    """``print_mft`` of the transducer with its states renamed ``s0``,
+    ``s1``, ... in breadth-first order from the initial state, each state's
+    rules taken in guard order and each rule's calls in prefix order; two
+    transducers print alike iff they are equal up to state names.  Every
+    state must be reachable."""
+    rules_of: Dict[str, List[Rule]] = {}
+    for (q, g), rule in sorted(m.rules.items(),
+                               key=lambda kv: _guard_order(kv[0][1])):
+        rules_of.setdefault(q, []).append(rule)
+    names = {m.initial: "s0"}
+    todo = deque([m.initial])
+    while todo:
+        for rule in rules_of.get(todo.popleft(), ()):
+            for it in rhs_nodes(rule.rhs):
+                if isinstance(it, Call) and it.state not in names:
+                    names[it.state] = "s%d" % len(names)
+                    todo.append(it.state)
+    if len(names) != len(m.states):
+        raise ValueError("unreachable states: %s"
+                         % ", ".join(sorted(set(m.states) - set(names))))
+
+    def rename(it, rec):
+        if isinstance(it, Call):
+            return (Call(names[it.state], it.var, tuple(map(rec, it.args))),)
+        return None
+
+    rules = {(names[q], g): Rule(names[q], g, map_rhs(r.rhs, rename))
+             for (q, g), r in m.rules.items()}
+    return print_mft(Mft({names[q]: k for q, k in m.states.items()},
+                         m.sigma, "s0", rules))
 
 
 def automaton_select(auto: PathAutomaton, doc: Numbering,
