@@ -18,14 +18,25 @@ transducer whose right-hand sides are tree shaped (:func:`mfx.mft.is_tree_rhs`).
   construction for macro forest transducers).  For an m1 state q and an
   m2 state p, the entry state ``(q,p)`` starts, for every rule of q, a
   walker at the root of the rule's right-hand side.  The walker at
-  address u (:func:`mfx.mft.positions`) in m2 state p applies m2's rule for the output node at u and
-  turns m2's moves into stay moves to the walkers at u.1 and u.2, so
-  composed rules stay small (no exponential blow-up); a call of m1 at u
-  becomes a call of the entry state for the called state and p.  Alphabet
-  completion first specialises the first transducer's default rules for
-  every symbol the second one distinguishes (plus a text-guard copy when
-  the second has text rules), so a default rule never hides a label the
-  walker would need to know.
+  address u (:func:`mfx.mft.positions`) in m2 state p applies m2's rule
+  for the output node at u and turns m2's moves into stay moves to the
+  walkers at u.1 and u.2; a call of m1 at u becomes a call of the entry
+  state for the called state and p.  Alphabet completion first
+  specialises the first transducer's default rules for every symbol the
+  second one distinguishes (plus a text-guard copy when the second has
+  text rules), so a default rule never hides a label the walker would
+  need to know.
+* A walker is only ever called at x0 under the guard of its own m1 rule,
+  where its one live rule applies, so a call of it can be replaced by its
+  body with the arguments in place of its parameters (deforestation).
+  The product inlines every walker call except where that could grow it
+  or duplicate work: a call stays a call if m2's rule makes the same move
+  (variable and state) more than once, which keeps chains of such rules
+  polynomial; if it would copy an argument other than the empty forest or
+  a bare parameter into a body that reads that parameter more than once,
+  which keeps call-by-need sharing; if the walker is on the chain being
+  inlined, or the chain is :data:`INLINE_DEPTH` long; or if its body is
+  larger than :data:`INLINE_MAX`.
 * At most one operand of the product has parameters.  With n the number
   of m2 states, every entry state and walker for (q,p) has rank
   ``1 + (rank1(q) - 1)·n + (rank2(p) - 1)``, where only one term is ever
@@ -36,9 +47,9 @@ transducer whose right-hand sides are tree shaped (:func:`mfx.mft.is_tree_rhs`).
   A call into m1 passes one translated argument per (argument, m2 state),
   each a walker over that argument, then m2's parameters.
 * The product is built on demand, from the entry state of the two initial
-  states outward: a state is named when a rule first calls it and gets
-  its rules when it leaves a worklist, so every state built is reachable
-  and none is built only to be pruned.
+  states outward: a state is named when a finished rule first calls it
+  and gets its rules when it leaves a worklist, so every state built is
+  reachable and none is built only to be pruned or inlined.
 
 Sizes are tracked in a :class:`CompositionReport` so the
 O(|Σ| |M1| |M2|) bounds can be checked empirically.  Its ``size_out`` is
@@ -49,7 +60,7 @@ the size of the whole product, every state pair included, counted by
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -170,9 +181,9 @@ def _m2_rule(m2: Mft, p: str, head: Optional[Node],
     """m2's applicable rule in state p at the output node ``head`` (None at
     a leaf ε) of an m1 rule with the given guard, and whether to instantiate
     it.  A static node takes m2's rule for its label, else (text nodes) m2's
-    text rule, else m2's default rule with its dynamic copies instantiated;
-    a dynamic node takes m2's text rule under a text guard, else m2's
-    default rule as it is."""
+    text rule, else m2's default rule, either with its dynamic copies
+    instantiated; a dynamic node takes m2's text rule under a text guard,
+    else m2's default rule, either as it is."""
     if head is None:
         return (p, EPS), False
     if head.label is None:
@@ -182,7 +193,7 @@ def _m2_rule(m2: Mft, p: str, head: Optional[Node],
             return (p, Guard.sym(head.label)), False
         is_text = head.kind is NodeKind.TEXT
     if is_text and (p, TEXT) in m2.rules:
-        return (p, TEXT), False
+        return (p, TEXT), head.label is not None
     return (p, DEFAULT), head.label is not None
 
 
@@ -274,63 +285,93 @@ def _full_size(m1: Mft, m2: Mft, spliced: bool) -> Tuple[int, int]:
     return total, count
 
 
+#: a walker whose body is larger than this stays a state
+INLINE_MAX = 32
+#: a walker met this deep in a chain of inlined walkers stays a state, so
+#: that building bodies never nears the recursion limit (one level per
+#: node of a deeply nested m1 rule)
+INLINE_DEPTH = 50
+
+
 def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
     """The walker product of two tree-shaped transducers, at most one of
     which has parameters (see the module docstring), with the size and
     rule count of the whole product (:func:`_full_size`).  Only the states
     reachable from the entry state of the two initial states are built:
-    a state gets its rules when it leaves the worklist."""
+    a state gets its rules when it leaves the worklist.
+
+    Bodies are built with their callees as keys, ``("c", q, p)`` for an
+    entry state and ``("w", m1 rule, address, p)`` for a walker, and a
+    walker call is inlined where the policy of the module docstring
+    allows; a key becomes a named state only when a finished rule calls
+    it, so no state is built that its caller then inlined."""
     _require_tree(m1, "first operand")
     _require_tree(m2, "second operand")
     m1 = complete_alphabet(m1, m2)
     p_list = sorted(m2.states)
     n = len(p_list)
     p_index = {p: i + 1 for i, p in enumerate(p_list)}
-    copies = {q: _params(1, (r - 1) * n) for q, r in m1.states.items()}
+    # the identity arguments, shared so that comparing them is cheap
+    ys = _params(1, (max(m1.states.values()) - 1) * n
+                 + max(m2.states.values()) - 1)
+    copies = {q: ys[:(r - 1) * n] for q, r in m1.states.items()}
     by_state: Dict[str, List[Tuple[str, Guard]]] = {}
     for rkey in m1.rules:
         by_state.setdefault(rkey[0], []).append(rkey)
+    # m2 rule -> the moves (variable, state) it makes more than once
+    shared = {}
+    for mkey, rule in m2.rules.items():
+        moves = Counter((it.var, it.state) for it in rhs_nodes(rule.rhs)
+                        if isinstance(it, Call))
+        shared[mkey] = {mv for mv, k in moves.items() if k > 1}
     subs: Dict[Tuple[str, Guard], Dict[Tuple[int, ...], Rhs]] = {}
+    bodies: Dict[Tuple, tuple] = {}  # walker key -> walker(key)
+    building = set()                # walker keys whose body is being built
     states: Dict[str, int] = {}
     rules: Dict[Tuple[str, Guard], Rule] = {}
     names: Dict[Tuple, str] = {}
     todo: deque = deque()
 
-    def fresh(key: Tuple, q: str, p: str) -> str:
+    def rank(key: Tuple) -> int:
+        q, p = (key[1], key[2]) if key[0] == "c" else (key[1][0], key[3])
+        return 1 + (m1.states[q] - 1) * n + (m2.states[p] - 1)
+
+    def name(key: Tuple) -> str:
         if key not in names:
-            names[key] = name = "%s%d" % (key[0], len(names))
-            states[name] = 1 + (m1.states[q] - 1) * n + (m2.states[p] - 1)
+            names[key] = w = "%s%d" % (key[0], len(names))
+            states[w] = rank(key)
             todo.append(key)
         return names[key]
 
-    def entry(q: str, p: str) -> str:
-        return fresh(("c", q, p), q, p)
+    def named(it, rec):
+        # a key's first call from a finished rule names it
+        if not isinstance(it, Call):
+            return None
+        return (Call(name(it.state), it.var, tuple(map(rec, it.args))),)
 
-    def walker(rkey, addr, p) -> str:
-        return fresh(("w", rkey, addr, p), rkey[0], p)
+    def call(key: Tuple, args: Tuple[Rhs, ...], dup: bool) -> Rhs:
+        """A stay call of a walker, or its body with the arguments in
+        place of its parameters; ``dup`` for a move m2 makes twice."""
+        whole = (Call(key, 0, args),)
+        if dup or key in building or len(building) >= INLINE_DEPTH:
+            return whole
+        body, width, reads = walker(key)
+        if width > INLINE_MAX:
+            return whole
+        for i, k in reads.items():
+            a = args[i - 1]
+            if k > 1 and a and not (len(a) == 1 and isinstance(a[0], Param)):
+                return whole  # keep a shared argument shared
+        if args == ys[:len(args)]:
+            return body
+        return map_rhs(body, lambda it, rec: args[it.index - 1]
+                       if isinstance(it, Param) else None)
 
-    def subst(rhs: Rhs, rkey, u, cp) -> Rhs:
-        # rhs comes from m2: its moves become calls to walkers, and its
-        # parameters (only when m1 has none) stay where they are
-        def move(it, rec):
-            if not isinstance(it, Call):
-                return None
-            w = walker(rkey, u if it.var == 0 else u + (it.var,), it.state)
-            return (Call(w, 0, cp + tuple(rec(a) for a in it.args)),)
-
-        return map_rhs(rhs, move)
-
-    initial = entry(m1.initial, m2.initial)
-    while todo:
-        key = todo.popleft()
-        w = names[key]
-        if key[0] == "c":
-            _, q, p = key
-            ps = _params(1, states[w] - 1)
-            for rkey in by_state.get(q, ()):
-                rules[(w, rkey[1])] = Rule(
-                    w, rkey[1], (Call(walker(rkey, (), p), 0, ps),))
-            continue
+    def walker(key: Tuple) -> Tuple[Rhs, int, Dict[int, int]]:
+        """A walker's body, its size and its reads of each parameter."""
+        if key in bodies:
+            return bodies[key]
+        building.add(key)
         _, rkey, u, p = key
         g = rkey[1]
         cp = copies[rkey[0]]
@@ -341,19 +382,50 @@ def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
         if isinstance(head, Param):
             rhs: Rhs = (Param((head.index - 1) * n + p_index[p]),)
         elif isinstance(head, Call):
-            args = tuple((Call(walker(rkey, u + (j,), pp), 0, cp),)
+            args = tuple(call(("w", rkey, u + (j,), pp), cp, False)
                          for j in range(2, len(head.args) + 2)
                          for pp in p_list)
-            rhs = (Call(entry(head.state, p), head.var,
-                        args + _params(len(cp) + 1, states[w] - 1)),)
+            rhs = (Call(("c", head.state, p), head.var,
+                        args + ys[len(cp):rank(key) - 1]),)
         else:
             mkey, inst = _m2_rule(m2, p, head, g)
             rhs = m2.rules[mkey].rhs
             if inst:
                 rhs = _instantiate(rhs, head.label, head.kind)
-            rhs = subst(rhs, rkey, u, cp)
+            dup = shared[mkey]
+
+            # m2's moves become walkers at u, u.1 and u.2, and its
+            # parameters (only when m1 has none) stay where they are
+            def move(it, rec):
+                if not isinstance(it, Call):
+                    return None
+                return call(("w", rkey, u if it.var == 0 else u + (it.var,),
+                             it.state), cp + tuple(map(rec, it.args)),
+                            (it.var, it.state) in dup)
+
+            rhs = map_rhs(rhs, move)
+        building.discard(key)
+        reads: Dict[int, int] = {}
+        for it in rhs_nodes(rhs):
+            if isinstance(it, Param):
+                reads[it.index] = reads.get(it.index, 0) + 1
+        bodies[key] = got = (rhs, rhs_size(rhs), reads)
+        return got
+
+    initial = name(("c", m1.initial, m2.initial))
+    while todo:
+        key = todo.popleft()
+        w = names[key]
+        if key[0] == "c":
+            _, q, p = key
+            ps = ys[:states[w] - 1]
+            for rkey in by_state.get(q, ()):
+                rules[(w, rkey[1])] = Rule(w, rkey[1], map_rhs(
+                    call(("w", rkey, (), p), ps, False), named))
+            continue
+        g = key[1][1]
         # a walker has exactly one live rule
-        rules[(w, g)] = Rule(w, g, rhs)
+        rules[(w, g)] = Rule(w, g, map_rhs(walker(key)[0], named))
         for pad in (DEFAULT, EPS):
             if g.kind != pad.kind:
                 rules[(w, pad)] = Rule(w, pad, ())

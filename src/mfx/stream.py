@@ -17,6 +17,13 @@ the output, over an input buffer that materialises lazily:
   step, or a stay walker of a fused transducer) is applied in place,
   without a task, and only a body with an output node that has children
   or a suspended argument builds an environment.
+* A *copy state* (no symbol rules, ``%t(q(x1)) q(x2)`` on every node, an
+  empty eps rule) copies its input forest.  A call of one is one task,
+  which walks the buffered cells and emits each node's start, text and
+  ``End`` events (or builds its trees in a list target).  It holds the
+  next cell of each level it is inside, just as the rules' pending calls
+  would, and blocks on an empty cell as a rule application does, so its
+  output leaves on the same input step and no peak moves.
 * Work sits on an explicit task stack, so input depth and output size
   never touch the Python recursion limit, and the engine can stop
   mid-expression when it needs unread input.  The blocking task stays on
@@ -59,7 +66,7 @@ from sys import getrefcount
 from typing import List, Optional, Sequence, Tuple
 
 from .forest import Forest, NodeKind, Tree
-from .mft import (STAY_FLOOR, Call, Mft, Param, Rhs, dispatch_table,
+from .mft import (STAY_FLOOR, Call, Mft, Node, Param, Rhs, dispatch_table,
                   stay_budget)
 from .xmlio import (END, EOF, Eof, End, EventSink, StartAttribute,
                     StartElement, Text, XmlEvent, forest_events)
@@ -204,13 +211,14 @@ _KEPT, _DROPPED, _DROPS_SUBTREE = 0, 1, 2
 #   against the input cell when scheduled; ``(_O_PARAM, index)`` with a
 #   0-based index; ``(_O_CALL, state, var, plan)``, where each argument of
 #   the plan is ``()`` (empty), an int (a pass-through parameter's index) or
-#   the compiled body of a suspension.
+#   the compiled body of a suspension; ``(_O_CLONE, var)`` a call of a copy
+#   state, which copies the input forest at x<var>.
 # * ``env``: whether the body needs an ``_Env`` at all (an op holds it: an
 #   output node with children or a suspended argument).
 # * ``stay``: the state of the first x0 call, which the stay budget names.
 # * ``tail``: ``(state, var)`` if the body is one call without arguments;
 #   the engine applies it in place, without a task.
-_O_LEAF, _O_NODE, _O_COPY, _O_PARAM, _O_CALL = range(5)
+_O_LEAF, _O_NODE, _O_COPY, _O_PARAM, _O_CALL, _O_CLONE = range(6)
 
 
 def _start(label: str, kind: NodeKind) -> XmlEvent:
@@ -224,7 +232,7 @@ def _leaf_events(label: str, kind: NodeKind) -> tuple:
     return _start(label, kind), END
 
 
-def _compile(rhs: Optional[Rhs]) -> Optional[tuple]:
+def _compile(rhs: Optional[Rhs], copies: set) -> Optional[tuple]:
     if rhs is None:
         return None  # no such rule
     ops: List[tuple] = []
@@ -235,13 +243,16 @@ def _compile(rhs: Optional[Rhs]) -> Optional[tuple]:
         if t is Param:
             ops.append((_O_PARAM, it.index - 1))
         elif t is Call:
-            plan = tuple(map(_compile_arg, it.args))
-            env = env or any(type(a) is tuple and a for a in plan)
             if it.var == 0 and stay is None:
                 stay = it.state
+            if it.state in copies:
+                ops.append((_O_CLONE, it.var))
+                continue
+            plan = tuple([_compile_arg(a, copies) for a in it.args])
+            env = env or any(type(a) is tuple and a for a in plan)
             ops.append((_O_CALL, it.state, it.var, plan))
         elif it.label is None:
-            kids = _compile(it.children) if it.children else None
+            kids = _compile(it.children, copies) if it.children else None
             env = env or kids is not None
             ops.append((_O_COPY, kids))
         elif it.kind is _TEXT or not it.children:
@@ -250,38 +261,45 @@ def _compile(rhs: Optional[Rhs]) -> Optional[tuple]:
         else:
             env = True
             ops.append((_O_NODE, it.label, it.kind,
-                        _start(it.label, it.kind), _compile(it.children)))
+                        _start(it.label, it.kind),
+                        _compile(it.children, copies)))
     tail = None
-    if len(rhs) == 1 and type(rhs[0]) is Call and not rhs[0].args:
+    if len(ops) == 1 and ops[0][0] == _O_CALL and not rhs[0].args:
         tail = (rhs[0].state, rhs[0].var)
     return tuple(reversed(ops)), env, stay, tail
 
 
-def _compile_arg(arg: Rhs):
+def _compile_arg(arg: Rhs, copies: set):
     """A call argument in a plan: see the comment above."""
     if not arg:
         return ()
     if len(arg) == 1 and type(arg[0]) is Param:
         return arg[0].index - 1  # pass-through: share the caller's value
-    return _compile(arg)
+    return _compile(arg, copies)
 
 
 class _Rows(dict):
     """State -> dispatch row of compiled bodies, compiled on first use
     from :func:`mfx.mft.dispatch_table`: most runs of a fused transducer
-    reach only part of its states."""
+    reach only part of its states.  A call of a copy state (see the
+    module docstring) compiles to a single ``_O_CLONE`` op."""
 
     def __init__(self, m: Mft):
         super().__init__()
         self.table = dispatch_table(m)
+        self.copies = {
+            q for q, (syms, on_text, on_other, on_eps) in self.table.items()
+            if not syms and on_eps == () and on_text == on_other
+            == (Node(None, _ELEMENT, (Call(q, 1),)), Call(q, 2))}
 
     def __missing__(self, state: str) -> tuple:
         syms, on_text, on_other, on_eps = self.table[state]
-        other = _compile(on_other)
+        copies = self.copies
+        other = _compile(on_other, copies)
         row = self[state] = (
-            {g: _compile(rhs) for g, rhs in syms.items()},
-            other if on_text is on_other else _compile(on_text),
-            other, _compile(on_eps))
+            {g: _compile(rhs, copies) for g, rhs in syms.items()},
+            other if on_text is on_other else _compile(on_text, copies),
+            other, _compile(on_eps, copies))
         return row
 
 
@@ -326,12 +344,14 @@ class _Env:
 # block on unread input); NODE emits an output node's start and schedules
 # its children; FORCE/MEMO realise call-by-need parameters; CLOSE finishes
 # an output node in a list target; EMITF emits a forest to a target and
-# EVENTS prebuilt events to the sink.
+# EVENTS prebuilt events to the sink.  CLONE copies an input forest: it
+# holds the next cell of each level it is inside (and, for a list target,
+# each open node's label, kind and children so far), and blocks like APPLY.
 #
 # Rule bodies are resolved against their environment at scheduling time:
 # a pending call holds just its input cell (never the whole environment),
 # so a task waiting behind a long subtree does not pin that subtree.
-_APPLY, _NODE, _CLOSE, _FORCE, _MEMO, _EMITF, _EVENTS = range(7)
+_APPLY, _NODE, _CLOSE, _FORCE, _MEMO, _EMITF, _EVENTS, _CLONE = range(8)
 
 #: target value for "emit to the output stream"
 _SINK = None
@@ -494,6 +514,39 @@ class Engine:
             elif tag == _EMITF:
                 _, forest, target = task
                 self._emit_forest(forest, target)
+            elif tag == _CLONE:
+                _, walk, accs, heads = task
+                while True:
+                    cell = walk[-1]
+                    kind = cell.kind
+                    if kind is not None:
+                        walk[-1] = cell.next
+                        if kind is _TEXT:
+                            if accs is None:
+                                out(Text(cell.label))
+                            else:
+                                accs[-1].append(Tree(cell.label, _TEXT, ()))
+                        else:
+                            walk.append(cell.children)
+                            if accs is None:
+                                out(_start(cell.label, kind))
+                            else:
+                                heads.append((cell.label, kind))
+                                accs.append([])
+                    elif cell.closed:
+                        walk.pop()  # a level ends: close its node
+                        if not walk:
+                            break
+                        if accs is None:
+                            out(END)
+                        else:
+                            kids = accs.pop()
+                            label, kind = heads.pop()
+                            accs[-1].append(Tree(label, kind, tuple(kids)))
+                    else:
+                        stack.append(task)
+                        self._waiting = cell
+                        return  # blocked on unread input
             else:
                 raise AssertionError(tag)
 
@@ -528,7 +581,7 @@ class Engine:
                     push((_FORCE, v, target))
             elif code == _O_NODE:
                 push((_NODE, op[3], op[1], op[2], op[4], env, target))
-            else:  # _O_COPY
+            elif code == _O_COPY:
                 kind = cell.kind
                 if kind is None:
                     raise EngineError("dynamic label with no current node")
@@ -538,6 +591,12 @@ class Engine:
                          (_EMITF, (Tree(cell.label, kind, ()),), target))
                 else:
                     push((_NODE, None, cell.label, kind, op[1], env, target))
+            else:  # _O_CLONE
+                var = op[1]
+                x = cell if var == 0 else (cell.children if var == 1
+                                           else cell.next)
+                push((_CLONE, [x], None, None) if target is _SINK
+                     else (_CLONE, [x], [target], []))
 
     def _check_stay(self, stay: int, state: str):
         if not self.stay_budget:

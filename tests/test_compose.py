@@ -6,7 +6,7 @@ import pytest
 
 from mfx.bench import CORPUS_QUERIES
 from mfx.compile import compile_query
-from mfx.forest import CONCAT, parse_term
+from mfx.forest import CONCAT, NodeKind, Tree, parse_term
 from mfx.mft import (Call, Node, classify, evaluate, is_tree_rhs,
                      parse_mft, validate)
 from mfx.optimize import optimize, reachable_states, remove_unreachable
@@ -17,8 +17,8 @@ from mfx.compose import (compose, compose_ft_tt, compose_mtt_tt,
                          recompose_eval, recompose_rhs)
 import mfx.mft as MF
 
-from util import (canonical_mft, random_forest, random_ft, random_mft,
-                  random_tt, run_bytes)
+from util import (canonical_mft, necessary_params_oracle, random_forest,
+                  random_ft, random_mft, random_tt, run_bytes)
 
 CHAIN_TT = """\
 q0(a(x1)x2) -> b(b(b(b(q0(x1)))))
@@ -233,15 +233,117 @@ def test_randomized_pipeline_equivalence(mode, gen1, gen2):
 
 def test_fused_ft_tt_evaluates_unused_parameter_copies_lazily():
     # draw 7 of random.Random(9), third forest: the fused transducer has
-    # 331 states, most of whose parameter copies no rule reads
+    # 18 states, and no rule reads most of their parameter copies
     rng = random.Random(9)
     for _ in range(8):
         m1, m2 = random_ft(rng), random_tt(rng)
         forests = [random_forest(rng, budget=8) for _ in range(4)]
     comp, _ = compose(m1, m2, "ft-tt")
-    assert len(comp.states) == 331
+    assert len(comp.states) == 18
+    copies = sum(r - 1 for r in comp.states.values())
+    assert (copies, len(necessary_params_oracle(comp))) == (51, 12)
     f = forests[2]
     assert run_bytes(comp, f) == run_bytes(m2, evaluate(m1, f))
+
+
+#: m1 outputs a static text node, m2's text rule copies its label
+STATIC_TEXT_TT = """\
+q(a(x1)x2) -> b(#"hi")
+q(%t(x1)x2) -> eps
+q(eps) -> eps
+"""
+COPY_TEXT_TT = """\
+p(b(x1)x2) -> c(p(x1))
+p(%text(x1)x2) -> %t()
+p(%t(x1)x2) -> eps
+p(eps) -> eps
+"""
+
+
+@pytest.mark.parametrize("mode", ["tt-tt", "mtt-tt", "tt-mtt", "mtt-ft",
+                                  "tt-ft", "ft-tt"])
+def test_static_text_meets_a_copying_text_rule(mode):
+    m1, m2 = parse_mft(STATIC_TEXT_TT), parse_mft(COPY_TEXT_TT)
+    f = parse_term("a()")
+    assert run_bytes(m2, evaluate(m1, f)) == b"<c>hi</c>"
+    comp, _ = compose(m1, m2, mode)
+    assert run_bytes(comp, f) == b"<c>hi</c>"
+
+
+def test_walker_inlining_keeps_a_shared_argument_shared():
+    # m2 reads y1 twice; the walker that does so gets a built argument
+    # (d(e(y1) y1)), so it stays a state and the argument one suspension
+    m1 = parse_mft("""\
+i(%t(x1)x2) -> a(a(i(x1)))
+i(eps) -> eps
+""")
+    m2 = parse_mft("""\
+s(%t(x1)x2) -> p(x1, z())
+s(eps) -> eps
+p(%t(x1)x2, y1) -> p(x1, d(e(y1) y1))
+p(eps, y1) -> y1
+""")
+    comp, _ = compose(m1, m2, "tt-mtt")
+
+    def chain(n):
+        f = ()
+        for _ in range(n):
+            f = (Tree("a", NodeKind.ELEMENT, f),)
+        return f
+
+    f = chain(4)
+    assert evaluate(comp, f) == evaluate(m2, evaluate(m1, f))
+    # the output is a DAG that shares each argument's value: one z, and a
+    # d and an e per a of m1's output (two per input node); inlining the
+    # argument into both reads would build three of each per input node
+    for n in (100, 2000):
+        seen, todo = set(), list(evaluate(comp, chain(n)))
+        while todo:
+            t = todo.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                todo.extend(t.children)
+        assert len(seen) == 4 * n - 1
+
+
+def test_deeply_nested_rule_body_composes():
+    # one m1 rule 1,000 nodes deep: the walkers inlined into each other
+    # follow its nesting, and building them must stay off the recursion
+    # limit
+    rhs = (Call("q", 1),)
+    for _ in range(1000):
+        rhs = (Node("a", children=rhs),)
+    m1 = MF.Mft({"q": 1}, {"a"}, "q",
+                {("q", MF.DEFAULT): MF.Rule("q", MF.DEFAULT, rhs),
+                 ("q", MF.EPS): MF.Rule("q", MF.EPS, ())})
+    m2 = parse_mft(IDENTITY_TT)
+    comp, _ = compose(m1, m2, "tt-tt")
+    f = parse_term("b(c())")
+    assert run_bytes(comp, f) == run_bytes(m2, evaluate(m1, f))
+
+
+# states of the fused corpus pairs, whose walker product inlines stay
+# calls: 42, 49, 42, 54, 55, 390 and 480 states without inlining
+FUSED_STATES = {
+    ("double", "deepdup", "tt-tt"): 8,
+    ("deepdup", "double", "mtt-tt"): 5,
+    ("double", "deepdup", "tt-mtt"): 8,
+    ("double", "fourstar", "tt-ft"): 6,
+    ("deepdup", "fourstar", "mtt-ft"): 6,
+    ("q13", "double", "ft-tt"): 31,
+    ("q13", "deepdup", "ft-tt"): 62,
+}
+
+
+def test_fused_corpus_pairs_inline_their_walkers():
+    from mfx.stream import Engine
+    for (a, b, mode), want in FUSED_STATES.items():
+        comp, _ = compose(*_corpus_pair(a, b), mode)
+        assert len(comp.states) == want, (a, b, mode)
+        # the copy of a copy is one copy state, which the engine runs as
+        # one task; ft-tt threads a continuation through every state
+        copies = Engine(comp).rows.copies
+        assert len(copies) == (mode != "ft-tt"), (a, b, mode)
 
 
 def test_composed_classes():
@@ -300,25 +402,25 @@ def _corpus_pair(a: str, b: str):
 # (sha256 of canonical_mft, report.size_out, report.rules_out)
 CORPUS_FUSED = {
     ("double", "deepdup", "tt-tt"): (
-        "ff18991842dafc57f3420d309f705e4d67a11f666585d286e2f933d9a58f88ec",
+        "794008ba89dc80c0e25b0123e1cb25196c5935577028f17c94c977b7c2c37adf",
         1897, 430),
     ("deepdup", "double", "mtt-tt"): (
-        "fee4c9e35a46c95fadcc7f5864ec42dd2ca63448312b06d73cc58e0c40633423",
+        "9ace87f740ac17a5359af91f4edaaf0c1829867292126e37e81ea64c9fb5be08",
         1690, 376),
     ("double", "deepdup", "tt-mtt"): (
-        "ff18991842dafc57f3420d309f705e4d67a11f666585d286e2f933d9a58f88ec",
+        "794008ba89dc80c0e25b0123e1cb25196c5935577028f17c94c977b7c2c37adf",
         1897, 430),
     ("double", "fourstar", "tt-ft"): (
-        "677c5893318919f6a45e97d1f4de2f1c391745d9a128c87b136a3403e72a0c25",
+        "360da56ec4d7693b489f6307137fdf315c3de28c9562ec53d6c44f51b0f429a4",
         2253, 516),
     ("deepdup", "fourstar", "mtt-ft"): (
-        "d8845bbf39b8dca934104020d7381970987ea677f14d99c27c80a277047bef8e",
+        "c3e2b0362972d2df2ae76f3ee76b0fef73283f0dd9d53b74c9ee89761fc09e93",
         2442, 564),
     ("q13", "double", "ft-tt"): (
-        "83a3f724f6b197f9152d183c333506d8589a4b4df292d8b2c2a0b692efa89917",
+        "cbbfd7eefe142cd88bc657d48f57567f369e1fecf8335515b97a21be1b0abe1c",
         16686, 1404),
     ("q13", "deepdup", "ft-tt"): (
-        "e263268da65ca63e681703fbd4f13caf2e62bef1e37590e18e3734129a781ba7",
+        "e131514e1f7000a0b58db9bb014ac82c1b19c5defe905d085e0ae5b0924917c6",
         25168, 1755),
 }
 
@@ -327,27 +429,27 @@ CORPUS_FUSED = {
 # product)
 RAW_PAIRED = {
     "tt-tt": (
-        ("5be5d515a8ba3c7dbabdfec8a7cb07ce4fb041557617e7faaec9f5af78f8a885",
+        ("f6a9805a6356bb0719ee81b536ad2cfd2188302f01f5fd2f6cbe0d1f1a03330e",
          2876, 624),
-        ("dcdb8f1b3995c708d9acd6a5c551eae17a802769374bc058157a9b55bca6a200",
+        ("612551a5252d61d441f46247aba3d443193b4706980e3966b8fea6b253220810",
          3684, 880),
-        ("2dc2d912268635d8d683330ee02dcec8a834817a957fefbac3751c83ab97763f",
+        ("09141d1d622296239157145b087ee622818217f3104f0a758696e405d5449cb2",
          3339, 810),
     ),
     "mtt-tt": (
-        ("b24251fcbb5b44021a90f5ce5c59c53e75f89ff835d865d38b81f0724f54c10f",
+        ("dda0d902b4924090de66a4c49ca8b7d8284e8878ed97649269d33c6183a4a1f0",
          10008, 1341),
-        ("ef47e2e3747e6171c4afbdc8d2ed3abfc9e48e19b7c3a7b9d9edd39d2cb50d8b",
+        ("5213f37a0d245fe855d66d9ee9e96c5b8627ff04cbbf40ce6701d9062f2288cb",
          3335, 648),
-        ("f09beeabe89fd3d411454ae3da66679a06a2036210f274dbc2ec4f7742642eb1",
+        ("90496f0fbb08dfe0679b523c4c1df96fa0260fdcd77127d372cc3dc213a13c2f",
          6983, 1165),
     ),
     "tt-mtt": (
-        ("6cddf923f0a2c7750364e2450f00162494786509c30c294e08afc4ceea577db3",
+        ("a7f768a20807854b684bf29f0a1c4118ebb9a676811e683dfa0179557d89eab5",
          2643, 552),
-        ("3424d6afca467435763331adcd22791b834d36bd1fef8034d078c3d39e7de15d",
+        ("e82e828095df62e17fa3e21311195afe51ba244ed71c4d6632ab1c8b0f637089",
          3231, 712),
-        ("064252e8870a5638b8bfb0b170808413ae14d86c481856ff9e439e0d74ce08e4",
+        ("feace1e2c55da71ff5bbbec6a03bfc51bfba4fc77e615bca20620233fffa2857",
          4292, 810),
     ),
 }

@@ -381,3 +381,52 @@ def test_first_output_is_timed(m_person):
     _, st = stream_bytes(m_person, DOC1)
     assert 0.0 < st.first_output_ms <= st.seconds * 1000.0
     assert "first_output_ms=" in st.lines()
+
+
+#: c is a copy state: a call of it copies its input forest in one task.
+#: At x0 its output goes to the sink; in twice's argument it fills a list
+#: (a suspension read twice), also inside an output node (k)
+COPY_AT_X0 = """\
+r(%t(x1)x2) -> out(c(x0))
+r(eps) -> out()
+"""
+COPY_IN_ARGUMENT = """\
+r(%t(x1)x2) -> out(twice(x0, k(c(x1)) c(x2)))
+r(eps) -> out()
+twice(%t(x1)x2, y1) -> y1 w(y1)
+twice(eps, y1) -> y1
+"""
+COPY = """\
+c(%t(x1)x2) -> %t(c(x1)) c(x2)
+c(eps) -> eps
+"""
+#: a symbol rule no input has: the same transducer, with no copy state
+DISGUISE = "c(zz(x1)x2) -> %t(c(x1)) c(x2)\n"
+
+
+@pytest.mark.parametrize("head", [COPY_AT_X0, COPY_IN_ARGUMENT],
+                         ids=["at-x0", "in-argument"])
+def test_copy_state_streams_like_its_rules(head):
+    from mfx.gen import generate_bytes
+    m = parse_mft(head + COPY)
+    disguised = parse_mft(head + COPY + DISGUISE)
+    assert Engine(m).rows.copies == {"c"}
+    assert Engine(disguised).rows.copies == set()
+    # near-copies (output on eps, a text rule of their own) run their rules
+    small = b"<a>t<b x='1'>u<c/>v</b><d/></a>"
+    for old, new in (("c(eps) -> eps", "c(eps) -> z()"),
+                     ("c(eps)", "c(%text(x1)x2) -> c(x2)\nc(eps)")):
+        near = parse_mft(head + COPY.replace(old, new))
+        assert Engine(near).rows.copies == set()
+        assert stream_bytes(near, small)[0] == run_bytes(
+            near, bytes_to_forest(small))
+    for data in (generate_bytes("deep-chain", 5000),
+                 generate_bytes("wide-flat", 20000), small):
+        events = list(read_events(data))
+        steps, stats = _per_step_outputs(m, events)
+        assert (steps, stats) == _per_step_outputs(disguised, events)
+        out = io.BytesIO()
+        sink = sink_to(out)
+        for o in (ev for step in steps for ev in step):
+            sink(o)
+        assert out.getvalue() == run_bytes(m, bytes_to_forest(data))
