@@ -1,7 +1,7 @@
 """The benchmark corpus: the nine benchmark queries and their transducers.
 
-``mfx bench`` streams each query's transducer over generated xmark-lite
-documents and prints one record per run (see :func:`mfx.cli.cmd_bench`).
+The benchmark harness (``benchmark/run.py``) and the tests run these
+queries over generated xmark-lite documents.
 """
 
 from __future__ import annotations

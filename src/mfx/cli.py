@@ -2,9 +2,8 @@
 
 Subcommands: ``compile`` (query to rule file), ``optimize`` (rule file to
 rule file), ``run`` (stream an XML file through a transducer), ``eval``
-(same, via the in-memory evaluator), ``compose`` (fuse two rule files),
-``gen`` (synthetic documents) and ``bench`` (stream the benchmark
-corpus over generated documents and print one timing record per run).
+(same, via the in-memory evaluator), ``compose`` (fuse two rule files)
+and ``gen`` (synthetic documents).
 
 Rule files travel through stdin/stdout so the stages pipe together:
 
@@ -18,9 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
-from . import bench as B
 from . import gen as G
 from .compile import compile_text
 from .compose import MODES, compose
@@ -131,42 +128,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-class _ByteCounter:
-    def __init__(self):
-        self.n = 0
-
-    def write(self, data: bytes):
-        self.n += len(data)
-
-
-def cmd_bench(args) -> int:
-    names = args.queries.split(",") if args.queries \
-        else sorted(B.CORPUS_QUERIES)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if min(sizes) < 1:
-        raise PipelineError("size must be >= 1")
-    for name in names:
-        if name not in B.CORPUS_QUERIES:
-            raise PipelineError("unknown query %r (have: %s)"
-                                % (name, ", ".join(sorted(B.CORPUS_QUERIES))))
-        m = B.corpus_transducer(name, args.no_opt)
-        for size_ in sizes:
-            nodes = G.count_nodes(G.generate_events("xmark-lite", size_,
-                                                    args.seed))
-            times = []
-            for _ in range(max(1, args.repetitions)):
-                out = _ByteCounter()
-                t0 = time.perf_counter()
-                stats = stream_run(m, G.generate_events(
-                    "xmark-lite", size_, args.seed), sink_to(out))
-                times.append((time.perf_counter() - t0) * 1000.0)
-            times.sort()
-            print("query=%s nodes=%d ms=%.1f peak=%d out_bytes=%d"
-                  % (name, nodes, times[len(times) // 2], stats.peak_nodes,
-                     out.n))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mfx",
@@ -200,9 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
                                        "reading a rule file")
         p.add_argument("--no-opt", action="store_true",
                        help="with --query: skip optimization")
-        p.add_argument("--stats", action="store_true",
-                       help="print run statistics to stderr")
         p.set_defaults(fn=fn)
+        if name == "run":
+            p.add_argument("--stats", action="store_true",
+                           help="print run statistics to stderr")
 
     p = sub.add_parser("compose", help="fuse two rule files")
     p.add_argument("first")
@@ -217,16 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("bench", help="run the benchmark corpus")
-    p.add_argument("--queries", help="comma-separated ids "
-                                     "(default: all nine)")
-    p.add_argument("--sizes", default="10000,100000",
-                   help="comma-separated input node counts")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--no-opt", action="store_true")
-    p.set_defaults(fn=cmd_bench)
 
     return ap
 

@@ -13,8 +13,8 @@ transducer whose right-hand sides are tree shaped (:func:`mfx.mft.is_tree_rhs`).
   by threading a continuation parameter ("the rest of my output"), the
   parameter encoding of forest concatenation.  ``ft-tt`` is this encoding
   of its first operand followed by one ``mtt-tt`` pairing.
-* The pairing constructions :func:`compose_tt_tt`, :func:`compose_mtt_tt`
-  and :func:`compose_tt_mtt` are one walker product (Perst and Seidl's
+* The pairing constructions ``tt-tt``, ``mtt-tt`` and ``tt-mtt`` of
+  :data:`MODES` are one walker product, :func:`_pair` (Perst and Seidl's
   construction for macro forest transducers).  For an m1 state q and an
   m2 state p, the entry state ``(q,p)`` starts, for every rule of q, a
   walker at the root of the rule's right-hand side.  The walker at
@@ -450,59 +450,6 @@ MODES = {
 }
 
 
-def _run(mode: str, m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
-    """One construction: the fused transducer, and the size and rule count
-    of the whole product it is the reachable part of."""
-    free1, free2, enc1, enc2, spliced = MODES[mode]
-    for m, free, who in ((m1, free1, "first"), (m2, free2, "second")):
-        if free:
-            _require_rank1(m, who + " operand")
-    m, size_out, rules_out = _pair(enc1(m1) if enc1 else m1,
-                                   enc2(m2) if enc2 else m2, spliced)
-    return (recompose_eval(m) if spliced else m), size_out, rules_out
-
-
-def compose_tt_tt(m1: Mft, m2: Mft) -> Mft:
-    """One transducer running first m1, then m2 over m1's output.  Both
-    operands must be parameter-free and tree shaped."""
-    return _run("tt-tt", m1, m2)[0]
-
-
-def compose_mtt_tt(m1: Mft, m2: Mft) -> Mft:
-    """First a transducer with parameters, then a parameter-free one, both
-    tree shaped.  Walkers carry n translated copies of each of m1's
-    parameters (n = number of m2 states)."""
-    return _run("mtt-tt", m1, m2)[0]
-
-
-def compose_tt_mtt(m1: Mft, m2: Mft) -> Mft:
-    """First a parameter-free transducer, then one with parameters, both
-    tree shaped.  Walkers carry the current m2 state's own parameters."""
-    return _run("tt-mtt", m1, m2)[0]
-
-
-# ---------------------------------------------------------------------------
-# Derived compositions
-# ---------------------------------------------------------------------------
-
-
-def compose_mtt_ft(m1: Mft, m2: Mft) -> Mft:
-    """Parameters first, parameter-free second: decompose the second into
-    tree shape plus concatenation, pair, then re-interpret concatenation."""
-    return _run("mtt-ft", m1, m2)[0]
-
-
-def compose_tt_ft(m1: Mft, m2: Mft) -> Mft:
-    return _run("tt-ft", m1, m2)[0]
-
-
-def compose_ft_tt(m1: Mft, m2: Mft) -> Mft:
-    """Parameter-free first, tree-shaped second: the first operand is
-    tree-shaped by :func:`ft_to_mtt`, then paired with the second as in
-    ``mtt-tt``."""
-    return _run("ft-tt", m1, m2)[0]
-
-
 def compose(m1: Mft, m2: Mft, mode: str) -> Tuple[Mft, CompositionReport]:
     """Run one of the composition constructions and report sizes.  The
     result computes ``m2(m1(input))``."""
@@ -510,9 +457,16 @@ def compose(m1: Mft, m2: Mft, mode: str) -> Tuple[Mft, CompositionReport]:
         raise ValueError("unknown mode %r (one of %s)"
                          % (mode, ", ".join(sorted(MODES))))
     t0 = time.perf_counter()
+    free1, free2, enc1, enc2, spliced = MODES[mode]
+    for m, free, who in ((m1, free1, "first"), (m2, free2, "second")):
+        if free:
+            _require_rank1(m, who + " operand")
     # the construction builds only the reachable state pairs and counts
     # the whole product's size on the side
-    out, size_out, rules_out = _run(mode, m1, m2)
+    out, size_out, rules_out = _pair(enc1(m1) if enc1 else m1,
+                                     enc2(m2) if enc2 else m2, spliced)
+    if spliced:
+        out = recompose_eval(out)
     dt = time.perf_counter() - t0
     return out, CompositionReport(mode, len(m1.sigma | m2.sigma), size(m1),
                                   size(m2), size_out, rules_out, dt)

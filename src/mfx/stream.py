@@ -54,12 +54,14 @@ dropped node), and an ``End`` that closes a dead level.  A dropped event
 fills no cell and costs :func:`stream_run` no engine step.  Peaks cannot
 move: such a cell used to be counted live and dead within one ``feed``,
 before the peak is sampled.  Like the ``__del__`` counts, this relies on
-CPython's reference counting.  A source with a ``drop_subtree()`` method
-(:func:`mfx.xmlio.read_events`) is told when a dropped subtree starts.
+CPython's reference counting.  A reader (:func:`mfx.xmlio.read_events`)
+pushes into the buffer, and expat skips the inside of a dropped start;
+in an event stream the buffer drops that inside event by event.
 """
 
 from __future__ import annotations
 
+import io
 import time
 from dataclasses import dataclass
 from sys import getrefcount
@@ -68,8 +70,9 @@ from typing import List, Optional, Sequence, Tuple
 from .forest import Forest, NodeKind, Tree
 from .mft import (STAY_FLOOR, Call, Mft, Node, Param, Rhs, dispatch_table,
                   stay_budget)
-from .xmlio import (END, EOF, Eof, End, EventSink, StartAttribute,
-                    StartElement, Text, XmlEvent, forest_events)
+from .xmlio import (END, EOF, Eof, EventSink, StartAttribute, StartElement,
+                    Text, XmlEvent, forest_events, push, read_events, sink_to,
+                    step_args)
 
 
 class EngineError(RuntimeError):
@@ -146,54 +149,43 @@ _TEXT = NodeKind.TEXT
 
 
 class _Buffer:
-    """Builds the cell structure from events, counts live nodes and drops
-    the events no one can read (see the module docstring)."""
+    """Builds the cell structure below the root cell from reader steps,
+    counts live nodes and drops the input no one can read (see the module
+    docstring).  It holds no cell but its tail stack."""
 
-    def __init__(self):
+    def __init__(self, root: _Cell):
         self.live = _Live()
-        # the root cell is handed to the engine's initial task; holding it
-        # here would pin the whole document
-        root = _Cell()
         self._tails: List[_Cell] = [root]
-        self._root: Optional[_Cell] = root
         self.done = False
 
-    def take_root(self) -> _Cell:
-        root, self._root = self._root, None
-        return root
-
-    def feed(self, ev: XmlEvent) -> int:
-        """Buffer one event; say whether it was kept, dropped, or dropped
-        as the start of a subtree."""
-        t = type(ev)
+    def feed(self, kind: Optional[NodeKind], label: Optional[str]) -> bool:
+        """Buffer one node start, text or ``End`` (kind None), as a reader
+        step (:data:`mfx.xmlio.Step`); say whether it was kept."""
         tails = self._tails
-        if t is Eof:
-            if len(tails) != 1:
-                raise EngineError("input ended with %d open elements"
-                                  % (len(tails) - 1))
-            tails.pop().closed = True
-            self.done = True
-        elif getrefcount(tails[-1]) == 2:
+        if getrefcount(tails[-1]) == 2:
             # only the tail stack holds the level's cell: the level is dead
-            if t is End:
+            if kind is None:
                 tails.pop()
-            elif t is not Text:
+            elif kind is not _TEXT:
                 tails.append(_Cell())  # and so is the inside of this node
-                return _DROPS_SUBTREE
-            return _DROPPED
-        elif t is End:
+            return False
+        if kind is None:
             tails.pop().closed = True
-        elif t is Text:
-            tails[-1] = tails[-1].fill(ev.content, _TEXT, _CLOSED, self.live)
+        elif kind is _TEXT:
+            tails[-1] = tails[-1].fill(label, _TEXT, _CLOSED, self.live)
         else:
             kids = _Cell()
-            tails[-1] = tails[-1].fill(ev.name, _ELEMENT if t is StartElement
-                                       else _ATTRIBUTE, kids, self.live)
+            tails[-1] = tails[-1].fill(label, kind, kids, self.live)
             tails.append(kids)
-        return _KEPT
+        return True
 
-
-_KEPT, _DROPPED, _DROPS_SUBTREE = 0, 1, 2
+    def eof(self):
+        tails = self._tails
+        if len(tails) != 1:
+            raise EngineError("input ended with %d open elements"
+                              % (len(tails) - 1))
+        tails.pop().closed = True
+        self.done = True
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +357,16 @@ class Engine:
         self.rows = _Rows(m)
         self.stay_budget: Optional[int] = None  # set past STAY_FLOOR
         self.stats = StreamStats()
-        self.buffer = _Buffer()
+        # only the initial task holds the root cell: holding it here would
+        # pin the whole document
+        root = _Cell()
+        self.buffer = _Buffer(root)
         self._susps = _Live()
         self._emitted: List[XmlEvent] = []
         self._text_run: Optional[List[str]] = None
-        self.stack: List[tuple] = [
-            (_APPLY, m.initial, self.buffer.take_root(), (), _SINK, 0)]
+        self.stack: List[tuple] = [(_APPLY, m.initial, root, (), _SINK, 0)]
         #: the cell the task on top of the stack waits on, if it is blocked
         self._waiting: Optional[_Cell] = None
-        self.finished = False
 
     # -- output ---------------------------------------------------------------
 
@@ -403,10 +396,13 @@ class Engine:
     def step(self, ev: XmlEvent) -> Sequence[XmlEvent]:
         """Feed one input event; return the output events it unlocked
         (the shared empty tuple if none)."""
-        if type(ev) is Eof and self.buffer.done:
+        t = type(ev)
+        if t is Eof and self.buffer.done:
             return ()
         self.stats.events_in += 1
-        if self.buffer.feed(ev):
+        if t is Eof:
+            self.buffer.eof()
+        elif not self.buffer.feed(*step_args(ev)):
             return ()
         return self._advance()
 
@@ -426,9 +422,7 @@ class Engine:
             stats.nodes_buffered = self.buffer.live.made
             if not self.stack:
                 self._flush_text()
-                if not self.finished:
-                    self.finished = True
-                    self._emitted.append(EOF)
+                self._emitted.append(EOF)
         out = self._emitted
         if not out:
             return ()
@@ -621,12 +615,11 @@ class Engine:
 
 def stream_run(m: Mft, src, sink: EventSink) -> StreamStats:
     """Run the transducer over an event source, pushing output events to
-    the sink as they are determined.  Returns the run's statistics.  If the
-    source has a ``drop_subtree()`` method, it is called whenever the
-    buffer starts dropping a subtree."""
+    the sink as they are determined.  Returns the run's statistics.  The
+    source is a reader or an event stream (see :func:`mfx.xmlio.push`)."""
     t0 = time.perf_counter()
     eng = Engine(m)
-    stats, feed, advance = eng.stats, eng.buffer.feed, eng._advance
+    stats = eng.stats
 
     def first(ev):
         # times the first output event, then hands the sink over for good
@@ -636,23 +629,19 @@ def stream_run(m: Mft, src, sink: EventSink) -> StreamStats:
         sink(ev)
 
     emit = first
-    hint = getattr(src, "drop_subtree", None)
-    saw_eof = False
-    for ev in src:
+    feed, advance = eng.buffer.feed, eng._advance
+
+    def step(kind, label):
         stats.events_in += 1
-        verdict = feed(ev)
-        if verdict:
-            if verdict == _DROPS_SUBTREE and hint is not None:
-                hint()
-            continue
+        if not feed(kind, label):
+            return False
         for out in advance():
             emit(out)
-        if type(ev) is Eof:
-            saw_eof = True
-            break
-    if not saw_eof:
-        for out in eng.step(EOF):
-            emit(out)
+        return True
+
+    push(src, step)
+    for out in eng.step(EOF):
+        emit(out)
     if eng.stack:
         raise EngineError("engine blocked at end of input")
     stats.seconds = time.perf_counter() - t0
@@ -666,9 +655,6 @@ def measure(m: Mft, src) -> StreamStats:
 
 def stream_bytes(m: Mft, xml: bytes) -> Tuple[bytes, StreamStats]:
     """Convenience: XML bytes in, serialised output bytes and stats out."""
-    import io
-
-    from .xmlio import read_events, sink_to
     out = io.BytesIO()
     stats = stream_run(m, read_events(xml), sink_to(out))
     return out.getvalue(), stats

@@ -6,17 +6,20 @@ StartAttribute/Text/End triples placed before the element's other content,
 so a forest built from the events has attribute nodes as the first children
 of their element, each with a single text child.
 
-Reading is incremental (expat, fed in small chunks); writing is a push
-sink that serialises events as they arrive, which is what the streaming
-engine needs to emit output before the input is finished.
+Reading is incremental: :func:`read_events` returns an expat driver that
+feeds its source to the parser in small chunks.  Its ``push(step)`` calls
+``step(kind, label)`` (a :class:`NodeKind` and a name or text; both None
+for an ``End``) for each node start, text and ``End`` straight from the
+expat handlers, building no event objects.  When a start's step returns
+False, the driver switches expat to handlers that only count depth, and
+the next step is that node's ``End``: this is how the streaming engine
+skips input no one can read.  Iterating the reader is one more consumer,
+which builds the events of each chunk and yields them; :func:`push` runs
+either source through a step.
 
-A consumer that will not read a subtree may call the reader's
-``drop_subtree()`` right after it got the subtree's start; the reader then
-skips the inside and delivers the subtree's ``End`` next.  Within the
-batch already parsed it moves the batch iterator to that ``End``; past
-it, the expat handlers only count depth and build no events.  The hint is
-advisory: the dropped part is balanced, so a consumer that counts depth
-is right whether it was honoured or not.
+Writing is a push sink that serialises events as they arrive, which is
+what the streaming engine needs to emit output before the input is
+finished.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import io
 import xml.parsers.expat
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Union
 
 from .forest import Forest, NodeKind, Tree
 
@@ -66,13 +69,20 @@ EOF = Eof()
 #: Push-based consumer of events.
 EventSink = Callable[[XmlEvent], None]
 
+#: ``step(kind, label)``, what a reader pushes (see the module docstring).
+Step = Callable[[Optional[NodeKind], Optional[str]], bool]
+
+_ELEMENT, _ATTRIBUTE, _TEXT = (NodeKind.ELEMENT, NodeKind.ATTRIBUTE,
+                              NodeKind.TEXT)
+
 
 class XmlError(ValueError):
     pass
 
 
-def read_events(source, keep_whitespace: bool = False) -> EventReader:
-    """Parse XML bytes (or a binary file object, or str) into an event stream.
+def read_events(source, keep_whitespace: bool = False) -> XmlReader:
+    """Read XML bytes (or a binary file object, or str) once, by
+    :meth:`XmlReader.push` or by iterating its events.
 
     Text is coalesced across entity/chunk boundaries.  With the default
     ``keep_whitespace=False``, element text content is stripped of leading
@@ -85,63 +95,97 @@ def read_events(source, keep_whitespace: bool = False) -> EventReader:
         source = source.encode("utf-8")
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(bytes(source))
+    return XmlReader(source, keep_whitespace)
 
-    parser = xml.parsers.expat.ParserCreate()
-    parser.ordered_attributes = True
-    parser.buffer_text = True
 
-    pending: List[XmlEvent] = []
-    text_buf: List[str] = []
-    skip = 0  # open elements of a dropped subtree that runs past the batch
+#: the event a reader step stands for, by its kind
+_EVENT = {_ELEMENT: StartElement, _ATTRIBUTE: StartAttribute, _TEXT: Text}
 
-    def flush_text():
-        content = "".join(text_buf)
-        text_buf.clear()
-        if not keep_whitespace:
-            content = content.strip()
-            if not content:
+
+class XmlReader:
+    """An expat driver over one source (see the module docstring)."""
+
+    __slots__ = ("_source", "_keep_whitespace")
+
+    def __init__(self, source, keep_whitespace: bool):
+        self._source = source
+        self._keep_whitespace = keep_whitespace
+
+    def push(self, step: Step) -> None:
+        """Call ``step`` for each node start, text and ``End``; a start
+        whose step returns False is skipped to its ``End``."""
+        for _ in self._parse(step):
+            pass
+
+    def __iter__(self) -> Iterator[XmlEvent]:
+        batch: List[XmlEvent] = []
+        append = batch.append
+
+        def step(kind, label):
+            append(END if kind is None else _EVENT[kind](label))
+            return True
+
+        for _ in self._parse(step):
+            yield from batch
+            batch.clear()
+        yield EOF
+
+    def _parse(self, step: Step) -> Iterator[None]:
+        """Parse the source a chunk at a time, calling ``step``; yield
+        after each chunk."""
+        parser = xml.parsers.expat.ParserCreate()
+        parser.ordered_attributes = True
+        parser.buffer_text = True
+        keep_whitespace = self._keep_whitespace
+        text_buf: List[str] = []
+        skip = 0  # open elements inside a skipped subtree
+
+        def flush_text():
+            content = "".join(text_buf)
+            text_buf.clear()
+            if not keep_whitespace:
+                content = content.strip()
+                if not content:
+                    return
+            step(_TEXT, content)
+
+        def start(name, attrs):
+            if text_buf:
+                flush_text()
+            if not step(_ELEMENT, name):
+                set_handlers(skip_start, skip_end, None)
                 return
-        pending.append(Text(content))
+            for i in range(0, len(attrs), 2):
+                if step(_ATTRIBUTE, attrs[i]) and attrs[i + 1] != "":
+                    step(_TEXT, attrs[i + 1])
+                step(None, None)
 
-    def start(name, attrs):
-        if text_buf:
-            flush_text()
-        pending.append(StartElement(name))
-        for i in range(0, len(attrs), 2):
-            pending.append(StartAttribute(attrs[i]))
-            if attrs[i + 1] != "":
-                pending.append(Text(attrs[i + 1]))
-            pending.append(END)
+        def end(name):
+            if text_buf:
+                flush_text()
+            step(None, None)
 
-    def end(name):
-        if text_buf:
-            flush_text()
-        pending.append(END)
+        def set_handlers(on_start, on_end, on_chars):
+            parser.StartElementHandler = on_start
+            parser.EndElementHandler = on_end
+            parser.CharacterDataHandler = on_chars
 
-    def chars(data):
-        text_buf.append(data)
+        def skip_start(name, attrs):
+            nonlocal skip
+            skip += 1
 
-    def set_handlers(on_start, on_end, on_chars):
-        parser.StartElementHandler = on_start
-        parser.EndElementHandler = on_end
-        parser.CharacterDataHandler = on_chars
+        def skip_end(name):
+            nonlocal skip
+            if skip:
+                skip -= 1
+            else:
+                set_handlers(start, end, text_buf.append)
+                step(None, None)
 
-    def skip_start(name, attrs):
-        nonlocal skip
-        skip += 1
-
-    def skip_end(name):
-        nonlocal skip
-        skip -= 1
-        if not skip:
-            set_handlers(start, end, chars)
-            pending.append(END)
-
-    set_handlers(start, end, chars)
-
-    def events() -> Iterator[XmlEvent]:
+        set_handlers(start, end, text_buf.append)
+        read = self._source.read
         while True:
-            chunk = source.read(_CHUNK)
+            chunk = read(_CHUNK)
             try:
                 parser.Parse(chunk, not chunk)
             except xml.parsers.expat.ExpatError as e:
@@ -149,87 +193,56 @@ def read_events(source, keep_whitespace: bool = False) -> EventReader:
                     "XML parse error at line %d, column %d: %s"
                     % (e.lineno, e.offset, str(e))
                 ) from None
-            yield from pending
-            pending.clear()
+            yield
             if not chunk:
-                yield EOF
                 return
 
-    gen = events()
 
-    def drop_subtree():
-        nonlocal skip
-        # the list iterator that ``yield from pending`` is delivering from
-        it = gen.gi_yieldfrom
-        if it is None:
+def step_args(ev: XmlEvent) -> tuple:
+    """The ``(kind, label)`` of the reader step an event stands for."""
+    t = type(ev)
+    if t is End:
+        return None, None
+    if t is Text:
+        return _TEXT, ev.content
+    return (_ELEMENT if t is StartElement else _ATTRIBUTE), ev.name
+
+
+def push(src: Union[XmlReader, Iterable[XmlEvent]], step: Step) -> None:
+    """Push a reader, or an event stream up to its ``Eof``, into ``step``.
+    Only a reader skips what the step drops."""
+    if isinstance(src, XmlReader):
+        src.push(step)
+        return
+    for ev in src:
+        if type(ev) is Eof:
             return
-        n = len(pending)
-        i = n - it.__length_hint__()
-        t = type(pending[i - 1])
-        if t is not StartElement and t is not StartAttribute:
-            return  # not right after a start
-        depth = 1
-        while i < n:
-            t = type(pending[i])
-            if t is End:
-                depth -= 1
-                if not depth:
-                    it.__setstate__(i)  # deliver the closing End next
-                    return
-            elif t is not Text:
-                depth += 1
-            i += 1
-        # past the batch: drop its text so far and its callbacks to its End
-        it.__setstate__(n)
-        text_buf.clear()
-        skip = depth
-        set_handlers(skip_start, skip_end, None)
-
-    return EventReader(gen, drop_subtree)
+        step(*step_args(ev))
 
 
-class EventReader:
-    """An event iterator that takes the ``drop_subtree()`` hint (see the
-    module docstring).  ``for`` loops run on the generator itself."""
-
-    __slots__ = ("_events", "drop_subtree")
-
-    def __init__(self, events: Iterator[XmlEvent], drop_subtree):
-        self._events = events
-        self.drop_subtree: Callable[[], None] = drop_subtree
-
-    def __iter__(self) -> Iterator[XmlEvent]:
-        return self._events
-
-    def __next__(self) -> XmlEvent:
-        return next(self._events)
-
-
-def build_forest(src: Iterable[XmlEvent]) -> Forest:
-    """Materialise an event stream as a forest.  Raises on unbalanced input."""
+def build_forest(src: Union[XmlReader, Iterable[XmlEvent]]) -> Forest:
+    """Materialise a reader, or an event stream up to its ``Eof``, as a
+    forest.  Raises on unbalanced input."""
     root: List[Tree] = []
     # stack of (label, kind, children-list) for open nodes
     stack: List[tuple] = []
 
-    def emit(t: Tree):
-        (stack[-1][2] if stack else root).append(t)
-
-    for ev in src:
-        if isinstance(ev, StartElement):
-            stack.append((ev.name, NodeKind.ELEMENT, []))
-        elif isinstance(ev, StartAttribute):
-            stack.append((ev.name, NodeKind.ATTRIBUTE, []))
-        elif isinstance(ev, Text):
-            emit(Tree(ev.content, NodeKind.TEXT, ()))
-        elif isinstance(ev, End):
+    def step(kind, label):
+        if kind is None:
             if not stack:
                 raise XmlError("unbalanced events: End with no open node")
             label, kind, children = stack.pop()
-            if kind is NodeKind.ATTRIBUTE and not children:
-                children = [Tree("", NodeKind.TEXT, ())]
-            emit(Tree(label, kind, tuple(children)))
-        elif isinstance(ev, Eof):
-            break
+            if kind is _ATTRIBUTE and not children:
+                children = [Tree("", _TEXT, ())]
+            (stack[-1][2] if stack else root).append(
+                Tree(label, kind, tuple(children)))
+        elif kind is _TEXT:
+            (stack[-1][2] if stack else root).append(Tree(label, _TEXT, ()))
+        else:
+            stack.append((label, kind, []))
+        return True
+
+    push(src, step)
     if stack:
         raise XmlError("unbalanced events: %d nodes still open" % len(stack))
     return tuple(root)

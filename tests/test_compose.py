@@ -11,9 +11,7 @@ from mfx.mft import (Call, Node, classify, evaluate, is_tree_rhs,
                      parse_mft, validate)
 from mfx.optimize import optimize, reachable_states, remove_unreachable
 from mfx.xquery import parse_query
-from mfx.compose import (compose, compose_ft_tt, compose_mtt_tt,
-                         compose_tt_ft, compose_tt_mtt, compose_tt_tt,
-                         decompose_eval, decompose_rhs, ft_to_mtt,
+from mfx.compose import (compose, decompose_eval, decompose_rhs, ft_to_mtt,
                          recompose_eval, recompose_rhs)
 import mfx.mft as MF
 
@@ -194,7 +192,7 @@ p0(eps) -> eps
 p1(%t(x1)x2) -> w()
 p1(eps) -> eps
 """)
-    comp = compose_mtt_tt(m1, m2)
+    comp = compose(m1, m2, "mtt-tt")[0]
     assert validate(comp) == []
     assert max(comp.states.values()) == 3
     rng = random.Random(86)
@@ -349,13 +347,13 @@ def test_fused_corpus_pairs_inline_their_walkers():
 def test_composed_classes():
     rng = random.Random(87)
     t1, t2 = random_tt(rng), random_tt(rng)
-    assert classify(compose_tt_tt(t1, t2)) == "TT"
+    assert classify(compose(t1, t2, "tt-tt")[0]) == "TT"
     f = random_ft(rng)
-    assert classify(compose_tt_ft(t1, f)) in ("TT", "FT")
+    assert classify(compose(t1, f, "tt-ft")[0]) in ("TT", "FT")
     mtt = random_mft(rng, tree_shaped=True)
-    assert classify(compose_mtt_tt(mtt, t2)) in ("TT", "MTT")
-    assert classify(compose_tt_mtt(t1, mtt)) in ("TT", "MTT")
-    assert classify(compose_ft_tt(f, t2)) in ("TT", "MTT")
+    assert classify(compose(mtt, t2, "mtt-tt")[0]) in ("TT", "MTT")
+    assert classify(compose(t1, mtt, "tt-mtt")[0]) in ("TT", "MTT")
+    assert classify(compose(f, t2, "ft-tt")[0]) in ("TT", "MTT")
 
 
 def test_mode_validation():
@@ -363,7 +361,7 @@ def test_mode_validation():
     mft = random_mft(rng)
     tt = random_tt(rng)
     with pytest.raises(ValueError):
-        compose_tt_tt(mft, tt)
+        compose(mft, tt, "tt-tt")
     with pytest.raises(ValueError):
         compose(tt, tt, "bogus")
     # each pairing construction, and ft-tt, rejects a wrong-rank operand
@@ -371,22 +369,22 @@ def test_mode_validation():
     tt = parse_mft(IDENTITY_TT)
     mtt = parse_mft(PARAM_MTT)
     ft = parse_mft(DOUBLING_FT)
-    for fn, m1, m2, why in (
-            (compose_tt_tt, mtt, tt, "parameter-free"),
-            (compose_tt_tt, tt, mtt, "parameter-free"),
-            (compose_tt_tt, ft, tt, "tree-shaped"),
-            (compose_tt_tt, tt, ft, "tree-shaped"),
-            (compose_mtt_tt, mtt, mtt, "parameter-free"),
-            (compose_mtt_tt, ft, tt, "tree-shaped"),
-            (compose_mtt_tt, mtt, ft, "tree-shaped"),
-            (compose_tt_mtt, mtt, mtt, "parameter-free"),
-            (compose_tt_mtt, ft, mtt, "tree-shaped"),
-            (compose_tt_mtt, tt, ft, "tree-shaped"),
-            (compose_ft_tt, mtt, tt, "parameter-free"),
-            (compose_ft_tt, tt, mtt, "parameter-free"),
-            (compose_ft_tt, tt, ft, "tree-shaped")):
+    for mode, m1, m2, why in (
+            ("tt-tt", mtt, tt, "parameter-free"),
+            ("tt-tt", tt, mtt, "parameter-free"),
+            ("tt-tt", ft, tt, "tree-shaped"),
+            ("tt-tt", tt, ft, "tree-shaped"),
+            ("mtt-tt", mtt, mtt, "parameter-free"),
+            ("mtt-tt", ft, tt, "tree-shaped"),
+            ("mtt-tt", mtt, ft, "tree-shaped"),
+            ("tt-mtt", mtt, mtt, "parameter-free"),
+            ("tt-mtt", ft, mtt, "tree-shaped"),
+            ("tt-mtt", tt, ft, "tree-shaped"),
+            ("ft-tt", mtt, tt, "parameter-free"),
+            ("ft-tt", tt, mtt, "parameter-free"),
+            ("ft-tt", tt, ft, "tree-shaped")):
         with pytest.raises(ValueError, match=why):
-            fn(m1, m2)
+            compose(m1, m2, mode)
 
 
 def _sha(m) -> str:
@@ -457,13 +455,13 @@ RAW_PAIRED = {
 
 def _raw_draws():
     mtt = lambda rng: random_mft(rng, tree_shaped=True)  # noqa: E731
-    for mode, fn, g1, g2 in (("tt-tt", compose_tt_tt, random_tt, random_tt),
-                             ("mtt-tt", compose_mtt_tt, mtt, random_tt),
-                             ("tt-mtt", compose_tt_mtt, random_tt, mtt)):
+    for mode, g1, g2 in (("tt-tt", random_tt, random_tt),
+                         ("mtt-tt", mtt, random_tt),
+                         ("tt-mtt", random_tt, mtt)):
         for n, want in enumerate(RAW_PAIRED[mode]):
             rng = random.Random(n)
             m1 = g1(rng)
-            yield mode, fn, m1, g2(rng), want
+            yield mode, m1, g2(rng), want
 
 
 def test_composed_rule_files_are_pinned():
@@ -472,8 +470,9 @@ def test_composed_rule_files_are_pinned():
     for (a, b, mode), want in CORPUS_FUSED.items():
         comp, rep = compose(*_corpus_pair(a, b), mode)
         assert (_sha(comp), rep.size_out, rep.rules_out) == want, (a, b, mode)
-    for mode, fn, m1, m2, want in _raw_draws():
-        assert _sha(remove_unreachable(fn(m1, m2))) == want[0], mode
+    for mode, m1, m2, want in _raw_draws():
+        assert _sha(remove_unreachable(compose(m1, m2, mode)[0])) == want[0], \
+            mode
 
 
 def test_walker_product_builds_only_reachable_pairs():
@@ -483,8 +482,7 @@ def test_walker_product_builds_only_reachable_pairs():
     for a, b, mode in CORPUS_FUSED:
         comp, _ = compose(*_corpus_pair(a, b), mode)
         assert reachable_states(comp) == set(comp.states), (a, b, mode)
-    for mode, fn, m1, m2, want in _raw_draws():
-        comp = fn(m1, m2)
+    for mode, m1, m2, want in _raw_draws():
+        comp, rep = compose(m1, m2, mode)
         assert reachable_states(comp) == set(comp.states), mode
-        _, rep = compose(m1, m2, mode)
         assert (rep.size_out, rep.rules_out) == want[1:], mode

@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mfx.bench import CORPUS_QUERIES, corpus_transducer
 from mfx.gen import generate_bytes
 from mfx.xmlio import bytes_to_forest
@@ -38,14 +40,6 @@ def test_minimal_site_accepted_by_all_queries():
         from mfx.stream import stream_bytes
         out, _ = stream_bytes(m, data)  # no error is the assertion
         assert out.startswith(b"<")
-
-
-def test_bench_record_format(capsys):
-    assert main(["bench", "--queries", "q13", "--sizes", "800"]) == 0
-    rec = capsys.readouterr().out
-    assert rec.startswith("query=q13 nodes=")
-    for key in ("nodes=", "ms=", "peak=", "out_bytes="):
-        assert key in rec
 
 
 def test_every_corpus_query_streams_correctly_vs_oracle():
@@ -147,13 +141,10 @@ p0(eps) -> eps
     assert b"mode=tt-tt" in out.stderr
 
 
-def test_cli_gen_and_bench():
+def test_cli_gen():
     gen = _run_cli(["gen", "--profile", "deep-chain", "--size", "5"])
     assert gen.returncode == 0
     assert gen.stdout.strip() == b"<n><n><n><n><n>bottom</n></n></n></n></n>"
-    bench = _run_cli(["bench", "--queries", "q13", "--sizes", "500"])
-    assert bench.returncode == 0
-    assert bench.stdout.startswith(b"query=q13 nodes=")
 
 
 def test_cli_usage_error_exit_codes():
@@ -161,6 +152,14 @@ def test_cli_usage_error_exit_codes():
     bad = _run_cli(["run", "nonexistent.mft", "nope.xml"])
     assert bad.returncode == 1
     assert b"error" in bad.stderr
+
+
+def test_cli_eval_rejects_stats(capsys):
+    # the in-memory evaluator keeps no run statistics
+    with pytest.raises(SystemExit) as ei:
+        main(["eval", "--query", "q.xq", "--stats", "d.xml"])
+    assert ei.value.code == 2
+    assert "--stats" in capsys.readouterr().err
 
 
 def test_cli_main_entry():

@@ -1,5 +1,6 @@
 import io
 import random
+import time
 
 import pytest
 
@@ -218,18 +219,24 @@ def never_drop(monkeypatch):
     return switch
 
 
+def _random_draws():
+    """(transducer, forest) pairs: 20 each of random FTs, TTs and MFTs."""
+    rng = random.Random(94)
+    draws = []
+    for _ in range(20):
+        for m in (random_ft(rng), random_tt(rng), random_mft(rng)):
+            draws.append((m, random_forest(rng, budget=12)))
+    return draws
+
+
 def test_dropping_unreachable_input_is_transparent(never_drop):
     from mfx.bench import CORPUS_QUERIES
     from mfx.gen import generate_bytes
     data = generate_bytes("xmark-lite", 900, seed=5)
     events = list(read_events(data))
-    rng = random.Random(94)
     cases = [(optimize(compile_text(q)), events)
              for q in CORPUS_QUERIES.values()]
-    for _ in range(20):
-        for m in (random_ft(rng), random_tt(rng), random_mft(rng)):
-            f = random_forest(rng, budget=12)
-            cases.append((m, list(forest_events(f)) + [EOF]))
+    cases += [(m, list(forest_events(f)) + [EOF]) for m, f in _random_draws()]
     dropping = [_per_step_outputs(m, evs) for m, evs in cases]
     by_reader = [stream_bytes(m, data) for m, _ in cases[:9]]
     never_drop()
@@ -240,6 +247,48 @@ def test_dropping_unreachable_input_is_transparent(never_drop):
         assert ((st.events_out, st.peak_nodes, st.peak_suspensions)
                 == (st2.events_out, st2.peak_nodes, st2.peak_suspensions))
         assert st.nodes_buffered <= st2.nodes_buffered
+
+
+def test_pushed_and_pulled_input_stream_alike():
+    # a reader pushes into the buffer and expat skips what it drops; the
+    # same events in a list go through Engine.step, and the buffer drops
+    # them one by one
+    from mfx.bench import CORPUS_QUERIES
+    from mfx.gen import generate_bytes
+    data = generate_bytes("xmark-lite", 900, seed=5)
+    cases = [(optimize(compile_text(q)), data)
+             for q in CORPUS_QUERIES.values()]
+    cases += [(m, forest_to_bytes((elem("r", *f),)))
+              for m, f in _random_draws()]
+    for m, doc in cases:
+        runs = []
+        for src in (read_events(doc), list(read_events(doc))):
+            out = io.BytesIO()
+            st = stream_run(m, src, sink_to(out))
+            runs.append((out.getvalue(), st.events_out, st.peak_nodes,
+                         st.peak_suspensions, st.events_in))
+        assert runs[0][:4] == runs[1][:4]
+        assert runs[0][4] <= runs[1][4]
+
+
+def test_memoised_arguments_are_shared_not_copied():
+    # ft_to_mtt threads the rest of the output through a suspension per
+    # sibling, each read into its caller's memo.  4x the nodes costs 4-6x
+    # the time; copying each memoised value into its caller, as a memo of
+    # flat event lists does, costs 13x and more.  Best of 3 per size, the
+    # two sizes alternated so that a slow spell hits both.
+    from mfx.bench import CORPUS_QUERIES
+    from mfx.compose import ft_to_mtt
+    from mfx.gen import generate_bytes
+    m = ft_to_mtt(optimize(compile_text(CORPUS_QUERIES["fourstar"])))
+    docs = [generate_bytes("xmark-lite", n, 0) for n in (1000, 4000)]
+    best = [float("inf")] * len(docs)
+    for _ in range(3):
+        for i, doc in enumerate(docs):
+            t0 = time.perf_counter()
+            measure(m, read_events(doc))
+            best[i] = min(best[i], time.perf_counter() - t0)
+    assert best[1] / best[0] < 8
 
 
 def test_q13_buffers_under_half_of_the_input():

@@ -120,7 +120,7 @@ def test_reading_is_incremental():
     doc = b"<r>" + body + b"</r>"
     assert len(doc) > 500_000
     src = _CountingReader(doc)
-    events = read_events(src)
+    events = iter(read_events(src))
     for _ in range(10):
         next(events)
     assert src.consumed < 65_536
@@ -171,18 +171,27 @@ def _is_start(ev):
     return type(ev) in (StartElement, StartAttribute)
 
 
-def _hinted(reader, decide):
+_EVENT = {NodeKind.ELEMENT: StartElement, NodeKind.ATTRIBUTE: StartAttribute,
+          NodeKind.TEXT: Text}
+
+
+def _pushed(reader, decide):
+    """The events ``reader.push`` steps through when its step returns
+    ``not decide()`` after a start, and False after every text and
+    ``End`` (which the reader must ignore)."""
     got = []
-    for ev in reader:
-        got.append(ev)
-        if _is_start(ev) and decide():
-            reader.drop_subtree()
-    return got
+
+    def step(kind, label):
+        got.append(END if kind is None else _EVENT[kind](label))
+        return kind in (NodeKind.ELEMENT, NodeKind.ATTRIBUTE) and not decide()
+
+    reader.push(step)
+    return got + [EOF]
 
 
 def _without_insides(events, decide):
     """``events`` with the inside of every subtree ``decide`` picks, in
-    the order a hinting consumer sees the starts, removed."""
+    the order the reader steps through the starts, removed."""
     out, k = [], 0
     while k < len(events):
         ev = events[k]
@@ -204,7 +213,7 @@ def _coin(seed, p):
 
 
 def test_dropped_subtrees_lose_exactly_their_insides():
-    # hints at random starts, in and across read batches
+    # steps that drop random starts, in and across read chunks
     rng = random.Random(23)
     for trial in range(60):
         data = _random_document(rng, rng.randrange(5, 120))
@@ -212,7 +221,7 @@ def test_dropped_subtrees_lose_exactly_their_insides():
         full = list(read_events(data, keep_whitespace=keep))
         for p in (0.05, 0.3, 1.0):
             seed = rng.random()
-            got = _hinted(read_events(data, keep_whitespace=keep),
+            got = _pushed(read_events(data, keep_whitespace=keep),
                           _coin(seed, p))
             assert got == _without_insides(full, _coin(seed, p))
 
@@ -222,19 +231,7 @@ def test_a_dropped_subtree_longer_than_a_chunk():
     assert len(big) > 2 * _CHUNK
     data = b'<r>before<d k="v">' + big + b'</d>after<d/> tail</r>'
     first_d = iter([False, True])  # <r>, then the first <d>
-    got = _hinted(read_events(data), lambda: next(first_d, False))
+    got = _pushed(read_events(data), lambda: next(first_d, False))
     assert got == [StartElement("r"), Text("before"), StartElement("d"), END,
                    Text("after"), StartElement("d"), END, Text("tail"), END,
                    EOF]
-
-
-def test_hints_elsewhere_than_after_a_start_are_ignored():
-    data = b"<r>x<a>y</a></r>"
-    reader = read_events(data)
-    reader.drop_subtree()  # before the first event
-    got = []
-    for ev in reader:
-        got.append(ev)
-        if not _is_start(ev):
-            reader.drop_subtree()
-    assert got == list(read_events(data))
