@@ -19,22 +19,28 @@ the output, over an input buffer that materialises lazily:
   or a suspended argument builds an environment.
 * A *copy state* (no symbol rules, ``%t(q(x1)) q(x2)`` on every node, an
   empty eps rule) copies its input forest.  A call of one is one task,
-  which walks the buffered cells and emits each node's start, text and
-  ``End`` events (or builds its trees in a list target).  It holds the
-  next cell of each level it is inside, just as the rules' pending calls
-  would, and blocks on an empty cell as a rule application does, so its
-  output leaves on the same input step and no peak moves.
+  which walks the buffered cells and adds each node's start, text and
+  ``End`` events to its target.  It holds the next cell of each level it
+  is inside, just as the rules' pending calls would, and blocks on an
+  empty cell as a rule application does, so its output leaves on the same
+  input step and no peak moves.
 * Work sits on an explicit task stack, so input depth and output size
   never touch the Python recursion limit, and the engine can stop
   mid-expression when it needs unread input.  The blocking task stays on
   top of the stack and the engine records the cell it waits on; events
   that neither fill nor close that cell only extend the buffer.
-* Call arguments become suspensions, forced only if their parameter is
-  actually used (call by need) and memoised so shared arguments are
-  evaluated at most once.
-* Output events flush as soon as they are determined; emission never
-  backtracks.  A tail call (last item of a rule body) reuses the stack
-  slot, so scanning a million siblings needs constant stack.
+* Every task writes to a target, a plain list of events: the engine's
+  pending output, or the list that fills a suspension.  Call arguments
+  become suspensions, forced only if their parameter is actually used
+  (call by need) and memoised so shared arguments are evaluated at most
+  once.  A memoised value is a tuple of events in which an earlier
+  memoised value is one item, held by reference: reading a value adds
+  that one item to its reader's target, and nothing is copied.
+* Each input step drains the pending output: nested values are flattened
+  and adjacent text coalesced, so output events leave as soon as they
+  are determined; emission never backtracks.  A tail call (last item of a
+  rule body) reuses the stack slot, so scanning a million siblings needs
+  constant stack.
 
 Memory behaviour falls out of reference counting: a retained input
 subtree is exactly one whose cell is still reachable from a live
@@ -67,12 +73,11 @@ from dataclasses import dataclass
 from sys import getrefcount
 from typing import List, Optional, Sequence, Tuple
 
-from .forest import Forest, NodeKind, Tree
+from .forest import NodeKind
 from .mft import (STAY_FLOOR, Call, Mft, Node, Param, Rhs, dispatch_table,
                   stay_budget)
 from .xmlio import (END, EOF, Eof, EventSink, StartAttribute, StartElement,
-                    Text, XmlEvent, forest_events, push, read_events, sink_to,
-                    step_args)
+                    Text, XmlEvent, push, read_events, sink_to, step_args)
 
 
 class EngineError(RuntimeError):
@@ -197,9 +202,9 @@ class _Buffer:
 #
 # * ``ops``: one op per body item, in reverse order (the order they go on
 #   the task stack), each a tuple headed by its code:
-#   ``(_O_LEAF, forest, events)`` a static leaf, prebuilt for either target;
-#   ``(_O_NODE, label, kind, start event, children)`` a static node with
-#   child expressions; ``(_O_COPY, children or None)`` a %t node, resolved
+#   ``(_O_LEAF, events)`` a static leaf's prebuilt events;
+#   ``(_O_NODE, start event, children)`` a static node with child
+#   expressions; ``(_O_COPY, children or None)`` a %t node, resolved
 #   against the input cell when scheduled; ``(_O_PARAM, index)`` with a
 #   0-based index; ``(_O_CALL, state, var, plan)``, where each argument of
 #   the plan is ``()`` (empty), an int (a pass-through parameter's index) or
@@ -248,12 +253,10 @@ def _compile(rhs: Optional[Rhs], copies: set) -> Optional[tuple]:
             env = env or kids is not None
             ops.append((_O_COPY, kids))
         elif it.kind is _TEXT or not it.children:
-            ops.append((_O_LEAF, (Tree(it.label, it.kind, ()),),
-                        _leaf_events(it.label, it.kind)))
+            ops.append((_O_LEAF, _leaf_events(it.label, it.kind)))
         else:
             env = True
-            ops.append((_O_NODE, it.label, it.kind,
-                        _start(it.label, it.kind),
+            ops.append((_O_NODE, _start(it.label, it.kind),
                         _compile(it.children, copies)))
     tail = None
     if len(ops) == 1 and ops[0][0] == _O_CALL and not rhs[0].args:
@@ -302,14 +305,14 @@ class _Rows(dict):
 
 class _Susp:
     """A compiled argument closed over an environment.  Forced at most
-    once; the result forest is cached."""
+    once; the resulting value (see the module docstring) is cached."""
 
     __slots__ = ("body", "env", "cache", "live")
 
     def __init__(self, body: tuple, env: "_Env", live: _Live):
         self.body = body
         self.env = env
-        self.cache: Optional[Forest] = None
+        self.cache: Optional[tuple] = None
         self.live = live
         live.n += 1
 
@@ -332,23 +335,19 @@ class _Env:
 # The engine
 # ---------------------------------------------------------------------------
 
-# Task tags.  APPLY selects and enters a rule (the only task that can
-# block on unread input); NODE emits an output node's start and schedules
-# its children; FORCE/MEMO realise call-by-need parameters; CLOSE finishes
-# an output node in a list target; EMITF emits a forest to a target and
-# EVENTS prebuilt events to the sink.  CLONE copies an input forest: it
-# holds the next cell of each level it is inside (and, for a list target,
-# each open node's label, kind and children so far), and blocks like APPLY.
+# Task tags.  Every task but APPLY carries its target list.  APPLY selects
+# and enters a rule (the only task that can block on unread input); NODE
+# adds an output node's start and schedules its children and its ``End``;
+# FORCE/MEMO realise call-by-need parameters; EVENTS adds prebuilt events.
+# CLONE copies an input forest: it holds the next cell of each level it is
+# inside, and blocks like APPLY.
 #
 # Rule bodies are resolved against their environment at scheduling time:
 # a pending call holds just its input cell (never the whole environment),
 # so a task waiting behind a long subtree does not pin that subtree.
-_APPLY, _NODE, _CLOSE, _FORCE, _MEMO, _EMITF, _EVENTS, _CLONE = range(8)
+_APPLY, _NODE, _FORCE, _MEMO, _EVENTS, _CLONE = range(6)
 
-#: target value for "emit to the output stream"
-_SINK = None
-
-_ENDTAG = (_EVENTS, (END,))
+_END = (END,)
 
 
 class Engine:
@@ -362,34 +361,13 @@ class Engine:
         root = _Cell()
         self.buffer = _Buffer(root)
         self._susps = _Live()
-        self._emitted: List[XmlEvent] = []
-        self._text_run: Optional[List[str]] = None
-        self.stack: List[tuple] = [(_APPLY, m.initial, root, (), _SINK, 0)]
+        #: the output target: tasks add to it, each input step drains it
+        self._pending: list = []
+        self._text_run: Optional[List[str]] = None  # waits for the next step
+        self.stack: List[tuple] = [
+            (_APPLY, m.initial, root, (), self._pending, 0)]
         #: the cell the task on top of the stack waits on, if it is blocked
         self._waiting: Optional[_Cell] = None
-
-    # -- output ---------------------------------------------------------------
-
-    def _flush_text(self):
-        if self._text_run is not None:
-            content = "".join(self._text_run)
-            self._text_run = None
-            if content:
-                self._emitted.append(Text(content))
-                self.stats.events_out += 1
-
-    def _out(self, ev: XmlEvent):
-        # coalesce adjacent text
-        if type(ev) is Text:
-            if self._text_run is None:
-                self._text_run = [ev.content]
-            else:
-                self._text_run.append(ev.content)
-            return
-        if self._text_run is not None:
-            self._flush_text()
-        self._emitted.append(ev)
-        self.stats.events_out += 1
 
     # -- stepping ---------------------------------------------------------------
 
@@ -418,21 +396,51 @@ class Engine:
             self._drive()
             if self._susps.n > stats.peak_suspensions:
                 stats.peak_suspensions = self._susps.n
+        end = self.buffer.done and not self.stack
         if self.buffer.done:
             stats.nodes_buffered = self.buffer.live.made
-            if not self.stack:
-                self._flush_text()
-                self._emitted.append(EOF)
-        out = self._emitted
-        if not out:
+        if not self._pending and not end:
             return ()
-        self._emitted = []
-        return out
+        return self._drain(end)
+
+    def _drain(self, end: bool) -> Sequence[XmlEvent]:
+        """Empty the pending output into the events of this step: flatten
+        the memoised values in it and coalesce adjacent text.  A trailing
+        text run waits for the next step, unless this is the end."""
+        pending = self._pending
+        if end:
+            pending.append(EOF)
+        out: List[XmlEvent] = []
+        run = self._text_run
+        its = [iter(pending)]
+        while its:
+            for ev in its[-1]:
+                t = type(ev)
+                if t is tuple:
+                    its.append(iter(ev))  # a memoised value
+                    break
+                if t is Text:
+                    if run is None:
+                        run = [ev.content]
+                    else:
+                        run.append(ev.content)
+                    continue
+                if run is not None:
+                    content = "".join(run)
+                    run = None
+                    if content:
+                        out.append(Text(content))
+                out.append(ev)
+            else:
+                its.pop()
+        pending.clear()  # tasks hold this list: keep it
+        self._text_run = run
+        self.stats.events_out += len(out) - end  # Eof is not counted
+        return out or ()
 
     def _drive(self):
         stack = self.stack
         rows = self.rows
-        out = self._out
         self._waiting = None
         while stack:
             task = stack.pop()
@@ -472,71 +480,46 @@ class Engine:
                                    _Env(cell, params, stay) if body[1]
                                    else None, target)
             elif tag == _EVENTS:
-                for ev in task[1]:
-                    out(ev)
+                task[2].extend(task[1])
             elif tag == _NODE:
-                _, start, label, kind, children, env, target = task
-                if target is _SINK:
-                    out(start or _start(label, kind))
-                    stack.append(_ENDTAG)
-                    self._schedule(children, env.cell, env.params, env.stay,
-                                   env, _SINK)
-                else:
-                    kids: List[Tree] = []
-                    stack.append((_CLOSE, label, kind, kids, target))
-                    self._schedule(children, env.cell, env.params, env.stay,
-                                   env, kids)
-            elif tag == _CLOSE:
-                _, label, kind, kids, target = task
-                target.append(Tree(label, kind, tuple(kids)))
+                _, start, children, env, target = task
+                target.append(start)
+                stack.append((_EVENTS, _END, target))
+                self._schedule(children, env.cell, env.params, env.stay, env,
+                               target)
             elif tag == _FORCE:
                 _, susp, target = task
                 if susp.cache is not None:
-                    self._emit_forest(susp.cache, target)
+                    target.append(susp.cache)  # shared, not copied
                 else:
-                    acc: List[Tree] = []
+                    acc: list = []
                     stack.append((_MEMO, susp, acc, target))
                     env = susp.env
                     self._schedule(susp.body, env.cell, env.params, env.stay,
                                    env, acc)
             elif tag == _MEMO:
                 _, susp, acc, target = task
-                susp.cache = tuple(acc)
+                susp.cache = value = tuple(acc)
                 susp.body = None
                 susp.env = None  # release pinned input
-                self._emit_forest(susp.cache, target)
-            elif tag == _EMITF:
-                _, forest, target = task
-                self._emit_forest(forest, target)
+                target.append(value)
             elif tag == _CLONE:
-                _, walk, accs, heads = task
+                _, walk, target = task
                 while True:
                     cell = walk[-1]
                     kind = cell.kind
                     if kind is not None:
                         walk[-1] = cell.next
                         if kind is _TEXT:
-                            if accs is None:
-                                out(Text(cell.label))
-                            else:
-                                accs[-1].append(Tree(cell.label, _TEXT, ()))
+                            target.append(Text(cell.label))
                         else:
                             walk.append(cell.children)
-                            if accs is None:
-                                out(_start(cell.label, kind))
-                            else:
-                                heads.append((cell.label, kind))
-                                accs.append([])
+                            target.append(_start(cell.label, kind))
                     elif cell.closed:
                         walk.pop()  # a level ends: close its node
                         if not walk:
                             break
-                        if accs is None:
-                            out(END)
-                        else:
-                            kids = accs.pop()
-                            label, kind = heads.pop()
-                            accs[-1].append(Tree(label, kind, tuple(kids)))
+                        target.append(END)
                     else:
                         stack.append(task)
                         self._waiting = cell
@@ -545,7 +528,7 @@ class Engine:
                 raise AssertionError(tag)
 
     def _schedule(self, body: tuple, cell: _Cell, params: tuple, stay: int,
-                  env: Optional[_Env], target):
+                  env: Optional[_Env], target: list):
         """Push the tasks of a compiled body, resolved against its input
         cell and parameters now; only output nodes with children and
         suspended arguments keep the environment."""
@@ -567,30 +550,27 @@ class Engine:
                                   else () for a in plan])
                 push((_APPLY, state, x, plan, target, xstay))
             elif code == _O_LEAF:
-                push((_EVENTS, op[2]) if target is _SINK
-                     else (_EMITF, op[1], target))
+                push((_EVENTS, op[1], target))
             elif code == _O_PARAM:
                 v = params[op[1]]
                 if v:  # a suspension, not the empty forest
                     push((_FORCE, v, target))
             elif code == _O_NODE:
-                push((_NODE, op[3], op[1], op[2], op[4], env, target))
+                push((_NODE, op[1], op[2], env, target))
             elif code == _O_COPY:
                 kind = cell.kind
                 if kind is None:
                     raise EngineError("dynamic label with no current node")
                 if kind is _TEXT or op[1] is None:
-                    push((_EVENTS, _leaf_events(cell.label, kind))
-                         if target is _SINK else
-                         (_EMITF, (Tree(cell.label, kind, ()),), target))
+                    push((_EVENTS, _leaf_events(cell.label, kind), target))
                 else:
-                    push((_NODE, None, cell.label, kind, op[1], env, target))
+                    push((_NODE, _start(cell.label, kind), op[1], env,
+                          target))
             else:  # _O_CLONE
                 var = op[1]
                 x = cell if var == 0 else (cell.children if var == 1
                                            else cell.next)
-                push((_CLONE, [x], None, None) if target is _SINK
-                     else (_CLONE, [x], [target], []))
+                push((_CLONE, [x], target))
 
     def _check_stay(self, stay: int, state: str):
         if not self.stay_budget:
@@ -599,13 +579,6 @@ class Engine:
             raise EngineError(
                 "stay-move budget exceeded in state %s (%d consecutive"
                 " non-consuming steps)" % (state, self.stay_budget))
-
-    def _emit_forest(self, forest: Forest, target):
-        if target is _SINK:
-            for ev in forest_events(forest):
-                self._out(ev)
-        else:
-            target.extend(forest)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 import io
 import xml.parsers.expat
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, List, Optional, Union
 
 from .forest import Forest, NodeKind, Tree
@@ -307,23 +308,10 @@ class _StackWriter:
             self._tag_open = False
 
     def __call__(self, ev: XmlEvent):
-        if isinstance(ev, StartElement):
-            self._close_tag()
-            self.out.write(("<" + ev.name).encode("utf-8"))
-            self.stack.append(ev.name)
-            self._tag_open = True
-        elif isinstance(ev, StartAttribute):
-            if not self._tag_open:
-                raise XmlError("attribute event outside a start tag")
-            self._in_attr = True
-            self._attr = [ev.name]
-        elif isinstance(ev, Text):
-            if self._in_attr:
-                self._attr.append(ev.content)
-            else:
-                self._close_tag()
-                self.out.write(_escape_text(ev.content).encode("utf-8"))
-        elif isinstance(ev, End):
+        # event classes have no subclasses: dispatch on the exact type,
+        # the most frequent first
+        t = type(ev)
+        if t is End:
             if self._in_attr:
                 name, value = self._attr[0], "".join(self._attr[1:])
                 self.out.write(
@@ -338,13 +326,29 @@ class _StackWriter:
                 if not self.stack:
                     raise XmlError("unbalanced events: End with no open element")
                 self.out.write(("</%s>" % self.stack.pop()).encode("utf-8"))
-        elif isinstance(ev, Eof):
+        elif t is StartElement:
+            self._close_tag()
+            self.out.write(("<" + ev.name).encode("utf-8"))
+            self.stack.append(ev.name)
+            self._tag_open = True
+        elif t is Text:
+            if self._in_attr:
+                self._attr.append(ev.content)
+            else:
+                self._close_tag()
+                self.out.write(_escape_text(ev.content).encode("utf-8"))
+        elif t is StartAttribute:
+            if not self._tag_open:
+                raise XmlError("attribute event outside a start tag")
+            self._in_attr = True
+            self._attr = [ev.name]
+        elif t is Eof:
             if self.stack:
                 raise XmlError("Eof with %d open elements" % len(self.stack))
 
 
 def forest_to_bytes(f: Forest) -> bytes:
-    return write_events(list(forest_events(f)) + [EOF])
+    return write_events(chain(forest_events(f), (EOF,)))
 
 
 def bytes_to_forest(data, keep_whitespace: bool = False) -> Forest:

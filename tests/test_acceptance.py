@@ -6,6 +6,7 @@ either transcribed from the worked examples, computed by an independent
 oracle in this suite, or a frozen measured envelope.
 """
 
+import functools
 import io
 import random
 import time
@@ -233,6 +234,10 @@ def test_criterion_8_exhaustive_small_instance_oracles():
               "$input/a/following-sibling::b",
               "$input//a/following-sibling::*/c")]
     autos = [(p, PathAutomaton(p.steps, False)) for p in paths]
+    for _, auto in autos:
+        # a move depends only on (state, label class): compute each once
+        # across all forests; select_ctx still checks every forest
+        auto.move = functools.cache(auto.move)
     forests = 0
     for f in all_forests(("a", "b", "c"), 6):
         forests += 1
