@@ -285,7 +285,18 @@ def stay_budget(m: Mft) -> int:
     return max(STAY_FLOOR, 10 * size(m))
 
 
-class StayBudgetExceeded(RuntimeError):
+class TransducerError(RuntimeError):
+    """A run cannot go on: no rule applies, ``%t`` has no current input
+    node, or a stay run is too long.  Both interpreters raise it, with the
+    same messages."""
+
+
+#: the messages of TransducerError; NO_RULE takes the state
+NO_RULE = "state %s has no rule to apply"
+NO_CURRENT_NODE = "%t output with no current input node"
+
+
+class StayBudgetExceeded(TransducerError):
     def __init__(self, state: str, budget: int):
         super().__init__(
             "stay-move budget exceeded in state %s (%d consecutive "
@@ -325,7 +336,8 @@ def evaluate(m: Mft, f: Forest) -> Forest:
     composed transducers pass many parameter copies that no rule reads,
     and evaluating those eagerly can take time exponential in the input.
     More than ``max(100, 10 * size(m))`` consecutive stay moves raise
-    :class:`StayBudgetExceeded`, naming the looping state.
+    :class:`StayBudgetExceeded`, naming the looping state; a missing rule
+    or ``%t`` with no current node raise :class:`TransducerError`.
     """
     budget = None  # stay_budget(m), once a stay run passes STAY_FLOOR
     table = dispatch_table(m)
@@ -356,7 +368,7 @@ def evaluate(m: Mft, f: Forest) -> Forest:
             elif isinstance(it, Node):
                 if it.label is None:
                     if env.index == len(env.forest):
-                        raise ValueError("%t output with no current input node")
+                        raise TransducerError(NO_CURRENT_NODE)
                     head = env.forest[env.index]
                     label, kind = head.label, head.kind
                 else:
@@ -400,7 +412,7 @@ def evaluate(m: Mft, f: Forest) -> Forest:
                 rhs = syms.get(head.label, on_text
                                if head.kind is NodeKind.TEXT else on_other)
             if rhs is None:
-                raise ValueError("state %s has no rule to apply" % state)
+                raise TransducerError(NO_RULE % state)
             stack.append(("seq", rhs, _Env(g, i, params, stay), acc))
     return tuple(out)
 

@@ -13,7 +13,7 @@ the test suite hammers on randomized transducers.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .forest import Forest, Tree, coalesce_text
@@ -173,25 +173,6 @@ def constant_params(m: Mft) -> Mft:
 _INLINE_SIZE_LIMIT = 32
 
 
-def _stay_body(rules: List[Rule]) -> Optional[Rhs]:
-    """The rhs of a pure stay state given its rules: exactly one default and
-    one eps rule, identical, x0-only calls, no dynamic-label output."""
-    if len(rules) != 2:
-        return None
-    by_guard = {r.guard.kind: r for r in rules}
-    if set(by_guard) != {"default", "eps"}:
-        return None
-    rhs = by_guard["default"].rhs
-    if rhs != by_guard["eps"].rhs:
-        return None
-    for it in rhs_nodes(rhs):
-        if isinstance(it, Call) and it.var != 0:
-            return None
-        if isinstance(it, Node) and it.label is None:
-            return None
-    return rhs
-
-
 def _substitute(body: Rhs, var: int, args: Tuple[Rhs, ...]) -> Rhs:
     def sub(it, rec):
         if isinstance(it, Param):
@@ -206,42 +187,71 @@ def _substitute(body: Rhs, var: int, args: Tuple[Rhs, ...]) -> Rhs:
 def remove_stay_moves(m: Mft, warn=None) -> Mft:
     """Inline states whose whole behaviour is a single stay rule pair.
     Self- or mutually-recursive stay states are skipped (with a warning
-    callback), as are large bodies called from several sites."""
+    callback), as are large bodies called from several sites.  Call sites
+    are counted once, then recounted only in the rules an inlining
+    rewrites, whose states are the only ones that can become candidates."""
     m = m.copy()
-    while True:
-        rules_of: Dict[str, List[Rule]] = {}
-        for (s, _), r in m.rules.items():
-            rules_of.setdefault(s, []).append(r)
-        candidates = {q: b for q in m.states if q != m.initial and
-                      (b := _stay_body(rules_of.get(q, []))) is not None}
-        progress = False
-        for q, body in candidates.items():
-            if any(c.state in candidates for c in _calls(body)):
-                continue  # depends on another pending stay state (or itself)
-            sites = [key for key, r in m.rules.items()  # one per call site
-                     for c in _calls(r.rhs) if c.state == q]
-            if len(sites) > 1 and rhs_size(body) > _INLINE_SIZE_LIMIT:
-                continue
+    keys = list(m.rules)  # rules by number: a Guard key hashes slowly
+    rules_of: Dict[str, List[int]] = {}
+    for i, (s, _) in enumerate(keys):
+        rules_of.setdefault(s, []).append(i)
+    calls = defaultdict(lambda: defaultdict(int))  # callee -> rule -> calls
 
-            def inline(it, rec):
-                if isinstance(it, Call) and it.state == q:
-                    return _substitute(body, it.var,
-                                       tuple(rec(a) for a in it.args))
+    def count(i: int, step: int):
+        for c in _calls(m.rules[keys[i]].rhs):
+            calls[c.state][i] += step
+
+    def stay_body(q: str) -> Optional[Rhs]:
+        """The rhs of a pure stay state: exactly one default and one eps
+        rule, identical, x0-only calls, no dynamic-label output."""
+        rules = [m.rules[keys[i]] for i in rules_of.get(q, ())]
+        if (q == m.initial or len(rules) != 2
+                or {r.guard.kind for r in rules} != {"default", "eps"}
+                or rules[0].rhs != rules[1].rhs):
+            return None
+        for it in rhs_nodes(rules[0].rhs):
+            if (isinstance(it, Call) and it.var != 0
+                    or isinstance(it, Node) and it.label is None):
                 return None
+        return rules[0].rhs
 
-            for key in dict.fromkeys(sites):
-                r = m.rules[key]
-                m.rules[key] = Rule(r.state, r.guard, map_rhs(r.rhs, inline))
-            for r in rules_of[q]:
-                del m.rules[(q, r.guard)]
-            del m.states[q]
-            progress = True
-            break
-        if not progress:
-            for q, body in candidates.items():
-                if any(c.state == q for c in _calls(body)) and warn:
+    bodies = {q: stay_body(q) for q in m.states}  # None: not a candidate
+    if any(b is not None for b in bodies.values()):
+        for i in range(len(keys)):
+            count(i, 1)
+    while True:
+        for q, body in bodies.items():
+            if body is None or any(bodies.get(c.state) is not None
+                                   for c in _calls(body)):
+                continue  # depends on another pending stay state (or itself)
+            sites = [i for i, n in calls[q].items() if n]
+            if (sum(calls[q].values()) <= 1
+                    or rhs_size(body) <= _INLINE_SIZE_LIMIT):
+                break
+        else:
+            for q, body in bodies.items():
+                if (body is not None and warn
+                        and any(c.state == q for c in _calls(body))):
                     warn("stay state %s is self-recursive, not inlined" % q)
             return m
+
+        def inline(it, rec):
+            if isinstance(it, Call) and it.state == q:
+                return _substitute(body, it.var,
+                                   tuple(rec(a) for a in it.args))
+            return None
+
+        for i in sites:
+            count(i, -1)
+            r = m.rules[keys[i]]
+            m.rules[keys[i]] = Rule(r.state, r.guard, map_rhs(r.rhs, inline))
+            count(i, 1)
+        for i in rules_of.pop(q):
+            count(i, -1)
+            del m.rules[keys[i]]
+        del m.states[q], bodies[q]
+        for s in {keys[i][0] for i in sites} & bodies.keys():
+            bodies[s] = stay_body(s)
 
 
 # ---------------------------------------------------------------------------

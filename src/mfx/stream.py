@@ -7,16 +7,17 @@ the output, over an input buffer that materialises lazily:
   a push builder as events arrive.  A filled cell is the buffered node
   (label, kind, head cell of its children, next cell).  A cursor is a
   cell reference; reading it yields the node, the end of the level, or
-  "not yet".  A rule's environment is just its cell (x0; x1 and x2 are
-  read off it), its parameter values and its run of stay moves.
+  "not yet".  A rule application is its cell (x0; x1 and x2 are read
+  off it), its parameter values and its run of stay moves; what it
+  creates holds those three itself, with no record in between.
 * Rule bodies are compiled once per run, a state's dispatch row
   (:func:`mfx.mft.dispatch_table`) when the state is first applied: leaf
   outputs are prebuilt, parameters become indexes, and a call carries a
   plan of empty, pass-through and suspended arguments.  Selecting a rule is
   one dict lookup.  A body that is one call without arguments (a scan
   step, or a stay walker of a fused transducer) is applied in place,
-  without a task, and only a body with an output node that has children
-  or a suspended argument builds an environment.
+  without a task.  Every application, in place or not, checks the stay
+  budget in one place.
 * A *copy state* (no symbol rules, ``%t(q(x1)) q(x2)`` on every node, an
   empty eps rule) copies its input forest.  A call of one is one task,
   which walks the buffered cells and adds each node's start, text and
@@ -44,7 +45,7 @@ the output, over an input buffer that materialises lazily:
 
 Memory behaviour falls out of reference counting: a retained input
 subtree is exactly one whose cell is still reachable from a live
-suspension or environment, so an optimized transducer that drops its
+suspension or task, so an optimized transducer that drops its
 whole-document parameter scans in bounded memory, while the unoptimized
 one keeps the document alive through that parameter.  ``StreamStats``
 tracks the peak number of live buffered nodes (filled cells) and of live
@@ -74,14 +75,16 @@ from sys import getrefcount
 from typing import List, Optional, Sequence, Tuple
 
 from .forest import NodeKind
-from .mft import (STAY_FLOOR, Call, Mft, Node, Param, Rhs, dispatch_table,
-                  stay_budget)
+from .mft import (NO_CURRENT_NODE, NO_RULE, STAY_FLOOR, Call, Mft, Node,
+                  Param, Rhs, StayBudgetExceeded, TransducerError,
+                  dispatch_table, stay_budget)
 from .xmlio import (END, EOF, Eof, EventSink, StartAttribute, StartElement,
                     Text, XmlEvent, push, read_events, sink_to, step_args)
 
 
-class EngineError(RuntimeError):
-    pass
+class EngineError(TransducerError):
+    """The input cannot be run: it ends inside an element, or the engine
+    is still blocked when it ends."""
 
 
 @dataclass
@@ -198,7 +201,7 @@ class _Buffer:
 # ---------------------------------------------------------------------------
 
 # A rule body is compiled once per run, when its state's dispatch row is
-# first used, into ``(ops, env, stay, tail)``:
+# first used, into ``(ops, tail)``:
 #
 # * ``ops``: one op per body item, in reverse order (the order they go on
 #   the task stack), each a tuple headed by its code:
@@ -210,9 +213,6 @@ class _Buffer:
 #   the plan is ``()`` (empty), an int (a pass-through parameter's index) or
 #   the compiled body of a suspension; ``(_O_CLONE, var)`` a call of a copy
 #   state, which copies the input forest at x<var>.
-# * ``env``: whether the body needs an ``_Env`` at all (an op holds it: an
-#   output node with children or a suspended argument).
-# * ``stay``: the state of the first x0 call, which the stay budget names.
 # * ``tail``: ``(state, var)`` if the body is one call without arguments;
 #   the engine applies it in place, without a task.
 _O_LEAF, _O_NODE, _O_COPY, _O_PARAM, _O_CALL, _O_CLONE = range(6)
@@ -233,35 +233,28 @@ def _compile(rhs: Optional[Rhs], copies: set) -> Optional[tuple]:
     if rhs is None:
         return None  # no such rule
     ops: List[tuple] = []
-    env = False
-    stay = None
     for it in rhs:
         t = type(it)
         if t is Param:
             ops.append((_O_PARAM, it.index - 1))
         elif t is Call:
-            if it.var == 0 and stay is None:
-                stay = it.state
             if it.state in copies:
                 ops.append((_O_CLONE, it.var))
-                continue
-            plan = tuple([_compile_arg(a, copies) for a in it.args])
-            env = env or any(type(a) is tuple and a for a in plan)
-            ops.append((_O_CALL, it.state, it.var, plan))
+            else:
+                ops.append((_O_CALL, it.state, it.var, tuple(
+                    [_compile_arg(a, copies) for a in it.args])))
         elif it.label is None:
-            kids = _compile(it.children, copies) if it.children else None
-            env = env or kids is not None
-            ops.append((_O_COPY, kids))
+            ops.append((_O_COPY, _compile(it.children, copies)
+                        if it.children else None))
         elif it.kind is _TEXT or not it.children:
             ops.append((_O_LEAF, _leaf_events(it.label, it.kind)))
         else:
-            env = True
             ops.append((_O_NODE, _start(it.label, it.kind),
                         _compile(it.children, copies)))
     tail = None
     if len(ops) == 1 and ops[0][0] == _O_CALL and not rhs[0].args:
         tail = (rhs[0].state, rhs[0].var)
-    return tuple(reversed(ops)), env, stay, tail
+    return tuple(reversed(ops)), tail
 
 
 def _compile_arg(arg: Rhs, copies: set):
@@ -299,19 +292,23 @@ class _Rows(dict):
 
 
 # ---------------------------------------------------------------------------
-# Suspensions
+# The engine
 # ---------------------------------------------------------------------------
 
 
 class _Susp:
-    """A compiled argument closed over an environment.  Forced at most
-    once; the resulting value (see the module docstring) is cached."""
+    """A compiled argument closed over its caller's input cell (x0),
+    parameter values and run of stay moves.  Forced at most once; the
+    resulting value (see the module docstring) is cached."""
 
-    __slots__ = ("body", "env", "cache", "live")
+    __slots__ = ("body", "cell", "params", "stay", "cache", "live")
 
-    def __init__(self, body: tuple, env: "_Env", live: _Live):
+    def __init__(self, body: tuple, cell: _Cell, params: tuple, stay: int,
+                 live: _Live):
         self.body = body
-        self.env = env
+        self.cell = cell
+        self.params = params
+        self.stay = stay
         self.cache: Optional[tuple] = None
         self.live = live
         live.n += 1
@@ -320,21 +317,6 @@ class _Susp:
         self.live.n -= 1
 
 
-class _Env:
-    """Input position x0 (a cell), parameter values, run of stay moves."""
-
-    __slots__ = ("cell", "params", "stay")
-
-    def __init__(self, cell: _Cell, params: tuple, stay: int):
-        self.cell = cell
-        self.params = params
-        self.stay = stay
-
-
-# ---------------------------------------------------------------------------
-# The engine
-# ---------------------------------------------------------------------------
-
 # Task tags.  Every task but APPLY carries its target list.  APPLY selects
 # and enters a rule (the only task that can block on unread input); NODE
 # adds an output node's start and schedules its children and its ``End``;
@@ -342,9 +324,9 @@ class _Env:
 # CLONE copies an input forest: it holds the next cell of each level it is
 # inside, and blocks like APPLY.
 #
-# Rule bodies are resolved against their environment at scheduling time:
-# a pending call holds just its input cell (never the whole environment),
-# so a task waiting behind a long subtree does not pin that subtree.
+# Rule bodies are resolved against their cell and parameters at scheduling
+# time: a pending call holds just its input cell and its own arguments, so
+# a task waiting behind a long subtree does not pin that subtree.
 _APPLY, _NODE, _FORCE, _MEMO, _EVENTS, _CLONE = range(6)
 
 _END = (END,)
@@ -448,6 +430,8 @@ class Engine:
             if tag == _APPLY:
                 _, state, cell, params, target, stay = task
                 while True:
+                    if stay > STAY_FLOOR:
+                        self._check_stay(stay, state)
                     kind = cell.kind
                     if kind is not None:
                         syms, on_text, on_other, _ = rows[state]
@@ -461,32 +445,26 @@ class Engine:
                         self._waiting = cell
                         return  # blocked on unread input
                     if body is None:
-                        raise EngineError("state %s has no rule to apply"
-                                          % state)
-                    if body[3] is None:
+                        raise TransducerError(NO_RULE % state)
+                    if body[1] is None:
                         break
                     # one call without arguments: apply it in place
-                    state, var = body[3]
+                    state, var = body[1]
                     params = ()
                     if var == 0:
                         stay += 1
-                        if stay > STAY_FLOOR:
-                            self._check_stay(stay, state)
                     else:
                         cell = cell.children if var == 1 else cell.next
                         stay = 0
                 if body[0]:
-                    self._schedule(body, cell, params, stay,
-                                   _Env(cell, params, stay) if body[1]
-                                   else None, target)
+                    self._schedule(body, cell, params, stay, target)
             elif tag == _EVENTS:
                 task[2].extend(task[1])
             elif tag == _NODE:
-                _, start, children, env, target = task
+                _, start, children, cell, params, stay, target = task
                 target.append(start)
                 stack.append((_EVENTS, _END, target))
-                self._schedule(children, env.cell, env.params, env.stay, env,
-                               target)
+                self._schedule(children, cell, params, stay, target)
             elif tag == _FORCE:
                 _, susp, target = task
                 if susp.cache is not None:
@@ -494,14 +472,12 @@ class Engine:
                 else:
                     acc: list = []
                     stack.append((_MEMO, susp, acc, target))
-                    env = susp.env
-                    self._schedule(susp.body, env.cell, env.params, env.stay,
-                                   env, acc)
+                    self._schedule(susp.body, susp.cell, susp.params,
+                                   susp.stay, acc)
             elif tag == _MEMO:
                 _, susp, acc, target = task
                 susp.cache = value = tuple(acc)
-                susp.body = None
-                susp.env = None  # release pinned input
+                susp.body = susp.cell = susp.params = None  # release input
                 target.append(value)
             elif tag == _CLONE:
                 _, walk, target = task
@@ -528,15 +504,12 @@ class Engine:
                 raise AssertionError(tag)
 
     def _schedule(self, body: tuple, cell: _Cell, params: tuple, stay: int,
-                  env: Optional[_Env], target: list):
+                  target: list):
         """Push the tasks of a compiled body, resolved against its input
         cell and parameters now; only output nodes with children and
-        suspended arguments keep the environment."""
-        ops, _, stay_state, _ = body
-        if stay_state is not None and stay >= STAY_FLOOR:
-            self._check_stay(stay + 1, stay_state)
+        suspended arguments keep the cell and parameters."""
         push = self.stack.append
-        for op in ops:
+        for op in body[0]:
             code = op[0]
             if code == _O_CALL:
                 _, state, var, plan = op
@@ -546,7 +519,8 @@ class Engine:
                     x, xstay = cell.children if var == 1 else cell.next, 0
                 if plan:
                     plan = tuple([params[a] if type(a) is int
-                                  else _Susp(a, env, self._susps) if a
+                                  else _Susp(a, cell, params, stay,
+                                             self._susps) if a
                                   else () for a in plan])
                 push((_APPLY, state, x, plan, target, xstay))
             elif code == _O_LEAF:
@@ -556,16 +530,16 @@ class Engine:
                 if v:  # a suspension, not the empty forest
                     push((_FORCE, v, target))
             elif code == _O_NODE:
-                push((_NODE, op[1], op[2], env, target))
+                push((_NODE, op[1], op[2], cell, params, stay, target))
             elif code == _O_COPY:
                 kind = cell.kind
                 if kind is None:
-                    raise EngineError("dynamic label with no current node")
+                    raise TransducerError(NO_CURRENT_NODE)
                 if kind is _TEXT or op[1] is None:
                     push((_EVENTS, _leaf_events(cell.label, kind), target))
                 else:
-                    push((_NODE, _start(cell.label, kind), op[1], env,
-                          target))
+                    push((_NODE, _start(cell.label, kind), op[1], cell,
+                          params, stay, target))
             else:  # _O_CLONE
                 var = op[1]
                 x = cell if var == 0 else (cell.children if var == 1
@@ -576,9 +550,7 @@ class Engine:
         if not self.stay_budget:
             self.stay_budget = stay_budget(self.m)
         if stay > self.stay_budget:
-            raise EngineError(
-                "stay-move budget exceeded in state %s (%d consecutive"
-                " non-consuming steps)" % (state, self.stay_budget))
+            raise StayBudgetExceeded(state, self.stay_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from mfx.mft import (Call, EPS, Guard, Node, Param, Rule, STAY_FLOOR,
                      StayBudgetExceeded, classify, evaluate, is_tree_rhs,
                      parse_mft, print_mft, size, validate)
 from mfx.optimize import optimize
-from mfx.stream import EngineError, stream_bytes
+from mfx.stream import stream_bytes
 from mfx.xmlio import bytes_to_forest
 from mfx.xquery import parse_query
 
@@ -103,7 +103,7 @@ q(eps) -> q(x0)
     with pytest.raises(StayBudgetExceeded):
         evaluate(loop, parse_term("a()"))
     assert calls == [loop]
-    with pytest.raises(EngineError):
+    with pytest.raises(StayBudgetExceeded):
         stream_bytes(loop, b"<a/>")
     assert calls == [loop, loop]
 

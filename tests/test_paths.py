@@ -5,7 +5,7 @@ from mfx.paths import (Numbering, PathAutomaton, fold_comparison, pred_holds,
                        select_ctx)
 from mfx.xquery import NodeTest, Path, Predicate, Step, parse_query
 
-from util import automaton_select, dump_dot, random_forest
+from util import automaton_select, random_forest
 
 
 def _path(expr: str) -> Path:
@@ -160,11 +160,6 @@ def test_randomized_agreement_with_text_nodes():
         f = random_forest(rng, budget=10)
         for path in paths:
             assert _both(path, f), (path, f)
-
-
-def test_dump_dot_smoke():
-    out = dump_dot(_automaton("$input//a/b"))
-    assert out.startswith("digraph") and "->" in out
 
 
 def test_automaton_totality():

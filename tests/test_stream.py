@@ -8,7 +8,8 @@ import pytest
 import mfx.stream
 from mfx.compile import compile_text
 from mfx.forest import elem, text
-from mfx.mft import EPS, evaluate, parse_mft
+from mfx.mft import (EPS, StayBudgetExceeded, TransducerError, evaluate,
+                     parse_mft)
 from mfx.optimize import optimize
 from mfx.stream import Engine, EngineError, measure, stream_bytes, stream_run
 from mfx.xmlio import (_CHUNK, EOF, End, StartElement, Text, XmlError,
@@ -132,8 +133,28 @@ def test_stay_budget_streaming():
 q(%t(x1)x2) -> q(x0)
 q(eps) -> q(x0)
 """)
-    with pytest.raises(EngineError):
+    with pytest.raises(StayBudgetExceeded):
         stream_bytes(m, b"<a/>")
+
+
+@pytest.mark.parametrize("state, rules", [
+    ("q", "q(%t(x1)x2) -> q(x0) a()\nq(eps) -> eps\n"),
+    ("p", "s(%t(x1)x2) -> p(x0, b())\ns(eps) -> eps\n"
+          "p(%t(x1)x2, y1) -> p(x0, y1 b())\np(eps, y1) -> y1\n"),
+    ("r", "q(%t(x1)x2) -> p(x1, r(x0) c())\nq(eps) -> eps\n"
+          "p(%t(x1)x2, y1) -> eps\np(eps, y1) -> y1\n"
+          "r(%t(x1)x2) -> r(x0) c()\nr(eps) -> r(x0) c()\n"),
+])
+def test_stay_loops_that_are_not_tail_calls_fail_alike(state, rules):
+    # a stay call followed by output, one with an argument, and one inside
+    # a suspended argument that is read: none of them runs in place
+    m = parse_mft(rules)
+    with pytest.raises(StayBudgetExceeded) as streamed:
+        stream_bytes(m, b"<a/>")
+    with pytest.raises(StayBudgetExceeded) as evaluated:
+        evaluate(m, (elem("a"),))
+    assert streamed.value.state == evaluated.value.state == state
+    assert str(streamed.value) == str(evaluated.value)
 
 
 def test_deep_documents_stream():
@@ -357,9 +378,9 @@ q(%t(x1)x2) -> %t(q(x1)) q(x2)
 q(eps) -> eps
 """)
     del m.rules[("q", EPS)]
-    with pytest.raises(EngineError, match="state q"):
+    with pytest.raises(TransducerError, match="state q"):
         stream_bytes(m, b"<a/>")
-    with pytest.raises(ValueError, match="state q"):
+    with pytest.raises(TransducerError, match="state q"):
         evaluate(m, (elem("a"),))
 
 

@@ -1,6 +1,6 @@
 """Shared test helpers: byte-level runners, reference oracles that only
-the tests use (automaton-driven path selection, necessary parameters, the
-automaton dump) and random generators.
+the tests use (automaton-driven path selection, necessary parameters) and
+random generators.
 
 The generators keep element-name and text-content alphabets disjoint
 (text contents double as comparison constants), which is the regime the
@@ -20,7 +20,7 @@ from mfx.mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rule, TEXT,
                      _guard_order, evaluate, map_rhs, print_mft, rhs_nodes,
                      validate)
 from mfx.optimize import bare_params
-from mfx.paths import LabelClass, Numbering, PathAutomaton, State
+from mfx.paths import Numbering, PathAutomaton
 from mfx.xmlio import forest_to_bytes
 from mfx.xquery import (Element, For, Let, NodeTest, Path, PathExpr, Predicate,
                         Sequence, Step, StringLit)
@@ -129,46 +129,6 @@ def automaton_select(auto: PathAutomaton, doc: Numbering,
         todo.append((right, end[j], stop))
         todo.append((down, j + 1, end[j]))  # children first: pre-order
     return out
-
-
-def dump_dot(auto: PathAutomaton, sigma=None) -> str:
-    """DOT-like text of the reachable part of the automaton (debugging)."""
-    sigma = set(sigma) if sigma else set(auto.sigma)
-    classes: List[LabelClass] = [(s, False) for s in sorted(sigma)]
-    classes += [(None, True), (None, False)]
-    names: Dict[State, str] = {}
-    lines = ["digraph path {"]
-
-    def name(st: State) -> str:
-        if st not in names:
-            names[st] = "s%d" % len(names)
-            lines.append('  %s [label="%s"];'
-                         % (names[st], ",".join(map(str, sorted(st))) or "dead"))
-        return names[st]
-
-    todo = [auto.initial()]
-    seen = set()
-    while todo:
-        st = todo.pop()
-        if st in seen or not st:
-            continue
-        seen.add(st)
-        for cls in classes:
-            sel, down, right = auto.move(st, cls)
-            label = (cls[0] or ("text" if cls[1] else "other"))
-            if down:
-                lines.append('  %s -> %s [label="%s down%s"];'
-                             % (name(st), name(down), label,
-                                " sel" if sel else ""))
-                todo.append(down)
-            if right:
-                lines.append('  %s -> %s [label="%s right%s"];'
-                             % (name(st), name(right), label,
-                                " sel" if sel and not down else ""))
-                todo.append(right)
-    lines.append("}")
-    return "\n".join(lines)
-
 
 
 def check_ft_eligibility(ast) -> bool:
