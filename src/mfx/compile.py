@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 from . import paths as P
 from .forest import NodeKind
 from .mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rhs, Rule,
-                  TEXT, validate)
+                  TEXT, rhs_nodes, validate)
 from .xquery import (Element, For, Let, Path, PathExpr, Predicate, Sequence,
                      StringLit, Step, check_scoping, parse_query)
 
@@ -247,6 +247,7 @@ class _ScanGen:
         self.ctx = ctx
         self.auto = auto
         self.m = m           # parameters threaded through the scan
+        self.ys = _args(_ys(m))  # the call arguments passing them on
         self.q2 = q2         # None for predicate scans (u1/u2 style)
         self.names: Dict[Tuple, str] = {}
         self.preds: Dict[Predicate, str] = {}
@@ -273,7 +274,17 @@ class _ScanGen:
         self.ctx.add(owner, DEFAULT, default_rhs)
         if have_text:
             self.ctx.add(owner, TEXT, text_rhs)
+        # a symbol no test of this path names moves the automaton as an
+        # unnamed node does, so its rows are the default and text rows,
+        # but for the label of the copy of a selected node
+        same = None
         for sym in sorted(self.ctx.sigma):
+            if sym not in self.auto.sigma:
+                if same is None:
+                    same = not (self.copies(default_rhs)
+                                or self.copies(text_rhs))
+                if same:
+                    continue
             sym_rhs = self.rhs_for(st, (sym, False))
             # a symbol rule is also needed when a text node carrying the
             # symbol must behave differently from the rule it would fall
@@ -284,6 +295,11 @@ class _ScanGen:
                     or self.rhs_for(st, (sym, True)) != text_fallthrough:
                 self.ctx.add(owner, Guard.sym(sym), sym_rhs)
         self.ctx.add(owner, EPS, self.eps_rhs())
+
+    def copies(self, rhs: Rhs) -> bool:
+        """Whether a row copies a selected node (under the row's label)."""
+        return self.q2 is not None and any(
+            type(it) is Call and it.state == self.q2 for it in rhs_nodes(rhs))
 
     def eps_rhs(self) -> Rhs:
         return () if self.q2 is not None else (Param(2),)
@@ -320,14 +336,14 @@ class _ScanGen:
 
     def transition_rhs(self, sel: bool, down, right, cls) -> Rhs:
         rhs: List = []
-        ys = _ys(self.m)
+        ys = self.ys
         if sel and self.q2 is not None:
             label, is_text = cls
             if label is None:
                 copy = Node(None, NodeKind.ELEMENT, (Call(COPY_STATE, 1),))
             else:
                 copy = Node(label, NodeKind.ELEMENT, (Call(COPY_STATE, 1),))
-            rhs.append(Call(self.q2, 0, _args(ys) + ((copy,),)))
+            rhs.append(Call(self.q2, 0, ys + ((copy,),)))
         elif sel:
             return (Param(1),)  # predicate scan: first hit wins
         if sel and not down:
@@ -335,7 +351,7 @@ class _ScanGen:
         down_name = self.state_name((down, False)) if down else None
         if down:
             if self.q2 is not None:
-                rhs.append(Call(down_name, 1, _args(ys)))
+                rhs.append(Call(down_name, 1, ys))
             else:
                 fail: Rhs = ((Call(self.state_name((right, False)), 2,
                               ((Param(1),), (Param(2),))),)
@@ -343,7 +359,7 @@ class _ScanGen:
                 return tuple(rhs) + (Call(down_name, 1, ((Param(1),), fail)),)
         if right:
             if self.q2 is not None:
-                rhs.append(Call(self.state_name((right, False)), 2, _args(ys)))
+                rhs.append(Call(self.state_name((right, False)), 2, ys))
             else:
                 rhs.append(Call(self.state_name((right, False)), 2,
                                 ((Param(1),), (Param(2),))))

@@ -67,7 +67,7 @@ from typing import Dict, List, Optional, Tuple
 from .forest import CONCAT, NodeKind
 from .mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rhs, Rule,
                   TEXT, is_tree_rhs, map_rhs, positions,
-                  rhs_nodes, rhs_size, size, validate)
+                  rhs_nodes, size, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +189,9 @@ def _m2_rule(m2: Mft, p: str, head: Optional[Node],
     if head.label is None:
         is_text = guard.kind == "text"
     else:
-        if (p, Guard.sym(head.label)) in m2.rules:
-            return (p, Guard.sym(head.label)), False
+        key = (p, Guard("sym", head.label))
+        if key in m2.rules:
+            return key, False
         is_text = head.kind is NodeKind.TEXT
     if is_text and (p, TEXT) in m2.rules:
         return (p, TEXT), head.label is not None
@@ -234,54 +235,68 @@ def _params(first: int, last: int) -> Tuple[Rhs, ...]:
     return tuple((Param(i),) for i in range(first, last + 1))
 
 
-def _full_size(m1: Mft, m2: Mft, spliced: bool) -> Tuple[int, int]:
+def _full_size(m1: Mft, m2: Mft, spliced: bool,
+               subs: Dict[Tuple[str, Guard], Dict[Tuple[int, ...], Rhs]]
+               ) -> Tuple[int, int]:
     """Size and rule count of the whole product of the alphabet-completed
     m1 and m2, an entry state for every pair of states and a walker for
     every (m1 rule, address, m2 state), counted without building a rule;
+    ``subs`` holds the positions of each m1 rule;
     with ``spliced``, as after :func:`recompose_eval`.  A walker's rhs is
     a parameter (1), a call into m1 (the call, one walker call with c
     copies per argument and m2 state, and m2's parameters), or m2's rhs
-    with c copies added to each of its calls."""
+    with c copies added to each of its calls.  Sums over the m2 states
+    are taken in closed form, or once per kind of output node."""
     n = len(m2.states)
+    ranks = sum(m2.states.values())  # the sum of k over the m2 states
     stats = {}   # m2 rule -> (rhs size, calls, @ nodes, %t nodes)
     for key, rule in m2.rules.items():
-        items = list(rhs_nodes(rule.rhs))
-        stats[key] = (rhs_size(rule.rhs),
-                      sum(isinstance(it, Call) for it in items),
-                      sum(isinstance(it, Node) and it.label == CONCAT
+        items = rhs_nodes(rule.rhs)
+        stats[key] = (len(items) + len(rule.calls), len(rule.calls),
+                      sum(type(it) is Node and it.label == CONCAT
                           for it in items),
-                      sum(isinstance(it, Node) and it.label is None
+                      sum(type(it) is Node and it.label is None
                           for it in items))
+    # (output node's label and kind, under a text guard) -> the sums over
+    # the m2 states of the walker rhs size without copies, and of m2's calls
+    node_sums: Dict[tuple, Tuple[int, int]] = {}
     sigma = m1.sigma | m2.sigma
     total = len(sigma - {CONCAT} if spliced else sigma)
     count = 0
-    for (q, g), rule in m1.rules.items():
+    for (q, g), at in subs.items():
         c = (m1.states[q] - 1) * n
         pat = 1 if g.kind == "eps" else 3
         # pattern sizes (see mft.lhs_size) of the walker's rule and its pads
         pats = [pat] + [3 if pad is DEFAULT else 1
                         for pad in (DEFAULT, EPS) if g.kind != pad.kind]
-        for p, k in m2.states.items():
-            # the entry rule: its lhs, and one call passing all parameters
-            total += pat + 2 * (c + k) + 1
+        # the entry rules: their lhs, and one call passing all parameters
+        total += n * (pat + 2 * c + 1) + 2 * ranks
         count += n
-        for u, sub in positions(rule.rhs):
+        for sub in at.values():
             head = sub[0] if sub else None
-            for p, k in m2.states.items():
-                r = c + k
-                total += sum(pats) + len(pats) * r
-                count += len(pats)
-                if isinstance(head, Param):
-                    total += 1
-                elif isinstance(head, Call):
-                    total += 2 + len(head.args) * n * (2 + c) + (r - 1 - c)
-                else:
-                    key, inst = _m2_rule(m2, p, head, g)
-                    size2, calls, ats, dyn = stats[key]
-                    total += size2 + c * calls
-                    if spliced:
-                        total -= ats + (dyn if inst and head.label == CONCAT
-                                        else 0)
+            if type(head) is Param:
+                total += n
+            elif type(head) is Call:
+                total += n * (2 + len(head.args) * n * (2 + c)) + ranks - n
+            else:
+                nk = None if head is None else (head.label, head.kind,
+                                                g.kind == "text")
+                sums = node_sums.get(nk)
+                if sums is None:
+                    size2 = calls = 0
+                    for p in m2.states:
+                        key, inst = _m2_rule(m2, p, head, g)
+                        s2, k2, ats, dyn = stats[key]
+                        if spliced:
+                            s2 -= ats + (dyn if inst and head.label == CONCAT
+                                         else 0)
+                        size2 += s2
+                        calls += k2
+                    sums = node_sums[nk] = (size2, calls)
+                total += sums[0] + c * sums[1]
+        # the walkers' lhs, pads included
+        total += len(at) * (n * sum(pats) + len(pats) * (n * c + ranks))
+        count += len(at) * n * len(pats)
     return total, count
 
 
@@ -321,12 +336,14 @@ def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
     # m2 rule -> the moves (variable, state) it makes more than once
     shared = {}
     for mkey, rule in m2.rules.items():
-        moves = Counter((it.var, it.state) for it in rhs_nodes(rule.rhs)
-                        if isinstance(it, Call))
+        moves = Counter((it.var, it.state) for it in rule.calls)
         shared[mkey] = {mv for mv, k in moves.items() if k > 1}
-    subs: Dict[Tuple[str, Guard], Dict[Tuple[int, ...], Rhs]] = {}
-    bodies: Dict[Tuple, tuple] = {}  # walker key -> walker(key)
-    building = set()                # walker keys whose body is being built
+    # m1 rule -> its positions: address -> sub-rhs
+    subs = {rkey: dict(positions(rule.rhs))
+            for rkey, rule in m1.rules.items()}
+    # walker key -> walker(key), or None while its body is being built
+    bodies: Dict[Tuple, Optional[tuple]] = {}
+    building = [0]                  # how many bodies are being built
     states: Dict[str, int] = {}
     rules: Dict[Tuple[str, Guard], Rule] = {}
     names: Dict[Tuple, str] = {}
@@ -352,16 +369,16 @@ def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
     def call(key: Tuple, args: Tuple[Rhs, ...], dup: bool) -> Rhs:
         """A stay call of a walker, or its body with the arguments in
         place of its parameters; ``dup`` for a move m2 makes twice."""
-        whole = (Call(key, 0, args),)
-        if dup or key in building or len(building) >= INLINE_DEPTH:
-            return whole
-        body, width, reads = walker(key)
+        got = bodies.get(key, ())
+        if dup or got is None or building[0] >= INLINE_DEPTH:
+            return (Call(key, 0, args),)
+        body, width, reads = got or walker(key)
         if width > INLINE_MAX:
-            return whole
+            return (Call(key, 0, args),)
         for i, k in reads.items():
             a = args[i - 1]
-            if k > 1 and a and not (len(a) == 1 and isinstance(a[0], Param)):
-                return whole  # keep a shared argument shared
+            if k > 1 and a and not (len(a) == 1 and type(a[0]) is Param):
+                return (Call(key, 0, args),)  # keep a shared argument shared
         if args == ys[:len(args)]:
             return body
         return map_rhs(body, lambda it, rec: args[it.index - 1]
@@ -369,14 +386,13 @@ def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
 
     def walker(key: Tuple) -> Tuple[Rhs, int, Dict[int, int]]:
         """A walker's body, its size and its reads of each parameter."""
-        if key in bodies:
+        if bodies.get(key):
             return bodies[key]
-        building.add(key)
+        bodies[key] = None
+        building[0] += 1
         _, rkey, u, p = key
         g = rkey[1]
         cp = copies[rkey[0]]
-        if rkey not in subs:
-            subs[rkey] = dict(positions(m1.rules[rkey].rhs))
         sub = subs[rkey][u]
         head = sub[0] if sub else None
         if isinstance(head, Param):
@@ -404,12 +420,26 @@ def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
                             (it.var, it.state) in dup)
 
             rhs = map_rhs(rhs, move)
-        building.discard(key)
+        building[0] -= 1
+        # one walk for the body's size (mft.rhs_size) and its reads
+        width = 0
         reads: Dict[int, int] = {}
-        for it in rhs_nodes(rhs):
-            if isinstance(it, Param):
-                reads[it.index] = reads.get(it.index, 0) + 1
-        bodies[key] = got = (rhs, rhs_size(rhs), reads)
+        stack = list(rhs)
+        while stack:
+            it = stack.pop()
+            t = type(it)
+            if t is Node:
+                width += 1
+                stack.extend(it.children)
+            elif t is Call:
+                width += 2
+                for a in it.args:
+                    stack.extend(a)
+            else:
+                width += 1
+                if t is Param:
+                    reads[it.index] = reads.get(it.index, 0) + 1
+        bodies[key] = got = (rhs, width, reads)
         return got
 
     initial = name(("c", m1.initial, m2.initial))
@@ -434,7 +464,7 @@ def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
     if problems:
         raise AssertionError("composition produced an invalid transducer: "
                              + "; ".join(problems))
-    return (m,) + _full_size(m1, m2, spliced)
+    return (m,) + _full_size(m1, m2, spliced, subs)
 
 
 #: mode name -> (first operand parameter-free?, second parameter-free?,

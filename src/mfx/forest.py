@@ -170,7 +170,7 @@ def _label_needs_quotes(label: str) -> bool:
         return True
     if label[0] == "y" and label[1:].isdigit():
         return True
-    return any(c in _BARE_FORBIDDEN for c in label)
+    return not _BARE_FORBIDDEN.isdisjoint(label)
 
 
 def _quote(label: str) -> str:

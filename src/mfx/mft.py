@@ -25,7 +25,8 @@ documents whose text content collides with alphabet symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import is_
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .forest import Forest, NodeKind, Tree, _label_needs_quotes, _quote
 from . import forest as F
@@ -35,7 +36,12 @@ from . import forest as F
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# The rhs items and rules are frozen dataclasses with their own __init__:
+# the generated one sets each field through object.__setattr__, which takes
+# twice as long, and the offline stages build these by the thousand.
+
+
+@dataclass(frozen=True, init=False)
 class Node:
     """Output node; ``label=None`` means %t (copy the current input label)."""
 
@@ -43,33 +49,50 @@ class Node:
     kind: NodeKind = NodeKind.ELEMENT
     children: "Rhs" = ()
 
+    def __init__(self, label: Optional[str],
+                 kind: NodeKind = NodeKind.ELEMENT, children: "Rhs" = ()):
+        d = self.__dict__
+        d["label"], d["kind"], d["children"] = label, kind, children
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Param:
     index: int  # 1-based
 
+    def __init__(self, index: int):
+        self.__dict__["index"] = index
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Call:
     state: str
     var: int  # 0, 1 or 2
     args: Tuple["Rhs", ...] = ()
 
+    def __init__(self, state: str, var: int, args: Tuple["Rhs", ...] = ()):
+        d = self.__dict__
+        d["state"], d["var"], d["args"] = state, var, args
+
 
 Rhs = Tuple[object, ...]
 
 
-def rhs_nodes(rhs: Rhs) -> Iterator[object]:
+def rhs_nodes(rhs: Rhs) -> List[object]:
     """All items of an rhs, including nested ones, in prefix order."""
+    out: List[object] = []
     stack = list(reversed(rhs))
+    pop, push, add = stack.pop, stack.extend, out.append
     while stack:
-        it = stack.pop()
-        yield it
-        if isinstance(it, Node):
-            stack.extend(reversed(it.children))
-        elif isinstance(it, Call):
-            for a in reversed(it.args):
-                stack.extend(reversed(a))
+        it = pop()
+        add(it)
+        t = type(it)
+        if t is Node:
+            if it.children:
+                push(it.children[::-1])
+        elif t is Call:
+            for a in it.args[::-1]:
+                push(a[::-1])
+    return out
 
 
 def positions(rhs: Rhs) -> Iterator[Tuple[Tuple[int, ...], Rhs]]:
@@ -96,21 +119,32 @@ def positions(rhs: Rhs) -> Iterator[Tuple[Tuple[int, ...], Rhs]]:
 def map_rhs(rhs: Rhs, fn) -> Rhs:
     """Rebuild an rhs item by item.  ``fn(item, rec)`` returns the items
     that replace ``item``, or None to keep it with its children and call
-    arguments rebuilt by ``rec`` (which maps an rhs the same way)."""
+    arguments rebuilt by ``rec`` (which maps an rhs the same way).  A
+    sequence in which nothing changed is returned as it is, not copied."""
 
     def rec(seq: Rhs) -> Rhs:
         out: List = []
+        same = True
         for it in seq:
             got = fn(it, rec)
             if got is not None:
                 out.extend(got)
-            elif type(it) is Node:
-                out.append(Node(it.label, it.kind, rec(it.children)))
-            elif type(it) is Call:
-                out.append(Call(it.state, it.var, tuple(map(rec, it.args))))
-            else:
-                out.append(it)
-        return tuple(out)
+                same = False
+                continue
+            t = type(it)
+            if t is Node:
+                if it.children:
+                    kids = rec(it.children)
+                    if kids is not it.children:
+                        it = Node(it.label, it.kind, kids)
+                        same = False
+            elif t is Call and it.args:
+                args = tuple(map(rec, it.args))
+                if not all(map(is_, args, it.args)):
+                    it = Call(it.state, it.var, args)
+                    same = False
+            out.append(it)
+        return seq if same else tuple(out)
 
     return rec(rhs)
 
@@ -118,10 +152,8 @@ def map_rhs(rhs: Rhs, fn) -> Rhs:
 def rhs_size(rhs: Rhs) -> int:
     """Node count of an rhs term: output nodes, parameter leaves, and for
     each call the state plus its input variable."""
-    total = 0
-    for it in rhs_nodes(rhs):
-        total += 2 if isinstance(it, Call) else 1
-    return total
+    items = rhs_nodes(rhs)
+    return len(items) + sum(type(it) is Call for it in items)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +161,10 @@ def rhs_size(rhs: Rhs) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(NamedTuple):
+    """A rule's guard.  A tuple, so that the ``(state, guard)`` rule keys
+    hash in C: composition and the passes look rules up by key often."""
+
     kind: str  # "sym" | "text" | "default" | "eps"
     label: Optional[str] = None
 
@@ -141,19 +175,54 @@ class Guard:
     def __str__(self) -> str:
         if self.kind == "sym":
             return self.label
-        return {"text": "%text", "default": "%t", "eps": "eps"}[self.kind]
+        return _GUARD_TEXT[self.kind]
 
 
+_GUARD_TEXT = {"text": "%text", "default": "%t", "eps": "eps"}
 TEXT = Guard("text")
 DEFAULT = Guard("default")
 EPS = Guard("eps")
 
 
-@dataclass(frozen=True)
+class _kept:
+    """A property computed on first use and then kept in the instance's
+    ``__dict__``, where later lookups find it first: the lock-free core of
+    ``functools.cached_property``, which also works on frozen classes."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+@dataclass(frozen=True, init=False)
 class Rule:
     state: str
     guard: Guard
     rhs: Rhs
+
+    def __init__(self, state: str, guard: Guard, rhs: Rhs):
+        d = self.__dict__
+        d["state"], d["guard"], d["rhs"] = state, guard, rhs
+
+    @_kept
+    def calls(self) -> Tuple[Call, ...]:
+        """The calls of the body, nested ones included, in prefix order.
+        Kept on the rule, so that the optimizer's passes, which keep every
+        rule they do not rewrite, walk each body once."""
+        return tuple([it for it in rhs_nodes(self.rhs) if type(it) is Call])
+
+    @_kept
+    def rhs_text(self) -> str:
+        """The body in rule-file syntax (see :func:`print_mft`), printed
+        once per rule: the optimizer prints its transducer every round."""
+        return _print_rhs(self.rhs)
 
 
 class Mft:
@@ -177,9 +246,11 @@ class Mft:
             len(self.states), len(self.rules), self.initial)
 
 
+_GUARD_RANK = {"sym": 0, "text": 1, "default": 2, "eps": 3}
+
+
 def _guard_order(g: Guard):
-    k = {"sym": 0, "text": 1, "default": 2, "eps": 3}[g.kind]
-    return (k, g.label or "")
+    return (_GUARD_RANK[g.kind], g.label or "")
 
 
 _SLOT = {"text": 1, "default": 2, "eps": 3}
@@ -211,62 +282,79 @@ def dispatch_table(m: Mft) -> Dict[str, tuple]:
 def validate(m: Mft) -> List[str]:
     """Structural diagnostics; empty list iff the transducer is well formed."""
     out = []
-    if m.initial not in m.states:
+    states = m.states
+    if m.initial not in states:
         out.append("initial state %s undeclared" % m.initial)
-    elif m.states[m.initial] != 1:
+    elif states[m.initial] != 1:
         out.append("initial state %s must have rank 1" % m.initial)
-    for q, rank in m.states.items():
+    for q, rank in states.items():
         if rank < 1:
             out.append("state %s has rank %d < 1" % (q, rank))
-    seen_default = {q: 0 for q in m.states}
-    seen_eps = {q: 0 for q in m.states}
+    seen_default = dict.fromkeys(states, 0)
+    seen_eps = dict.fromkeys(states, 0)
     for (q, g), rule in m.rules.items():
-        where = "%s/%s" % (q, g)
-        if q not in m.states:
-            out.append("%s: rule for undeclared state" % where)
+        if q not in states:
+            out.append("%s/%s: rule for undeclared state" % (q, g))
             continue
-        if g.kind == "sym" and g.label not in m.sigma:
-            out.append("%s: guard symbol not in sigma" % where)
-        if g.kind == "default":
+        kind = g.kind
+        if kind == "sym":
+            if g.label not in m.sigma:
+                out.append("%s/%s: guard symbol not in sigma" % (q, g))
+        elif kind == "default":
             seen_default[q] += 1
-        if g.kind == "eps":
+        elif kind == "eps":
             seen_eps[q] += 1
-        out.extend(_check_rhs(m, rule, where))
-    for q in m.states:
-        if seen_default.get(q, 0) != 1:
+        bad = _check_rhs(states, rule)
+        if bad:
+            out.extend("%s/%s: %s" % (q, g, why) for why in bad)
+    for q in states:
+        if seen_default[q] != 1:
             out.append("%s: needs exactly one default rule, has %d"
-                       % (q, seen_default.get(q, 0)))
-        if seen_eps.get(q, 0) != 1:
+                       % (q, seen_default[q]))
+        if seen_eps[q] != 1:
             out.append("%s: needs exactly one eps rule, has %d"
-                       % (q, seen_eps.get(q, 0)))
+                       % (q, seen_eps[q]))
     return out
 
 
-def _check_rhs(m: Mft, rule: Rule, where: str) -> List[str]:
+def _check_rhs(states: Dict[str, int], rule: Rule) -> List[str]:
+    """The problems of one rule's body, each without the rule's name.  The
+    calls it meets are kept as the rule's :attr:`Rule.calls`."""
     out = []
-    nparams = m.states.get(rule.state, 1) - 1
-    allow_copy = rule.guard.kind in ("default", "text")
-    for it in rhs_nodes(rule.rhs):
-        if isinstance(it, Param):
-            if not 1 <= it.index <= nparams:
-                out.append("%s: parameter y%d out of range" % (where, it.index))
-        elif isinstance(it, Call):
-            if it.state not in m.states:
-                out.append("%s: call to undeclared state %s" % (where, it.state))
-            elif len(it.args) != m.states[it.state] - 1:
-                out.append("%s: call to %s with %d args, expected %d"
-                           % (where, it.state, len(it.args),
-                              m.states[it.state] - 1))
+    nparams = states[rule.state] - 1
+    kind = rule.guard.kind
+    allow_copy = kind == "default" or kind == "text"
+    calls = []
+    stack = list(reversed(rule.rhs))  # the items left, next one last
+    pop, push = stack.pop, stack.extend
+    while stack:
+        it = pop()
+        t = type(it)
+        if t is Call:
+            calls.append(it)
+            for a in it.args[::-1]:
+                push(a[::-1])
+            rank = states.get(it.state)
+            if rank is None:
+                out.append("call to undeclared state %s" % it.state)
+            elif len(it.args) != rank - 1:
+                out.append("call to %s with %d args, expected %d"
+                           % (it.state, len(it.args), rank - 1))
             if it.var not in (0, 1, 2):
-                out.append("%s: bad input variable x%d" % (where, it.var))
-            elif rule.guard.kind == "eps" and it.var != 0:
-                out.append("%s: eps rule may only use x0" % where)
-        elif isinstance(it, Node):
-            if it.label is None and not allow_copy:
-                out.append("%s: %%t output outside default/text rule" % where)
-            if it.label is not None and it.label == F.CONCAT \
-                    and it.kind is not NodeKind.ELEMENT:
-                out.append("%s: @ must be an element" % where)
+                out.append("bad input variable x%d" % it.var)
+            elif it.var and kind == "eps":
+                out.append("eps rule may only use x0")
+        elif t is Node:
+            if it.children:
+                push(it.children[::-1])
+            if it.label is None:
+                if not allow_copy:
+                    out.append("%t output outside default/text rule")
+            elif it.label == F.CONCAT and it.kind is not NodeKind.ELEMENT:
+                out.append("@ must be an element")
+        elif t is Param and not 1 <= it.index <= nparams:
+            out.append("parameter y%d out of range" % it.index)
+    rule.__dict__.setdefault("calls", tuple(calls))
     return out
 
 
@@ -426,8 +514,19 @@ def is_tree_rhs(rhs: Rhs) -> bool:
     the first-child/next-sibling view (:func:`positions`): a call or
     parameter leaf may not be followed by further items (that would need
     concatenation)."""
-    return all(len(sub) == 1 for _, sub in positions(rhs)
-               if sub and not isinstance(sub[0], Node))
+    seqs = [rhs]
+    while seqs:
+        seq = seqs.pop()
+        last = len(seq) - 1
+        for i, it in enumerate(seq):
+            t = type(it)
+            if t is Node:
+                seqs.append(it.children)
+            elif i != last:
+                return False
+            elif t is Call:
+                seqs.extend(it.args)
+    return True
 
 
 def classify(m: Mft) -> str:
@@ -647,29 +746,67 @@ def parse_mft(text: str) -> Mft:
     return Mft(states, sigma, initial, rules)
 
 
+#: the text of an empty call argument, as an item to print
+_EPS_ARG = ("eps",)
+
+
 def _print_rhs(rhs: Rhs) -> str:
+    """Rule-file text of an rhs, ``eps`` if it is empty.  The sequences
+    being printed wait on an explicit stack, so nesting is not limited by
+    the recursion limit: a frame holds a sequence's items left, the text
+    that closes it, and the separator before its next item.  A call's
+    arguments are one frame each, closed by ``, `` or the call's ``)``;
+    a string item is printed as it is."""
     if not rhs:
         return "eps"
-    return " ".join(_print_item(it) for it in rhs)
-
-
-def _print_item(it) -> str:
-    if isinstance(it, Param):
-        return "y%d" % it.index
-    if isinstance(it, Call):
-        parts = ["x%d" % it.var] + [_print_rhs(a) for a in it.args]
-        return "%s(%s)" % (it.state, ", ".join(parts))
-    if it.label is None:
-        return "%%t(%s)" % _print_seq(it.children)
-    if it.kind is NodeKind.TEXT:
-        return "#" + _quote(it.label)
-    name = _quote(it.label) if _label_needs_quotes(it.label) else it.label
-    prefix = "@" if it.kind is NodeKind.ATTRIBUTE else ""
-    return "%s%s(%s)" % (prefix, name, _print_seq(it.children))
-
-
-def _print_seq(rhs: Rhs) -> str:
-    return " ".join(_print_item(it) for it in rhs)
+    out: List[str] = []
+    emit = out.append
+    frames: List[tuple] = []
+    items, close, sep = iter(rhs), "", ""
+    while True:
+        for it in items:
+            if sep:
+                emit(sep)
+            sep = " "
+            t = type(it)
+            if t is Param:
+                emit("y%d" % it.index)
+            elif t is Call:
+                args = it.args
+                if not args:
+                    emit("%s(x%d)" % (it.state, it.var))
+                    continue
+                emit("%s(x%d, " % (it.state, it.var))
+                frames.append((items, close, " "))
+                last = len(args) - 1
+                for i in range(last, 0, -1):
+                    frames.append((iter(args[i] or _EPS_ARG),
+                                   ")" if i == last else ", ", ""))
+                items, close, sep = (iter(args[0] or _EPS_ARG),
+                                     ")" if last == 0 else ", ", "")
+                break
+            elif t is str:
+                emit(it)
+            elif it.label is not None and it.kind is NodeKind.TEXT:
+                emit("#" + _quote(it.label))
+            else:
+                if it.label is None:
+                    emit("%t(")
+                else:
+                    emit(("@%s(" if it.kind is NodeKind.ATTRIBUTE else "%s(")
+                         % (_quote(it.label) if _label_needs_quotes(it.label)
+                            else it.label))
+                if not it.children:
+                    emit(")")
+                    continue
+                frames.append((items, close, " "))
+                items, close, sep = iter(it.children), ")", ""
+                break
+        else:
+            emit(close)
+            if not frames:
+                return "".join(out)
+            items, close, sep = frames.pop()
 
 
 def print_mft(m: Mft) -> str:
@@ -680,20 +817,27 @@ def print_mft(m: Mft) -> str:
         lines.append("# sigma: " + " ".join(sorted(m.sigma)))
     rules_of: Dict[str, List[Rule]] = {}
     for (q, g), rule in sorted(m.rules.items(),
-                               key=lambda kv: _guard_order(kv[0][1])):
+                               key=lambda kv: (_GUARD_RANK[kv[0][1].kind],
+                                               kv[0][1].label or "")):
         rules_of.setdefault(q, []).append(rule)
-    state_order = [m.initial] + sorted(q for q in m.states if q != m.initial)
-    for q in state_order:
-        nparams = m.states[q] - 1
-        ys = "".join(", y%d" % i for i in range(1, nparams + 1))
-        for rule in rules_of.get(q, ()):
+    texts: Dict[int, str] = {}  # a body's text by its id: rules share some
+    for q in [m.initial] + sorted(q for q in m.states if q != m.initial):
+        rules = rules_of.get(q)
+        if rules is None:
+            continue
+        pre = q + "("
+        post = "".join([", y%d" % i for i in range(1, m.states[q])]) + ") -> "
+        for rule in rules:
             g = rule.guard
             if g.kind == "eps":
-                lhs = "%s(eps%s)" % (q, ys)
+                lhs = pre + "eps" + post
+            elif g.kind == "sym":
+                lhs = (pre + (_quote(g.label) if _label_needs_quotes(g.label)
+                              else g.label) + "(x1)x2" + post)
             else:
-                pat = {"text": "%text", "default": "%t"}.get(g.kind)
-                if pat is None:
-                    pat = _quote(g.label) if _label_needs_quotes(g.label) else g.label
-                lhs = "%s(%s(x1)x2%s)" % (q, pat, ys)
-            lines.append("%s -> %s" % (lhs, _print_rhs(rule.rhs)))
+                lhs = pre + _GUARD_TEXT[g.kind] + "(x1)x2" + post
+            text = texts.get(id(rule.rhs))
+            if text is None:
+                text = texts[id(rule.rhs)] = rule.rhs_text
+            lines.append(lhs + text)
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ the test suite hammers on randomized transducers.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .forest import Forest, Tree, coalesce_text
 from .mft import (Call, Mft, Node, Param, Rhs, Rule, map_rhs, rhs_nodes,
@@ -33,44 +33,61 @@ def bare_params(rhs: Rhs) -> Set[int]:
     stack = list(rhs)
     while stack:
         it = stack.pop()
-        if isinstance(it, Param):
+        t = type(it)
+        if t is Param:
             out.add(it.index)
-        elif isinstance(it, Node):
+        elif t is Node:
             stack.extend(it.children)
     return out
 
 
-def _calls(rhs: Rhs) -> Iterable[Call]:
-    for it in rhs_nodes(rhs):
-        if isinstance(it, Call):
-            yield it
+def _has_params(m: Mft) -> bool:
+    return any(r > 1 for r in m.states.values())
+
+
+def _distinct(m: Mft) -> List[Rule]:
+    """The rules of m, one per state and body: the default and eps rules
+    of a state often share theirs, and the passes that only read bodies
+    need each once."""
+    seen: Set[Tuple[str, int]] = set()
+    out = []
+    for rule in m.rules.values():
+        key = (rule.state, id(rule.rhs))
+        if key not in seen:
+            seen.add(key)
+            out.append(rule)
+    return out
 
 
 def necessary_params(m: Mft) -> Set[Tuple[str, int]]:
     """Least set S with: bare rhs occurrences are necessary, and a
     parameter bare inside the i'-th argument of a call to q' is necessary
-    whenever (q', i') is.  Computed by the straightforward iteration."""
+    whenever (q', i') is.  Computed by a worklist: each argument is read
+    once, when the parameter it instantiates is found necessary."""
     S: Set[Tuple[str, int]] = set()
-    for rule in m.rules.values():
+    args_of: Dict[Tuple[str, int], List[Tuple[str, Rhs]]] = defaultdict(list)
+    for rule in _distinct(m):
+        q = rule.state
         for i in bare_params(rule.rhs):
-            S.add((rule.state, i))
-    changed = True
-    while changed:
-        changed = False
-        for rule in m.rules.values():
-            for call in _calls(rule.rhs):
-                for idx, arg in enumerate(call.args, start=1):
-                    if (call.state, idx) not in S:
-                        continue
-                    for i in bare_params(arg):
-                        if (rule.state, i) not in S:
-                            S.add((rule.state, i))
-                            changed = True
+            S.add((q, i))
+        for call in rule.calls:
+            for idx, arg in enumerate(call.args, start=1):
+                if arg:
+                    args_of[(call.state, idx)].append((q, arg))
+    todo = list(S)
+    while todo:
+        for q, arg in args_of.get(todo.pop(), ()):
+            for i in bare_params(arg):
+                if (q, i) not in S:
+                    S.add((q, i))
+                    todo.append((q, i))
     return S
 
 
 def unused_params(m: Mft) -> Mft:
     """Drop every parameter that cannot reach the output."""
+    if not _has_params(m):
+        return m
     S = necessary_params(m)
     removed = {(q, i) for q, rank in m.states.items()
                for i in range(1, rank) if (q, i) not in S}
@@ -82,23 +99,29 @@ def unused_params(m: Mft) -> Mft:
 def _drop_params(m: Mft, removed: Set[Tuple[str, int]],
                  replacement: Optional[Dict[Tuple[str, int], Rhs]] = None) -> Mft:
     """Rewrite the transducer with the given parameters deleted; occurrences
-    are substituted from ``replacement`` (default: they may not occur)."""
-    keep: Dict[str, List[int]] = {}
-    new_states: Dict[str, int] = {}
-    for q, rank in m.states.items():
-        kept = [i for i in range(1, rank) if (q, i) not in removed]
-        keep[q] = kept
+    are substituted from ``replacement`` (default: they may not occur).
+    Only the rules of the affected states and the rules that call them are
+    rebuilt; the others are kept as they are."""
+    touched = {q for q, _ in removed}
+    new_states = dict(m.states)
+    renum: Dict[str, Dict[int, int]] = {}
+    for q in touched:
+        kept = [i for i in range(1, m.states[q]) if (q, i) not in removed]
         new_states[q] = len(kept) + 1
-    renum = {q: {old: new + 1 for new, old in enumerate(kept)}
-             for q, kept in keep.items()}
+        renum[q] = {old: new + 1 for new, old in enumerate(kept)}
 
     def rw(rhs: Rhs, q: str) -> Rhs:
+        nums = renum.get(q)
+
         def drop(it, rec):
-            if isinstance(it, Param):
+            t = type(it)
+            if t is Param:
+                if nums is None or nums.get(it.index) == it.index:
+                    return None
                 if (q, it.index) not in removed:
-                    return (Param(renum[q][it.index]),)
+                    return (Param(nums[it.index]),)
                 return rec(replacement[(q, it.index)]) if replacement else ()
-            if isinstance(it, Call):
+            if t is Call and it.state in touched:
                 return (Call(it.state, it.var,
                              tuple(rec(a) for idx, a in enumerate(it.args, 1)
                                    if (it.state, idx) not in removed)),)
@@ -106,8 +129,16 @@ def _drop_params(m: Mft, removed: Set[Tuple[str, int]],
 
         return map_rhs(rhs, drop)
 
-    rules = {key: Rule(r.state, r.guard, rw(r.rhs, r.state))
-             for key, r in m.rules.items()}
+    rules = {}
+    done: Dict[Tuple[int, str], Rhs] = {}  # rules of a state share bodies
+    for key, r in m.rules.items():
+        if r.state in touched or any(c.state in touched for c in r.calls):
+            rhs = done.get((id(r.rhs), r.state))
+            if rhs is None:
+                rhs = done[(id(r.rhs), r.state)] = rw(r.rhs, r.state)
+            if rhs is not r.rhs:
+                r = Rule(r.state, r.guard, rhs)
+        rules[key] = r
     return Mft(new_states, m.sigma, m.initial, rules)
 
 
@@ -136,13 +167,15 @@ def constant_params(m: Mft) -> Mft:
     """Remove parameters that every call instantiates with one fixed ground
     forest (or passes through unchanged within the same state), replacing
     their occurrences by that constant."""
+    if not _has_params(m):
+        return m
     # candidate value per (state, index): None until seen, False if ruled out
     value: Dict[Tuple[str, int], object] = {}
     for q, rank in m.states.items():
         for i in range(1, rank):
             value[(q, i)] = None
-    for rule in m.rules.values():
-        for call in _calls(rule.rhs):
+    for rule in _distinct(m):
+        for call in rule.calls:
             for idx, arg in enumerate(call.args, start=1):
                 key = (call.state, idx)
                 if value.get(key) is False:
@@ -189,69 +222,76 @@ def remove_stay_moves(m: Mft, warn=None) -> Mft:
     Self- or mutually-recursive stay states are skipped (with a warning
     callback), as are large bodies called from several sites.  Call sites
     are counted once, then recounted only in the rules an inlining
-    rewrites, whose states are the only ones that can become candidates."""
-    m = m.copy()
-    keys = list(m.rules)  # rules by number: a Guard key hashes slowly
-    rules_of: Dict[str, List[int]] = {}
-    for i, (s, _) in enumerate(keys):
-        rules_of.setdefault(s, []).append(i)
+    rewrites, whose states are the only ones that can become candidates.
+    Returns ``m`` itself when there is nothing to inline."""
+    states, rules = dict(m.states), dict(m.rules)
+    rules_of: Dict[str, List[Tuple]] = {}
+    for key in rules:
+        rules_of.setdefault(key[0], []).append(key)
     calls = defaultdict(lambda: defaultdict(int))  # callee -> rule -> calls
 
-    def count(i: int, step: int):
-        for c in _calls(m.rules[keys[i]].rhs):
-            calls[c.state][i] += step
+    def count(key: Tuple, step: int):
+        for c in rules[key].calls:
+            calls[c.state][key] += step
 
-    def stay_body(q: str) -> Optional[Rhs]:
-        """The rhs of a pure stay state: exactly one default and one eps
-        rule, identical, x0-only calls, no dynamic-label output."""
-        rules = [m.rules[keys[i]] for i in rules_of.get(q, ())]
-        if (q == m.initial or len(rules) != 2
-                or {r.guard.kind for r in rules} != {"default", "eps"}
-                or rules[0].rhs != rules[1].rhs):
+    def stay_rule(q: str) -> Optional[Rule]:
+        """The default rule of a pure stay state: exactly one default and
+        one eps rule, identical, x0-only calls, no dynamic-label output."""
+        pair = [rules[key] for key in rules_of.get(q, ())]
+        if (q == m.initial or len(pair) != 2
+                or {r.guard.kind for r in pair} != {"default", "eps"}
+                or pair[0].rhs != pair[1].rhs):
             return None
-        for it in rhs_nodes(rules[0].rhs):
-            if (isinstance(it, Call) and it.var != 0
-                    or isinstance(it, Node) and it.label is None):
+        for it in rhs_nodes(pair[0].rhs):
+            t = type(it)
+            if t is Call and it.var != 0 or t is Node and it.label is None:
                 return None
-        return rules[0].rhs
+        return pair[0]
 
-    bodies = {q: stay_body(q) for q in m.states}  # None: not a candidate
-    if any(b is not None for b in bodies.values()):
-        for i in range(len(keys)):
-            count(i, 1)
+    bodies = {q: stay_rule(q) for q in states}  # None: not a candidate
+    if all(b is None for b in bodies.values()):
+        return m
+    for key in rules:
+        count(key, 1)
     while True:
-        for q, body in bodies.items():
-            if body is None or any(bodies.get(c.state) is not None
-                                   for c in _calls(body)):
+        for q, stay in bodies.items():
+            if stay is None or any(bodies.get(c.state) is not None
+                                   for c in stay.calls):
                 continue  # depends on another pending stay state (or itself)
-            sites = [i for i, n in calls[q].items() if n]
+            sites = [key for key, n in calls[q].items() if n]
             if (sum(calls[q].values()) <= 1
-                    or rhs_size(body) <= _INLINE_SIZE_LIMIT):
+                    or rhs_size(stay.rhs) <= _INLINE_SIZE_LIMIT):
                 break
         else:
-            for q, body in bodies.items():
-                if (body is not None and warn
-                        and any(c.state == q for c in _calls(body))):
+            for q, stay in bodies.items():
+                if (stay is not None and warn
+                        and any(c.state == q for c in stay.calls)):
                     warn("stay state %s is self-recursive, not inlined" % q)
-            return m
+            if len(states) == len(m.states):
+                return m
+            return Mft(states, m.sigma, m.initial, rules)
 
         def inline(it, rec):
-            if isinstance(it, Call) and it.state == q:
-                return _substitute(body, it.var,
+            if type(it) is Call and it.state == q:
+                return _substitute(stay.rhs, it.var,
                                    tuple(rec(a) for a in it.args))
             return None
 
-        for i in sites:
-            count(i, -1)
-            r = m.rules[keys[i]]
-            m.rules[keys[i]] = Rule(r.state, r.guard, map_rhs(r.rhs, inline))
-            count(i, 1)
-        for i in rules_of.pop(q):
-            count(i, -1)
-            del m.rules[keys[i]]
-        del m.states[q], bodies[q]
-        for s in {keys[i][0] for i in sites} & bodies.keys():
-            bodies[s] = stay_body(s)
+        done: Dict[int, Tuple[Rhs, Rhs]] = {}  # id of a body -> it, rewritten
+        for key in sites:
+            count(key, -1)
+            r = rules[key]
+            got = done.get(id(r.rhs))
+            if got is None:
+                got = done[id(r.rhs)] = (r.rhs, map_rhs(r.rhs, inline))
+            rules[key] = Rule(r.state, r.guard, got[1])
+            count(key, 1)
+        for key in rules_of.pop(q):
+            count(key, -1)
+            del rules[key]
+        del states[q], bodies[q]
+        for s in {key[0] for key in sites} & bodies.keys():
+            bodies[s] = stay_rule(s)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +308,7 @@ def reachable_states(m: Mft) -> Set[str]:
     while todo:
         q = todo.popleft()
         for rule in by_state.get(q, ()):
-            for call in _calls(rule.rhs):
+            for call in rule.calls:
                 if call.state not in seen:
                     seen.add(call.state)
                     todo.append(call.state)
@@ -294,8 +334,17 @@ _MAX_ROUNDS = 50
 
 def optimize(m: Mft, warn=None) -> Mft:
     """Apply unreachable / unused / constant / stay-move removal until
-    nothing changes."""
+    nothing changes.  ``warn`` gets each warning once per call, however
+    many rounds meet it."""
     from .mft import print_mft
+    if warn is not None:
+        report, warned = warn, set()
+
+        def warn(msg: str):
+            if msg not in warned:
+                warned.add(msg)
+                report(msg)
+
     last = print_mft(m)
     for _ in range(_MAX_ROUNDS):
         m = remove_unreachable(m)

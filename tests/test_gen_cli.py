@@ -147,6 +147,15 @@ def test_cli_gen():
     assert gen.stdout.strip() == b"<n><n><n><n><n>bottom</n></n></n></n></n>"
 
 
+def test_cli_optimize_warns_once(tmp_path: Path):
+    from test_optimize import WARN_TWICE
+    rules = tmp_path / "stay.mft"
+    rules.write_text(WARN_TWICE)
+    out = _run_cli(["optimize", "--report", str(rules)])
+    assert out.returncode == 0
+    assert out.stderr.decode().count("self-recursive") == 1
+
+
 def test_cli_usage_error_exit_codes():
     assert _run_cli(["frobnicate"]).returncode == 2
     bad = _run_cli(["run", "nonexistent.mft", "nope.xml"])

@@ -2,7 +2,9 @@ import hashlib
 import random
 
 from mfx.forest import elem
-from mfx.mft import classify, evaluate, parse_mft, print_mft, size, validate
+from mfx.compose import ft_to_mtt
+from mfx.mft import (DEFAULT, EPS, Call, Mft, Node, Rule, classify, evaluate,
+                     parse_mft, print_mft, size, validate)
 from mfx.optimize import (constant_params, necessary_params, optimize,
                           reachable_states, remove_stay_moves,
                           remove_unreachable, unused_params)
@@ -170,6 +172,25 @@ q(eps) -> q(x0)
     assert warnings and "q" in warnings[0]
 
 
+# a self-recursive stay state q that two rounds of the fixpoint meet: the
+# first round also inlines s and drops its parameter
+WARN_TWICE = """\
+i(%t(x1)x2) -> s(x0, a()) q(x1)
+i(eps) -> eps
+s(%t(x1)x2, y1) -> b()
+s(eps, y1) -> b()
+q(%t(x1)x2) -> q(x0)
+q(eps) -> q(x0)
+"""
+
+
+def test_optimize_warns_once_per_state():
+    warnings = []
+    out = optimize(parse_mft(WARN_TWICE), warn=warnings.append)
+    assert warnings == ["stay state q is self-recursive, not inlined"]
+    assert set(out.states) == {"i", "q"}
+
+
 def test_stay_preserves_semantics():
     rng = random.Random(66)
     for text_ in CORPUS_QUERIES.values():
@@ -310,3 +331,77 @@ def test_optimized_corpus_rule_files_are_pinned():
     for name, want in OPTIMIZED_CORPUS.items():
         text = print_mft(optimize(compile_text(CORPUS_QUERIES[name])))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want, name
+
+
+#: sha256 of print_mft(compile(q)) per corpus query, so a change to the
+#: compiler's rule generation shows even where optimize would hide it
+COMPILED_CORPUS = {
+    "q01": "f13e425e2a89f9c7c060cd9c81093c8b37fc999d2b81ec4ba123867695257877",
+    "q02": "73ea9fb5c4f7ba27a2e47b24690527a9b9a7682472e25797ea63637fda0a932f",
+    "q04": "6be9ca62eb60a429d0da21ec865daa052a66d7539c7f3e597b01216e0ba232b4",
+    "q13": "b92d0d80a557f2c3fd6e981cca054283549bd1e0b79504748089131406b184f2",
+    "q16": "198ce8eac345c60e4ee0bf71a5681c735a612529b08b1bbeb6ca8c83a7caae9f",
+    "q17": "87619f9c56df24b2693e13e946991456c9a0109829279f84508116f5535e1eb2",
+    "double":
+        "6753f4e983ee9897a0bbcf3288c666cd55ac9b7c60f8325189cbb879bcdcace9",
+    "fourstar":
+        "e64e7ac641d15c05d73677a447a1be37349bb92e459b8a01b4bdf57af58a691d",
+    "deepdup":
+        "9b2066391aa80f40ff9dfb0d148cf621990b16be9e88524a961160d2b9e9df1d",
+}
+
+
+def test_compiled_corpus_rule_files_are_pinned():
+    assert set(COMPILED_CORPUS) == set(CORPUS_QUERIES)
+    for name, want in COMPILED_CORPUS.items():
+        text = print_mft(compile_text(CORPUS_QUERIES[name]))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want, name
+
+
+#: print_mft calls per optimize of a corpus query: the check before round
+#: one plus one per round, the last of which confirms the fixpoint
+FIXPOINT_CHECKS = {"q01": 3, "q02": 3, "q04": 4, "q13": 3, "q16": 3,
+                   "q17": 4, "double": 3, "fourstar": 3, "deepdup": 3}
+
+
+def test_fixpoint_round_counts_are_pinned(monkeypatch):
+    # optimize looks print_mft up on mfx.mft at call time, as the
+    # benchmark's tracer relies on
+    import mfx.mft
+    calls = []
+    printer = mfx.mft.print_mft
+    monkeypatch.setattr(mfx.mft, "print_mft",
+                        lambda m: calls.append(1) or printer(m))
+    assert set(FIXPOINT_CHECKS) == set(CORPUS_QUERIES)
+    for name, want in FIXPOINT_CHECKS.items():
+        m = compile_text(CORPUS_QUERIES[name])
+        del calls[:]
+        optimize(m)
+        assert len(calls) == want, name
+
+
+def _nested(depth: int) -> Mft:
+    """One state whose default rule nests ``depth`` a-nodes around a call."""
+    body = (Call("q", 1),)
+    for _ in range(depth):
+        body = (Node("a", children=body),)
+    return Mft({"q": 1}, {"a"}, "q", {("q", DEFAULT): Rule("q", DEFAULT, body),
+                                      ("q", EPS): Rule("q", EPS, ())})
+
+
+def test_print_and_optimize_are_not_limited_by_recursion():
+    # bodies nested deeper than the recursion limit allows a recursive
+    # printer, and a continuation-encoded rule of 200 sibling calls
+    for depth in (300, 900):
+        m = _nested(depth)
+        want = ("# sigma: a\nq(%%t(x1)x2) -> %sq(x1)%s\nq(eps) -> eps\n"
+                % ("a(" * depth, ")" * depth))
+        assert print_mft(m) == want
+        assert print_mft(optimize(m)) == want
+    flat = Mft({"q": 1}, {"a"}, "q", {
+        ("q", DEFAULT): Rule("q", DEFAULT, (Call("q", 1),) * 200),
+        ("q", EPS): Rule("q", EPS, ())})
+    m = ft_to_mtt(flat)
+    nested = "q(x1, " * 200 + "y1" + ")" * 200
+    assert "q(%%t(x1)x2, y1) -> %s\n" % nested in print_mft(m)
+    assert print_mft(optimize(m)) == print_mft(m)
