@@ -343,7 +343,7 @@ def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
             for rkey, rule in m1.rules.items()}
     # walker key -> walker(key), or None while its body is being built
     bodies: Dict[Tuple, Optional[tuple]] = {}
-    building = [0]                  # how many bodies are being built
+    building = 0                    # how many bodies are being built
     states: Dict[str, int] = {}
     rules: Dict[Tuple[str, Guard], Rule] = {}
     names: Dict[Tuple, str] = {}
@@ -362,7 +362,7 @@ def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
 
     def named(it, rec):
         # a key's first call from a finished rule names it
-        if not isinstance(it, Call):
+        if type(it) is not Call:
             return None
         return (Call(name(it.state), it.var, tuple(map(rec, it.args))),)
 
@@ -370,7 +370,7 @@ def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
         """A stay call of a walker, or its body with the arguments in
         place of its parameters; ``dup`` for a move m2 makes twice."""
         got = bodies.get(key, ())
-        if dup or got is None or building[0] >= INLINE_DEPTH:
+        if dup or got is None or building >= INLINE_DEPTH:
             return (Call(key, 0, args),)
         body, width, reads = got or walker(key)
         if width > INLINE_MAX:
@@ -382,22 +382,23 @@ def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
         if args == ys[:len(args)]:
             return body
         return map_rhs(body, lambda it, rec: args[it.index - 1]
-                       if isinstance(it, Param) else None)
+                       if type(it) is Param else None)
 
     def walker(key: Tuple) -> Tuple[Rhs, int, Dict[int, int]]:
         """A walker's body, its size and its reads of each parameter."""
+        nonlocal building
         if bodies.get(key):
             return bodies[key]
         bodies[key] = None
-        building[0] += 1
+        building += 1
         _, rkey, u, p = key
         g = rkey[1]
         cp = copies[rkey[0]]
         sub = subs[rkey][u]
         head = sub[0] if sub else None
-        if isinstance(head, Param):
+        if type(head) is Param:
             rhs: Rhs = (Param((head.index - 1) * n + p_index[p]),)
-        elif isinstance(head, Call):
+        elif type(head) is Call:
             args = tuple(call(("w", rkey, u + (j,), pp), cp, False)
                          for j in range(2, len(head.args) + 2)
                          for pp in p_list)
@@ -413,32 +414,32 @@ def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
             # m2's moves become walkers at u, u.1 and u.2, and its
             # parameters (only when m1 has none) stay where they are
             def move(it, rec):
-                if not isinstance(it, Call):
+                if type(it) is not Call:
                     return None
                 return call(("w", rkey, u if it.var == 0 else u + (it.var,),
                              it.state), cp + tuple(map(rec, it.args)),
                             (it.var, it.state) in dup)
 
             rhs = map_rhs(rhs, move)
-        building[0] -= 1
+        building -= 1
         # one walk for the body's size (mft.rhs_size) and its reads
         width = 0
         reads: Dict[int, int] = {}
-        stack = list(rhs)
-        while stack:
-            it = stack.pop()
-            t = type(it)
-            if t is Node:
-                width += 1
-                stack.extend(it.children)
-            elif t is Call:
-                width += 2
-                for a in it.args:
-                    stack.extend(a)
-            else:
-                width += 1
-                if t is Param:
-                    reads[it.index] = reads.get(it.index, 0) + 1
+        seqs = [rhs]
+        while seqs:
+            for it in seqs.pop():
+                t = type(it)
+                if t is Node:
+                    width += 1
+                    if it.children:
+                        seqs.append(it.children)
+                elif t is Call:
+                    width += 2
+                    seqs.extend(it.args)
+                else:
+                    width += 1
+                    if t is Param:
+                        reads[it.index] = reads.get(it.index, 0) + 1
         bodies[key] = got = (rhs, width, reads)
         return got
 

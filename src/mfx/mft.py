@@ -80,18 +80,21 @@ Rhs = Tuple[object, ...]
 def rhs_nodes(rhs: Rhs) -> List[object]:
     """All items of an rhs, including nested ones, in prefix order."""
     out: List[object] = []
-    stack = list(reversed(rhs))
-    pop, push, add = stack.pop, stack.extend, out.append
+    add = out.append
+    stack = [iter(rhs)]  # the sequences being walked, innermost last
     while stack:
-        it = pop()
-        add(it)
-        t = type(it)
-        if t is Node:
-            if it.children:
-                push(it.children[::-1])
-        elif t is Call:
-            for a in it.args[::-1]:
-                push(a[::-1])
+        for it in stack[-1]:
+            add(it)
+            t = type(it)
+            if t is Node:
+                if it.children:
+                    stack.append(iter(it.children))
+                    break
+            elif t is Call and it.args:
+                stack.extend([iter(a) for a in it.args[::-1]])
+                break
+        else:
+            stack.pop()
     return out
 
 
@@ -152,8 +155,21 @@ def map_rhs(rhs: Rhs, fn) -> Rhs:
 def rhs_size(rhs: Rhs) -> int:
     """Node count of an rhs term: output nodes, parameter leaves, and for
     each call the state plus its input variable."""
-    items = rhs_nodes(rhs)
-    return len(items) + sum(type(it) is Call for it in items)
+    total = 0
+    seqs = [rhs]
+    while seqs:
+        for it in seqs.pop():
+            t = type(it)
+            if t is Node:
+                total += 1
+                if it.children:
+                    seqs.append(it.children)
+            elif t is Call:
+                total += 2
+                seqs.extend(it.args)
+            else:
+                total += 1
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -321,39 +337,42 @@ def _check_rhs(states: Dict[str, int], rule: Rule) -> List[str]:
     """The problems of one rule's body, each without the rule's name.  The
     calls it meets are kept as the rule's :attr:`Rule.calls`."""
     out = []
-    nparams = states[rule.state] - 1
+    nparams = states.get(rule.state, 1) - 1
     kind = rule.guard.kind
     allow_copy = kind == "default" or kind == "text"
     calls = []
-    stack = list(reversed(rule.rhs))  # the items left, next one last
-    pop, push = stack.pop, stack.extend
+    stack = [iter(rule.rhs)]  # as in rhs_nodes: calls in prefix order
     while stack:
-        it = pop()
-        t = type(it)
-        if t is Call:
-            calls.append(it)
-            for a in it.args[::-1]:
-                push(a[::-1])
-            rank = states.get(it.state)
-            if rank is None:
-                out.append("call to undeclared state %s" % it.state)
-            elif len(it.args) != rank - 1:
-                out.append("call to %s with %d args, expected %d"
-                           % (it.state, len(it.args), rank - 1))
-            if it.var not in (0, 1, 2):
-                out.append("bad input variable x%d" % it.var)
-            elif it.var and kind == "eps":
-                out.append("eps rule may only use x0")
-        elif t is Node:
-            if it.children:
-                push(it.children[::-1])
-            if it.label is None:
-                if not allow_copy:
-                    out.append("%t output outside default/text rule")
-            elif it.label == F.CONCAT and it.kind is not NodeKind.ELEMENT:
-                out.append("@ must be an element")
-        elif t is Param and not 1 <= it.index <= nparams:
-            out.append("parameter y%d out of range" % it.index)
+        for it in stack[-1]:
+            t = type(it)
+            if t is Call:
+                calls.append(it)
+                rank = states.get(it.state)
+                if rank is None:
+                    out.append("call to undeclared state %s" % it.state)
+                elif len(it.args) != rank - 1:
+                    out.append("call to %s with %d args, expected %d"
+                               % (it.state, len(it.args), rank - 1))
+                if it.var not in (0, 1, 2):
+                    out.append("bad input variable x%d" % it.var)
+                elif it.var and kind == "eps":
+                    out.append("eps rule may only use x0")
+                if it.args:
+                    stack.extend([iter(a) for a in it.args[::-1]])
+                    break
+            elif t is Node:
+                if it.label is None:
+                    if not allow_copy:
+                        out.append("%t output outside default/text rule")
+                elif it.label == F.CONCAT and it.kind is not NodeKind.ELEMENT:
+                    out.append("@ must be an element")
+                if it.children:
+                    stack.append(iter(it.children))
+                    break
+            elif t is Param and not 1 <= it.index <= nparams:
+                out.append("parameter y%d out of range" % it.index)
+        else:
+            stack.pop()
     rule.__dict__.setdefault("calls", tuple(calls))
     return out
 
@@ -815,19 +834,29 @@ def print_mft(m: Mft) -> str:
     lines = []
     if m.sigma:
         lines.append("# sigma: " + " ".join(sorted(m.sigma)))
-    rules_of: Dict[str, List[Rule]] = {}
-    for (q, g), rule in sorted(m.rules.items(),
-                               key=lambda kv: (_GUARD_RANK[kv[0][1].kind],
-                                               kv[0][1].label or "")):
-        rules_of.setdefault(q, []).append(rule)
+    # state -> its rules, each behind its guard's sort key (unique per state)
+    rules_of: Dict[str, List[tuple]] = {}
+    for (q, g), rule in m.rules.items():
+        entry = (_GUARD_RANK[g.kind], g.label or "", rule)
+        got = rules_of.get(q)
+        if got is None:
+            rules_of[q] = [entry]
+        else:
+            got.append(entry)
     texts: Dict[int, str] = {}  # a body's text by its id: rules share some
-    for q in [m.initial] + sorted(q for q in m.states if q != m.initial):
-        rules = rules_of.get(q)
-        if rules is None:
+    posts: Dict[int, str] = {}  # rank -> the end of an lhs, parameters on
+    for q in [m.initial] + sorted(m.states.keys() - {m.initial}):
+        entries = rules_of.get(q)
+        if entries is None:
             continue
+        entries.sort()
         pre = q + "("
-        post = "".join([", y%d" % i for i in range(1, m.states[q])]) + ") -> "
-        for rule in rules:
+        rank = m.states[q]
+        post = posts.get(rank)
+        if post is None:
+            post = posts[rank] = "".join(
+                [", y%d" % i for i in range(1, rank)]) + ") -> "
+        for _, _, rule in entries:
             g = rule.guard
             if g.kind == "eps":
                 lhs = pre + "eps" + post

@@ -30,14 +30,14 @@ def bare_params(rhs: Rhs) -> Set[int]:
     """Parameter indices occurring in the expression outside any call
     argument (output-node children do not shield an occurrence)."""
     out: Set[int] = set()
-    stack = list(rhs)
-    while stack:
-        it = stack.pop()
-        t = type(it)
-        if t is Param:
-            out.add(it.index)
-        elif t is Node:
-            stack.extend(it.children)
+    seqs = [rhs]
+    while seqs:
+        for it in seqs.pop():
+            t = type(it)
+            if t is Param:
+                out.add(it.index)
+            elif t is Node and it.children:
+                seqs.append(it.children)
     return out
 
 
@@ -208,9 +208,9 @@ _INLINE_SIZE_LIMIT = 32
 
 def _substitute(body: Rhs, var: int, args: Tuple[Rhs, ...]) -> Rhs:
     def sub(it, rec):
-        if isinstance(it, Param):
+        if type(it) is Param:
             return args[it.index - 1]
-        if isinstance(it, Call):
+        if type(it) is Call:
             return (Call(it.state, var, tuple(rec(a) for a in it.args)),)
         return None
 
