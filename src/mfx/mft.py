@@ -25,6 +25,7 @@ documents whose text content collides with alphabet symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import is_
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -36,12 +37,7 @@ from . import forest as F
 # ---------------------------------------------------------------------------
 
 
-# The rhs items and rules are frozen dataclasses with their own __init__:
-# the generated one sets each field through object.__setattr__, which takes
-# twice as long, and the offline stages build these by the thousand.
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Node:
     """Output node; ``label=None`` means %t (copy the current input label)."""
 
@@ -49,29 +45,17 @@ class Node:
     kind: NodeKind = NodeKind.ELEMENT
     children: "Rhs" = ()
 
-    def __init__(self, label: Optional[str],
-                 kind: NodeKind = NodeKind.ELEMENT, children: "Rhs" = ()):
-        d = self.__dict__
-        d["label"], d["kind"], d["children"] = label, kind, children
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Param:
     index: int  # 1-based
 
-    def __init__(self, index: int):
-        self.__dict__["index"] = index
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Call:
     state: str
     var: int  # 0, 1 or 2
     args: Tuple["Rhs", ...] = ()
-
-    def __init__(self, state: str, var: int, args: Tuple["Rhs", ...] = ()):
-        d = self.__dict__
-        d["state"], d["var"], d["args"] = state, var, args
 
 
 Rhs = Tuple[object, ...]
@@ -200,41 +184,20 @@ DEFAULT = Guard("default")
 EPS = Guard("eps")
 
 
-class _kept:
-    """A property computed on first use and then kept in the instance's
-    ``__dict__``, where later lookups find it first: the lock-free core of
-    ``functools.cached_property``, which also works on frozen classes."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-        self.__doc__ = fn.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Rule:
     state: str
     guard: Guard
     rhs: Rhs
 
-    def __init__(self, state: str, guard: Guard, rhs: Rhs):
-        d = self.__dict__
-        d["state"], d["guard"], d["rhs"] = state, guard, rhs
-
-    @_kept
+    @cached_property
     def calls(self) -> Tuple[Call, ...]:
         """The calls of the body, nested ones included, in prefix order.
         Kept on the rule, so that the optimizer's passes, which keep every
         rule they do not rewrite, walk each body once."""
         return tuple([it for it in rhs_nodes(self.rhs) if type(it) is Call])
 
-    @_kept
+    @cached_property
     def rhs_text(self) -> str:
         """The body in rule-file syntax (see :func:`print_mft`), printed
         once per rule: the optimizer prints its transducer every round."""

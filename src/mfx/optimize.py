@@ -45,20 +45,6 @@ def _has_params(m: Mft) -> bool:
     return any(r > 1 for r in m.states.values())
 
 
-def _distinct(m: Mft) -> List[Rule]:
-    """The rules of m, one per state and body: the default and eps rules
-    of a state often share theirs, and the passes that only read bodies
-    need each once."""
-    seen: Set[Tuple[str, int]] = set()
-    out = []
-    for rule in m.rules.values():
-        key = (rule.state, id(rule.rhs))
-        if key not in seen:
-            seen.add(key)
-            out.append(rule)
-    return out
-
-
 def necessary_params(m: Mft) -> Set[Tuple[str, int]]:
     """Least set S with: bare rhs occurrences are necessary, and a
     parameter bare inside the i'-th argument of a call to q' is necessary
@@ -66,7 +52,7 @@ def necessary_params(m: Mft) -> Set[Tuple[str, int]]:
     once, when the parameter it instantiates is found necessary."""
     S: Set[Tuple[str, int]] = set()
     args_of: Dict[Tuple[str, int], List[Tuple[str, Rhs]]] = defaultdict(list)
-    for rule in _distinct(m):
+    for rule in m.rules.values():
         q = rule.state
         for i in bare_params(rule.rhs):
             S.add((q, i))
@@ -174,7 +160,7 @@ def constant_params(m: Mft) -> Mft:
     for q, rank in m.states.items():
         for i in range(1, rank):
             value[(q, i)] = None
-    for rule in _distinct(m):
+    for rule in m.rules.values():
         for call in rule.calls:
             for idx, arg in enumerate(call.args, start=1):
                 key = (call.state, idx)
