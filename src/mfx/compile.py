@@ -269,7 +269,10 @@ class _ScanGen:
     def emit(self, st, acc: bool, owner: str):
         self.names[(st, acc)] = owner
         default_rhs = self.rhs_for(st, (None, False))
-        text_rhs = self.rhs_for(st, (None, True))
+        # a text node moves the automaton as an unnamed element does unless
+        # a token's test tells them apart
+        text_rhs = (self.rhs_for(st, (None, True)) if self.tells_text(st)
+                    else default_rhs)
         have_text = text_rhs != default_rhs
         self.ctx.add(owner, DEFAULT, default_rhs)
         if have_text:
@@ -295,6 +298,11 @@ class _ScanGen:
                     or self.rhs_for(st, (sym, True)) != text_fallthrough:
                 self.ctx.add(owner, Guard.sym(sym), sym_rhs)
         self.ctx.add(owner, EPS, self.eps_rhs())
+
+    def tells_text(self, st) -> bool:
+        """Whether some token of the state tests for text or non-text."""
+        return any(j != P.ANCHOR and self.auto.steps[j - 1].test.kind
+                   in ("star", "text", "neq") for j in st)
 
     def copies(self, rhs: Rhs) -> bool:
         """Whether a row copies a selected node (under the row's label)."""
