@@ -800,7 +800,7 @@ def print_mft(m: Mft) -> str:
     # state -> its rules, each behind its guard's sort key (unique per state)
     rules_of: Dict[str, List[tuple]] = {}
     for (q, g), rule in m.rules.items():
-        entry = (_GUARD_RANK[g.kind], g.label or "", rule)
+        entry = _guard_order(g) + (rule,)
         got = rules_of.get(q)
         if got is None:
             rules_of[q] = [entry]
