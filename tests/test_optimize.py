@@ -168,7 +168,7 @@ q(eps) -> q(x0)
 """)
     warnings = []
     out = remove_stay_moves(m, warn=warnings.append)
-    assert "q" in out.states
+    assert out is m  # nothing to inline: the input itself
     assert warnings and "q" in warnings[0]
 
 
