@@ -17,7 +17,7 @@ The package is organised around one value domain and one machine model:
 * :mod:`mfx.compile` -- the query-to-transducer translation.
 * :mod:`mfx.optimize` -- parameter reduction, stay-move inlining, and
   unreachable-state removal, iterated to a fixpoint.
-* :mod:`mfx.compose` -- transducer (de)compositions and pipeline fusion.
+* :mod:`mfx.compose` -- transducer compositions (pipeline fusion).
 * :mod:`mfx.stream` -- single-pass evaluation over an XML event stream.
 * :mod:`mfx.gen`, :mod:`mfx.bench`, :mod:`mfx.cli` -- document generator,
   the benchmark corpus, and the command-line front end.

@@ -1,31 +1,31 @@
-"""Transducer decompositions and compositions.
+"""Transducer compositions: pipeline fusion of two transducers into one.
 
 The binary-tree side of the theory lives entirely inside the ordinary
 rule representation here: a binary tree, first-child/next-sibling
 encoded, *is* a forest, so a "macro/top-down tree transducer" is just a
 transducer whose right-hand sides are tree shaped (:func:`mfx.mft.is_tree_rhs`).
 
-* :func:`decompose_eval` replaces concatenation in right-hand sides by the
-  reserved binary symbol ``@`` (making them tree shaped);
-  :func:`recompose_eval` removes ``@`` again.  ``tt-ft`` and ``mtt-ft``
-  decompose their second operand, pair, and recompose.
+* Only the first operand must be tree shaped: the walker product reads
+  its output by address (:func:`mfx.mft.positions`).  It copies the
+  second operand's rule bodies into its own without reading them by
+  address, so ``tt-ft`` and ``mtt-ft`` pair a forest-shaped second
+  operand as it is.
 * :func:`ft_to_mtt` rewrites a parameter-free transducer into tree shape
   by threading a continuation parameter ("the rest of my output"), the
   parameter encoding of forest concatenation.  ``ft-tt`` is this encoding
   of its first operand followed by one ``mtt-tt`` pairing.
-* The pairing constructions ``tt-tt``, ``mtt-tt`` and ``tt-mtt`` of
-  :data:`MODES` are one walker product, :func:`_pair` (Perst and Seidl's
-  construction for macro forest transducers).  For an m1 state q and an
-  m2 state p, the entry state ``(q,p)`` starts, for every rule of q, a
-  walker at the root of the rule's right-hand side.  The walker at
-  address u (:func:`mfx.mft.positions`) in m2 state p applies m2's rule
-  for the output node at u and turns m2's moves into stay moves to the
-  walkers at u.1 and u.2; a call of m1 at u becomes a call of the entry
-  state for the called state and p.  Alphabet completion first
-  specialises the first transducer's default rules for every symbol the
-  second one distinguishes (plus a text-guard copy when the second has
-  text rules), so a default rule never hides a label the walker would
-  need to know.
+* Every mode of :data:`MODES` runs one walker product, :func:`_pair`
+  (Perst and Seidl's construction for macro forest transducers).  For an
+  m1 state q and an m2 state p, the entry state ``(q,p)`` starts, for
+  every rule of q, a walker at the root of the rule's right-hand side.
+  The walker at address u (:func:`mfx.mft.positions`) in m2 state p
+  applies m2's rule for the output node at u and turns m2's moves into
+  stay moves to the walkers at u.1 and u.2; a call of m1 at u becomes a
+  call of the entry state for the called state and p.  Alphabet
+  completion first specialises the first transducer's default rules for
+  every symbol the second one distinguishes (plus a text-guard copy when
+  the second has text rules), so a default rule never hides a label the
+  walker would need to know.
 * A walker is only ever called at x0 under the guard of its own m1 rule,
   where its one live rule applies, so a call of it can be replaced by its
   body with the arguments in place of its parameters (deforestation).
@@ -64,53 +64,10 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .forest import CONCAT, NodeKind
+from .forest import NodeKind
 from .mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rhs, Rule,
-                  TEXT, is_tree_rhs, map_rhs, positions,
-                  rhs_nodes, size, validate)
-
-
-# ---------------------------------------------------------------------------
-# eval decomposition
-# ---------------------------------------------------------------------------
-
-
-def _decompose_item(it) -> object:
-    if isinstance(it, Node):
-        return Node(it.label, it.kind, decompose_rhs(it.children))
-    if isinstance(it, Call):
-        return Call(it.state, it.var, tuple(decompose_rhs(a) for a in it.args))
-    return it
-
-
-def decompose_rhs(rhs: Rhs) -> Rhs:
-    """Tree-shape an rhs by spending one ``@`` per concatenation."""
-    if len(rhs) <= 1:
-        return tuple(_decompose_item(it) for it in rhs)
-    head = _decompose_item(rhs[0])
-    return (Node(CONCAT, NodeKind.ELEMENT, (head,)),) + decompose_rhs(rhs[1:])
-
-
-def decompose_eval(m: Mft) -> Mft:
-    """An equivalent-up-to-eval transducer with tree-shaped right-hand
-    sides: running it and then interpreting ``@`` as concatenation gives
-    the original's output."""
-    rules = {k: Rule(r.state, r.guard, decompose_rhs(r.rhs))
-             for k, r in m.rules.items()}
-    return Mft(m.states, m.sigma, m.initial, rules)
-
-
-def recompose_rhs(rhs: Rhs) -> Rhs:
-    """Splice the children of every ``@`` node into its place."""
-    return map_rhs(rhs, lambda it, rec: rec(it.children)
-                   if isinstance(it, Node) and it.label == CONCAT else None)
-
-
-def recompose_eval(m: Mft) -> Mft:
-    """Remove all ``@`` output symbols, interpreting them as concatenation."""
-    rules = {k: Rule(r.state, r.guard, recompose_rhs(r.rhs))
-             for k, r in m.rules.items()}
-    return Mft(m.states, m.sigma - {CONCAT}, m.initial, rules)
+                  TEXT, is_tree_rhs, map_rhs, positions, rhs_size, size,
+                  validate)
 
 
 def ft_to_mtt(m: Mft) -> Mft:
@@ -126,17 +83,18 @@ def ft_to_mtt(m: Mft) -> Mft:
     states[init] = 1
 
     def enc(rhs: Rhs, kappa: Rhs) -> Rhs:
-        if not rhs:
-            return kappa
-        head, rest = rhs[0], rhs[1:]
-        if isinstance(head, Node):
-            return (Node(head.label, head.kind, enc(head.children, ())),) \
-                + enc(rest, kappa)
-        if isinstance(head, Call):
-            if rest:
-                return (Call(head.state, head.var, (enc(rest, kappa),)),)
-            return (Call(head.state, head.var, (kappa,)),)
-        raise ValueError("parameter in a parameter-free transducer")
+        # from the last sibling back: a call takes what follows it as its
+        # argument, and the nodes met since go in front of that
+        out, nodes = kappa, []
+        for it in reversed(rhs):
+            if isinstance(it, Node):
+                nodes.append(Node(it.label, it.kind, enc(it.children, ())))
+            elif isinstance(it, Call):
+                out = (Call(it.state, it.var, (tuple(nodes[::-1]) + out,)),)
+                nodes = []
+            else:
+                raise ValueError("parameter in a parameter-free transducer")
+        return tuple(nodes[::-1]) + out
 
     rules = {k: Rule(r.state, r.guard, enc(r.rhs, (Param(1),)))
              for k, r in m.rules.items()}
@@ -235,33 +193,26 @@ def _params(first: int, last: int) -> Tuple[Rhs, ...]:
     return tuple((Param(i),) for i in range(first, last + 1))
 
 
-def _full_size(m1: Mft, m2: Mft, spliced: bool,
+def _full_size(m1: Mft, m2: Mft,
                subs: Dict[Tuple[str, Guard], Dict[Tuple[int, ...], Rhs]]
                ) -> Tuple[int, int]:
     """Size and rule count of the whole product of the alphabet-completed
     m1 and m2, an entry state for every pair of states and a walker for
     every (m1 rule, address, m2 state), counted without building a rule;
-    ``subs`` holds the positions of each m1 rule;
-    with ``spliced``, as after :func:`recompose_eval`.  A walker's rhs is
+    ``subs`` holds the positions of each m1 rule.  A walker's rhs is
     a parameter (1), a call into m1 (the call, one walker call with c
     copies per argument and m2 state, and m2's parameters), or m2's rhs
     with c copies added to each of its calls.  Sums over the m2 states
     are taken in closed form, or once per kind of output node."""
     n = len(m2.states)
     ranks = sum(m2.states.values())  # the sum of k over the m2 states
-    stats = {}   # m2 rule -> (rhs size, calls, @ nodes, %t nodes)
-    for key, rule in m2.rules.items():
-        items = rhs_nodes(rule.rhs)
-        stats[key] = (len(items) + len(rule.calls), len(rule.calls),
-                      sum(type(it) is Node and it.label == CONCAT
-                          for it in items),
-                      sum(type(it) is Node and it.label is None
-                          for it in items))
+    # m2 rule -> (rhs size, calls)
+    stats = {key: (rhs_size(rule.rhs), len(rule.calls))
+             for key, rule in m2.rules.items()}
     # (output node's label and kind, under a text guard) -> the sums over
     # the m2 states of the walker rhs size without copies, and of m2's calls
     node_sums: Dict[tuple, Tuple[int, int]] = {}
-    sigma = m1.sigma | m2.sigma
-    total = len(sigma - {CONCAT} if spliced else sigma)
+    total = len(m1.sigma | m2.sigma)
     count = 0
     for (q, g), at in subs.items():
         c = (m1.states[q] - 1) * n
@@ -285,11 +236,7 @@ def _full_size(m1: Mft, m2: Mft, spliced: bool,
                 if sums is None:
                     size2 = calls = 0
                     for p in m2.states:
-                        key, inst = _m2_rule(m2, p, head, g)
-                        s2, k2, ats, dyn = stats[key]
-                        if spliced:
-                            s2 -= ats + (dyn if inst and head.label == CONCAT
-                                         else 0)
+                        s2, k2 = stats[_m2_rule(m2, p, head, g)[0]]
                         size2 += s2
                         calls += k2
                     sums = node_sums[nk] = (size2, calls)
@@ -308,8 +255,8 @@ INLINE_MAX = 32
 INLINE_DEPTH = 50
 
 
-def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
-    """The walker product of two tree-shaped transducers, at most one of
+def _pair(m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
+    """The walker product of a tree-shaped m1 and any m2, at most one of
     which has parameters (see the module docstring), with the size and
     rule count of the whole product (:func:`_full_size`).  Only the states
     reachable from the entry state of the two initial states are built:
@@ -321,7 +268,6 @@ def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
     allows; a key becomes a named state only when a finished rule calls
     it, so no state is built that its caller then inlined."""
     _require_tree(m1, "first operand")
-    _require_tree(m2, "second operand")
     m1 = complete_alphabet(m1, m2)
     p_list = sorted(m2.states)
     n = len(p_list)
@@ -465,19 +411,20 @@ def _pair(m1: Mft, m2: Mft, spliced: bool) -> Tuple[Mft, int, int]:
     if problems:
         raise AssertionError("composition produced an invalid transducer: "
                              + "; ".join(problems))
-    return (m,) + _full_size(m1, m2, spliced, subs)
+    return (m,) + _full_size(m1, m2, subs)
 
 
 #: mode name -> (first operand parameter-free?, second parameter-free?,
-#: encodings of the two operands, recompose the product?); ``mfx compose
-#: --mode`` offers these names
+#: second tree-shaped?, encoding of the first); ``mfx compose --mode``
+#: offers these names.  Only the first operand is read by address, so
+#: ``tt-ft`` and ``mtt-ft`` pair a forest-shaped second operand as it is
 MODES = {
-    "tt-tt": (True, True, None, None, False),
-    "mtt-tt": (False, True, None, None, False),
-    "tt-mtt": (True, False, None, None, False),
-    "mtt-ft": (False, True, None, decompose_eval, True),
-    "tt-ft": (True, True, None, decompose_eval, True),
-    "ft-tt": (True, True, ft_to_mtt, None, False),
+    "tt-tt": (True, True, True, None),
+    "mtt-tt": (False, True, True, None),
+    "tt-mtt": (True, False, True, None),
+    "mtt-ft": (False, True, False, None),
+    "tt-ft": (True, True, False, None),
+    "ft-tt": (True, True, True, ft_to_mtt),
 }
 
 
@@ -488,16 +435,15 @@ def compose(m1: Mft, m2: Mft, mode: str) -> Tuple[Mft, CompositionReport]:
         raise ValueError("unknown mode %r (one of %s)"
                          % (mode, ", ".join(sorted(MODES))))
     t0 = time.perf_counter()
-    free1, free2, enc1, enc2, spliced = MODES[mode]
+    free1, free2, tree2, enc1 = MODES[mode]
     for m, free, who in ((m1, free1, "first"), (m2, free2, "second")):
         if free:
             _require_rank1(m, who + " operand")
+    if tree2:
+        _require_tree(m2, "second operand")
     # the construction builds only the reachable state pairs and counts
     # the whole product's size on the side
-    out, size_out, rules_out = _pair(enc1(m1) if enc1 else m1,
-                                     enc2(m2) if enc2 else m2, spliced)
-    if spliced:
-        out = recompose_eval(out)
+    out, size_out, rules_out = _pair(enc1(m1) if enc1 else m1, m2)
     dt = time.perf_counter() - t0
     return out, CompositionReport(mode, len(m1.sigma | m2.sigma), size(m1),
                                   size(m2), size_out, rules_out, dt)

@@ -1,10 +1,11 @@
 """XML forests: the universal value domain.
 
 A forest is an ordered, possibly empty sequence of trees.  Every node is
-labeled by a non-empty string; text and attribute nodes are ordinary trees
-tagged with a :class:`NodeKind`.  A text node has no children, an attribute
-node has exactly one text child.  Forests are plain tuples of :class:`Tree`
-values and are immutable, so they can be shared freely.
+labeled by a non-empty string, and no label is reserved; text and
+attribute nodes are ordinary trees tagged with a :class:`NodeKind`.  A
+text node has no children, an attribute node has exactly one text child.
+Forests are plain tuples of :class:`Tree` values and are immutable, so
+they can be shared freely.
 
 Equality, hashing, :func:`check_forest`, :func:`coalesce_text`, the
 printers and the term parser walk an explicit stack, so the recursion
@@ -18,10 +19,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Tuple
-
-#: Reserved label for the concatenation symbol in tree-shaped transducer
-#: output (see :mod:`mfx.compose`).  It never appears as a forest label.
-CONCAT = "@"
 
 
 class NodeKind(enum.Enum):
@@ -88,7 +85,7 @@ def check_forest(f: Forest) -> list:
     """Structural invariant check; returns a list of violation messages.
 
     Checked: non-empty labels, text nodes are leaves, attribute nodes have
-    exactly one text child, no two adjacent text siblings, no ``@`` labels.
+    exactly one text child, no two adjacent text siblings.
     Text content read from XML attribute values may be empty, so emptiness
     is only enforced for element and attribute labels.
     """
@@ -100,8 +97,6 @@ def check_forest(f: Forest) -> list:
         path, todo = stack[-1]
         for i, t in todo:
             where = "%s[%d]" % (path, i)
-            if t.label == CONCAT:
-                problems.append("%s: reserved label %r" % (where, CONCAT))
             if t.kind is NodeKind.TEXT:
                 if t.children:
                     problems.append("%s: text node with children" % where)

@@ -324,11 +324,8 @@ def _check_rhs(states: Dict[str, int], rule: Rule) -> List[str]:
                     stack.extend([iter(a) for a in it.args[::-1]])
                     break
             elif t is Node:
-                if it.label is None:
-                    if not allow_copy:
-                        out.append("%t output outside default/text rule")
-                elif it.label == F.CONCAT and it.kind is not NodeKind.ELEMENT:
-                    out.append("@ must be an element")
+                if it.label is None and not allow_copy:
+                    out.append("%t output outside default/text rule")
                 if it.children:
                     stack.append(iter(it.children))
                     break

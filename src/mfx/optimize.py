@@ -222,11 +222,14 @@ def remove_stay_moves(m: Mft, warn=None) -> Mft:
 
     def stay_rule(q: str) -> Optional[Rule]:
         """The default rule of a pure stay state: exactly one default and
-        one eps rule, identical, x0-only calls, no dynamic-label output."""
+        one eps rule, identical, x0-only calls, no dynamic-label output.
+        Separate bodies are compared as printed: ``==`` recurses on their
+        nesting."""
         pair = [rules[key] for key in rules_of.get(q, ())]
         if (q == m.initial or len(pair) != 2
                 or {r.guard.kind for r in pair} != {"default", "eps"}
-                or pair[0].rhs != pair[1].rhs):
+                or pair[0].rhs is not pair[1].rhs
+                and pair[0].rhs_text != pair[1].rhs_text):
             return None
         for it in rhs_nodes(pair[0].rhs):
             t = type(it)

@@ -6,13 +6,11 @@ import pytest
 
 from mfx.bench import CORPUS_QUERIES
 from mfx.compile import compile_query
-from mfx.forest import CONCAT, NodeKind, Tree, parse_term
-from mfx.mft import (Call, Node, classify, evaluate, is_tree_rhs,
-                     parse_mft, validate)
+from mfx.forest import NodeKind, Tree, parse_term
+from mfx.mft import Call, Node, classify, evaluate, parse_mft, validate
 from mfx.optimize import optimize, reachable_states, remove_unreachable
 from mfx.xquery import parse_query
-from mfx.compose import (compose, decompose_eval, decompose_rhs, ft_to_mtt,
-                         recompose_eval, recompose_rhs)
+from mfx.compose import compose, ft_to_mtt
 import mfx.mft as MF
 
 from util import (canonical_mft, necessary_params_oracle, random_forest,
@@ -62,57 +60,6 @@ def _pipeline_ok(m1, m2, comp, rng, rounds=5, budget=10):
         if run_bytes(comp, f) != direct:
             return False
     return True
-
-
-def test_decompose_worked_example():
-    rhs = _rhs('q(x1) y1 b()')
-    d = decompose_rhs(rhs)
-    # one @ per concatenation: @(q(x1), @(y1, b(eps,eps)))
-    assert MF._print_rhs(d) == '"@"(q(x1)) "@"(y1) b()'
-    assert is_tree_rhs(d)
-    assert recompose_rhs(d) == rhs
-
-
-def test_decompose_tree_rhs_unchanged():
-    rhs = _rhs("b(q(x1))")
-    assert decompose_rhs(rhs) == rhs
-
-
-def test_decompose_eval_roundtrip_behaviour():
-    rng = random.Random(81)
-    for _ in range(20):
-        m = random_mft(rng)
-        d = decompose_eval(m)
-        assert all(is_tree_rhs(r.rhs) for r in d.rules.values())
-        assert validate(d) == []
-        back = recompose_eval(d)
-        for _ in range(3):
-            f = random_forest(rng, budget=8)
-            assert run_bytes(back, f) == run_bytes(m, f)
-
-
-def test_decompose_then_eval_equals_original():
-    # running the decomposed transducer and interpreting @ afterwards
-    # gives the original's output
-    from mfx.forest import NodeKind, Tree
-
-    def eval_at(f):
-        out = []
-        for t in f:
-            kids = eval_at(t.children)
-            if t.label == CONCAT:
-                out.extend(kids)
-            else:
-                out.append(Tree(t.label, t.kind, kids))
-        return tuple(out)
-
-    rng = random.Random(82)
-    for _ in range(20):
-        m = random_mft(rng)
-        d = decompose_eval(m)
-        for _ in range(3):
-            f = random_forest(rng, budget=8)
-            assert eval_at(evaluate(d, f)) == evaluate(m, f)
 
 
 def test_ft_to_mtt_identity():
@@ -450,6 +397,25 @@ RAW_PAIRED = {
         ("feace1e2c55da71ff5bbbec6a03bfc51bfba4fc77e615bca20620233fffa2857",
          4292, 810),
     ),
+    # sizes taken from the construction that rewrote the second operand's
+    # concatenations into "@" nodes, paired, and spliced them out again;
+    # pairing the forest-shaped operand directly must keep them
+    "tt-ft": (
+        ("a7f768a20807854b684bf29f0a1c4118ebb9a676811e683dfa0179557d89eab5",
+         2602, 552),
+        ("0aca593eb32612052f3656ae40b986a6bef1a92627551ecc118ccb2d619539b0",
+         3130, 752),
+        ("f28c96a9ebf72a86469cd5d792ed4acaf6a31004a5d2b5030b447ebec655c1a5",
+         2311, 510),
+    ),
+    "mtt-ft": (
+        ("02672d32e04feb5edc81c96ce56298d4414b5f8a8278d2c6a62aed87c7283215",
+         9831, 1341),
+        ("18fa060e281e14cb1b17af6e5225d1d44e4bba700b985aea93f0fe82226a6619",
+         2995, 592),
+        ("b03a6daf03ae0a87a9504b98dbd42aeb7116783727a48246e7b70d09c64f455c",
+         6438, 990),
+    ),
 }
 
 
@@ -457,7 +423,9 @@ def _raw_draws():
     mtt = lambda rng: random_mft(rng, tree_shaped=True)  # noqa: E731
     for mode, g1, g2 in (("tt-tt", random_tt, random_tt),
                          ("mtt-tt", mtt, random_tt),
-                         ("tt-mtt", random_tt, mtt)):
+                         ("tt-mtt", random_tt, mtt),
+                         ("tt-ft", random_tt, random_ft),
+                         ("mtt-ft", mtt, random_ft)):
         for n, want in enumerate(RAW_PAIRED[mode]):
             rng = random.Random(n)
             m1 = g1(rng)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfx.forest import (CONCAT, NodeKind, Tree, attr, check_forest,
+from mfx.forest import (NodeKind, Tree, attr, check_forest,
                         coalesce_text, elem, parse_term, print_term,
                         print_tree, text)
 
@@ -51,7 +51,6 @@ def test_check_forest_flags_violations():
     assert check_forest(bad)
     adjacent = (elem("a", text("x"), text("y")),)
     assert check_forest(adjacent)
-    assert check_forest((Tree(CONCAT, NodeKind.ELEMENT, ()),))
 
 
 def test_coalesce_text():

@@ -389,19 +389,39 @@ def _nested(depth: int) -> Mft:
                                       ("q", EPS): Rule("q", EPS, ())})
 
 
+def _stay(depth: int) -> Mft:
+    """A stay state s behind the initial state, whose default and eps
+    bodies are equal, ``depth`` a-nodes deep, and separate objects."""
+    def body():
+        b = (Node("b"),)
+        for _ in range(depth):
+            b = (Node("a", children=b),)
+        return b
+    return Mft({"i": 1, "s": 1}, {"a", "b"}, "i", {
+        ("i", DEFAULT): Rule("i", DEFAULT, (Call("s", 0),)),
+        ("i", EPS): Rule("i", EPS, (Call("s", 0),)),
+        ("s", DEFAULT): Rule("s", DEFAULT, body()),
+        ("s", EPS): Rule("s", EPS, body())})
+
+
 def test_print_and_optimize_are_not_limited_by_recursion():
     # bodies nested deeper than the recursion limit allows a recursive
-    # printer, and a continuation-encoded rule of 200 sibling calls
+    # printer or a recursive comparison of two bodies, and
+    # continuation-encoded rules of 200, 1,000 and 5,000 sibling calls
     for depth in (300, 900):
         m = _nested(depth)
         want = ("# sigma: a\nq(%%t(x1)x2) -> %sq(x1)%s\nq(eps) -> eps\n"
                 % ("a(" * depth, ")" * depth))
         assert print_mft(m) == want
         assert print_mft(optimize(m)) == want
-    flat = Mft({"q": 1}, {"a"}, "q", {
-        ("q", DEFAULT): Rule("q", DEFAULT, (Call("q", 1),) * 200),
-        ("q", EPS): Rule("q", EPS, ())})
-    m = ft_to_mtt(flat)
-    nested = "q(x1, " * 200 + "y1" + ")" * 200
-    assert "q(%%t(x1)x2, y1) -> %s\n" % nested in print_mft(m)
-    assert print_mft(optimize(m)) == print_mft(m)
+        # s is a stay state too large to inline
+        m = _stay(depth)
+        assert print_mft(optimize(m)) == print_mft(m)
+    for width in (200, 1000, 5000):
+        flat = Mft({"q": 1}, {"a"}, "q", {
+            ("q", DEFAULT): Rule("q", DEFAULT, (Call("q", 1),) * width),
+            ("q", EPS): Rule("q", EPS, ())})
+        m = ft_to_mtt(flat)
+        nested = "q(x1, " * width + "y1" + ")" * width
+        assert "q(%%t(x1)x2, y1) -> %s\n" % nested in print_mft(m)
+        assert print_mft(optimize(m)) == print_mft(m)

@@ -1,7 +1,5 @@
-import gc
 import io
 import random
-import time
 
 import pytest
 
@@ -293,34 +291,39 @@ def test_pushed_and_pulled_input_stream_alike():
         assert runs[0][4] <= runs[1][4]
 
 
-def test_memoised_arguments_are_shared_not_copied():
+def test_memoised_arguments_are_shared_not_copied(monkeypatch):
     # ft_to_mtt threads the rest of the output through a suspension per
     # sibling, each read into its caller's memo.  A memoised value holds
-    # the values it read by reference, so the time is linear in the work:
-    # 4x the nodes costs about 4x the time, 16x about 17x (the output grows
-    # 17.8x).  Copying each memoised value into its caller is quadratic: a
-    # memo of trees took 5x at 4x and 38x at 16x, one of flat event lists
-    # 13x and more at 4x.  Best of 3 per size, the sizes alternated so that
-    # a slow spell hits all, with the garbage collector off: its full
-    # collections also scan what earlier tests left in the process, which
-    # added about 3 to the 16x ratio in a whole-suite run.
+    # the values it read by reference, one item each, so the items of all
+    # memoised values grow with the output: 4.3x at 4x the nodes and 17.4x
+    # at 16x (the output grows 4.4x and 17.8x).  Copying each memoised
+    # value into its reader makes them quadratic: 18.5x at 4x and 302x at
+    # 16x.  Counted rather than timed, so host load cannot move it.
     from mfx.bench import CORPUS_QUERIES
     from mfx.compose import ft_to_mtt
     from mfx.gen import generate_bytes
+    items = []
+
+    class Counted(mfx.stream._Susp):
+        __slots__ = ("_cache",)
+
+        @property
+        def cache(self):
+            return self._cache
+
+        @cache.setter
+        def cache(self, value):
+            self._cache = value
+            if value is not None:
+                items[-1] += len(value)
+
+    monkeypatch.setattr(mfx.stream, "_Susp", Counted)
     m = ft_to_mtt(optimize(compile_text(CORPUS_QUERIES["fourstar"])))
-    docs = [generate_bytes("xmark-lite", n, 0) for n in (1000, 4000, 16000)]
-    best = [float("inf")] * len(docs)
-    gc.disable()
-    try:
-        for _ in range(3):
-            for i, doc in enumerate(docs):
-                t0 = time.perf_counter()
-                measure(m, read_events(doc))
-                best[i] = min(best[i], time.perf_counter() - t0)
-    finally:
-        gc.enable()
-    assert best[1] / best[0] < 8
-    assert best[2] / best[0] < 24
+    for n in (1000, 4000, 16000):
+        items.append(0)
+        measure(m, read_events(generate_bytes("xmark-lite", n, 0)))
+    assert items[1] / items[0] < 8
+    assert items[2] / items[0] < 24
 
 
 def test_q13_buffers_under_half_of_the_input():
