@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rules", nargs="?", help="rule file (default stdin)")
     p.add_argument("-o", "--output", help="rule file (default stdout)")
     p.add_argument("--report", action="store_true",
-                   help="print per-pass statistics to stderr")
+                   help="print before and after sizes to stderr")
     p.set_defaults(fn=cmd_optimize)
 
     for name, fn, blurb in (("run", cmd_run, "stream an XML file through "

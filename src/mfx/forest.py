@@ -1,4 +1,4 @@
-"""XML forests: the universal value domain.
+"""XML forests, and the term notation that forests and rule bodies share.
 
 A forest is an ordered, possibly empty sequence of trees.  Every node is
 labeled by a non-empty string, and no label is reserved; text and
@@ -7,18 +7,23 @@ text node has no children, an attribute node has exactly one text child.
 Forests are plain tuples of :class:`Tree` values and are immutable, so
 they can be shared freely.
 
+A transducer rule's right-hand side (:data:`Rhs`) is a forest expression,
+and a forest is one without calls, parameters and ``%t``.  Both share one
+term notation (``a(b() #"hi")``, ``%t(q(x1, y1)) q(x2)``), one printer,
+:func:`print_term`, and one reader, which :func:`parse_term` and
+:func:`mfx.mft.parse_mft` use.
+
 Equality, hashing, :func:`check_forest`, :func:`coalesce_text`, the
-printers and the term parser walk an explicit stack, so the recursion
-limit does not bound the depth they handle.  Term notation
-(``a(b() #"hi")``) is the textual exchange format for forests throughout
-the package.
+printer and the reader walk an explicit stack, so the recursion limit
+does not bound the depth they handle.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 
 class NodeKind(enum.Enum):
@@ -56,6 +61,31 @@ class Tree:
 
 
 Forest = Tuple[Tree, ...]
+
+
+@dataclass(frozen=True)
+class Node:
+    """Output node of a rule body; ``label=None`` means %t (copy the
+    current input label)."""
+
+    label: Optional[str]
+    kind: NodeKind = NodeKind.ELEMENT
+    children: "Rhs" = ()
+
+
+@dataclass(frozen=True)
+class Param:
+    index: int  # 1-based
+
+
+@dataclass(frozen=True)
+class Call:
+    state: str
+    var: int  # 0, 1 or 2
+    args: Tuple["Rhs", ...] = ()
+
+
+Rhs = Tuple[object, ...]
 
 
 def elem(label: str, *children: Tree) -> Tree:
@@ -149,11 +179,42 @@ def coalesce_text(f: Forest) -> Forest:
             parent_out.append(Tree(node.label, node.kind, tuple(out)))
 
 
+def ground(rhs: Rhs) -> Optional[Forest]:
+    """The forest a rule body denotes if it has no calls, parameters or
+    ``%t`` nodes, else None."""
+    # one frame per open node: (its items left, its trees so far, the node);
+    # the root frame has no node
+    stack = [(iter(rhs), [], None)]
+    while True:
+        items, out, node = stack[-1]
+        for it in items:
+            if type(it) is not Node or it.label is None:
+                return None
+            stack.append((iter(it.children), [], it))
+            break
+        else:
+            stack.pop()
+            if node is None:
+                return tuple(out)
+            stack[-1][1].append(Tree(node.label, node.kind, tuple(out)))
+
+
 # ---------------------------------------------------------------------------
 # Term notation
 # ---------------------------------------------------------------------------
+#
+# Items are separated by spaces: label(...) an output node, #"..." a text
+# node, @name(...) an attribute node, %t(...) a node that copies the
+# current input label, y<i> a parameter, q(x<i>, arg, ...) a call of state
+# q on input variable x<i> (x0, x1 or x2, followed by "," or ")"), and eps
+# the empty forest.  The printer quotes a label that would read otherwise.
 
 _BARE_FORBIDDEN = set('() ,"\t\r\n')
+#: an input variable followed by "," or ")" makes ``q(`` a call
+_CALL_VAR = re.compile(r"x([012])(?=[ \t\r\n]*[,)])")
+
+#: the text of an empty call argument, as an item to print
+_EPS_ARG = ("eps",)
 
 
 def _label_needs_quotes(label: str) -> bool:
@@ -176,33 +237,64 @@ def print_tree(t: Tree) -> str:
     return print_term((t,))
 
 
-def print_term(f: Forest) -> str:
-    """Forest to term notation; the empty forest prints as ``eps``."""
-    if not f:
+def print_term(rhs: Rhs) -> str:
+    """Term notation of a rule body or a forest (a :class:`Tree` prints
+    as the :class:`Node` with its fields), ``eps`` if it is empty.  The
+    sequences being printed wait on an explicit stack, so nesting is not
+    limited by the recursion limit: a frame holds a sequence's items left,
+    the text that closes it, and the separator before its next item.  A
+    call's arguments are one frame each, closed by ``, `` or the call's
+    ``)``; a string item is printed as it is."""
+    if not rhs:
         return "eps"
-    parts = []
-    stack = [iter(f)]
-    fresh = True  # nothing printed yet at the current level
-    while stack:
-        for t in stack[-1]:
-            if not fresh:
-                parts.append(" ")
-            fresh = False
-            if t.kind is NodeKind.TEXT:
-                parts.append("#" + _quote(t.label))
-                continue
-            name = _quote(t.label) if _label_needs_quotes(t.label) else t.label
-            parts.append(("@%s(" if t.kind is NodeKind.ATTRIBUTE else "%s(")
-                         % name)
-            stack.append(iter(t.children))
-            fresh = True
-            break
+    out: List[str] = []
+    emit = out.append
+    frames: List[tuple] = []
+    items, close, sep = iter(rhs), "", ""
+    while True:
+        for it in items:
+            if sep:
+                emit(sep)
+            sep = " "
+            t = type(it)
+            if t is Param:
+                emit("y%d" % it.index)
+            elif t is Call:
+                args = it.args
+                if not args:
+                    emit("%s(x%d)" % (it.state, it.var))
+                    continue
+                emit("%s(x%d, " % (it.state, it.var))
+                frames.append((items, close, " "))
+                last = len(args) - 1
+                for i in range(last, 0, -1):
+                    frames.append((iter(args[i] or _EPS_ARG),
+                                   ")" if i == last else ", ", ""))
+                items, close, sep = (iter(args[0] or _EPS_ARG),
+                                     ")" if last == 0 else ", ", "")
+                break
+            elif t is str:
+                emit(it)
+            elif it.label is not None and it.kind is NodeKind.TEXT:
+                emit("#" + _quote(it.label))
+            else:
+                if it.label is None:
+                    emit("%t(")
+                else:
+                    emit(("@%s(" if it.kind is NodeKind.ATTRIBUTE else "%s(")
+                         % (_quote(it.label) if _label_needs_quotes(it.label)
+                            else it.label))
+                if not it.children:
+                    emit(")")
+                    continue
+                frames.append((items, close, " "))
+                items, close, sep = iter(it.children), ")", ""
+                break
         else:
-            stack.pop()
-            if stack:
-                parts.append(")")
-            fresh = False
-    return "".join(parts)
+            emit(close)
+            if not frames:
+                return "".join(out)
+            items, close, sep = frames.pop()
 
 
 class TermError(ValueError):
@@ -216,6 +308,9 @@ class _TermScanner:
         self.s = s
         self.pos = 0
 
+    def err(self, msg: str):
+        raise TermError(msg, self.pos)
+
     def skip_ws(self):
         while self.pos < len(self.s) and self.s[self.pos] in " \t\r\n":
             self.pos += 1
@@ -225,7 +320,7 @@ class _TermScanner:
 
     def expect(self, ch: str):
         if self.peek() != ch:
-            raise TermError("expected %r" % ch, self.pos)
+            self.err("expected %r" % ch)
         self.pos += 1
 
     def quoted(self) -> str:
@@ -233,14 +328,14 @@ class _TermScanner:
         out = []
         while True:
             if self.pos >= len(self.s):
-                raise TermError("unterminated string", self.pos)
+                self.err("unterminated string")
             c = self.s[self.pos]
             self.pos += 1
             if c == '"':
                 return "".join(out)
             if c == "\\":
                 if self.pos >= len(self.s):
-                    raise TermError("dangling escape", self.pos)
+                    self.err("dangling escape")
                 out.append(self.s[self.pos])
                 self.pos += 1
             else:
@@ -251,52 +346,83 @@ class _TermScanner:
         while self.pos < len(self.s) and self.s[self.pos] not in _BARE_FORBIDDEN:
             self.pos += 1
         if self.pos == start:
-            raise TermError("expected a label", self.pos)
+            self.err("expected a label")
         return self.s[start:self.pos]
 
-
-def _parse_forest(sc: _TermScanner) -> Forest:
-    """Trees up to an unmatched ``)`` or the end of input."""
-    # one frame per open tree: (label, kind, its children so far); the
-    # bottom frame collects the top level
-    stack = [(None, None, [])]
-    while True:
-        sc.skip_ws()
-        c = sc.peek()
-        if c in ("", ")"):
-            if len(stack) == 1:
-                return tuple(stack[0][2])
-            sc.expect(")")
-            label, kind, items = stack.pop()
-            stack[-1][2].append(Tree(label, kind, tuple(items)))
-            continue
-        if c == "#":
-            sc.pos += 1
-            stack[-1][2].append(text(sc.quoted()))
-            continue
-        kind = NodeKind.ELEMENT
-        if c == "@":
-            sc.pos += 1
-            kind = NodeKind.ATTRIBUTE
-            c = sc.peek()
-        if c == '"':
-            label = sc.quoted()
-        else:
-            label = sc.bare()
-            if label == "eps":
-                raise TermError("eps is not a tree", sc.pos)
-        sc.expect("(")
-        stack.append((label, kind, []))
+    def rhs(self) -> Rhs:
+        """The items from here to the end of the input.  Open nodes and
+        calls wait on an explicit stack, so nesting is not limited by the
+        recursion limit."""
+        # one frame per open node or call: (the items it sits in, its label
+        # or state, its kind or input variable, None for a node or a call's
+        # finished slots, the first being its input variable); ``items``
+        # collects the open node's children or the call's open argument
+        frames: List[tuple] = []
+        items: List[object] = []
+        while True:
+            self.skip_ws()
+            c = self.peek()
+            if c == "":
+                if frames:
+                    self.err("expected ')'")
+                return tuple(items)
+            if c == ")" or c == ",":
+                if not frames or c == "," and frames[-1][3] is None:
+                    self.err("unexpected %r" % c)
+                self.pos += 1
+                outer, label, tag, slots = frames[-1]
+                if slots is not None:
+                    slots.append(tuple(items))
+                    if c == ",":
+                        items = []
+                        continue
+                frames.pop()
+                outer.append(Node(label, tag, tuple(items)) if slots is None
+                             else Call(label, tag, tuple(slots[1:])))
+                items = outer
+                continue
+            if c == "#":
+                self.pos += 1
+                items.append(Node(self.quoted(), NodeKind.TEXT))
+                continue
+            kind = NodeKind.ELEMENT
+            if c == "@":
+                self.pos += 1
+                kind = NodeKind.ATTRIBUTE
+                c = self.peek()
+            if c == "%":
+                self.pos += 1
+                word = self.bare()
+                if word != "t":
+                    self.err("unknown %%%s" % word)
+                label, kind = None, NodeKind.ELEMENT
+            elif c == '"':
+                label = self.quoted()
+            else:
+                label = self.bare()
+                self.skip_ws()
+                if self.peek() != "(":
+                    if label[0] == "y" and label[1:].isdigit():
+                        items.append(Param(int(label[1:])))
+                    elif label != "eps":  # eps adds nothing
+                        self.err("bare label %r (parameters are y<i>)"
+                                 % label)
+                    continue
+            self.skip_ws()
+            self.expect("(")
+            self.skip_ws()
+            call = label is not None and _CALL_VAR.match(self.s, self.pos)
+            if call:
+                self.pos = call.end()
+            frames.append((items, label, int(call[1]), []) if call
+                          else (items, label, kind, None))
+            items = []
 
 
 def parse_term(s: str) -> Forest:
-    """Parse term notation; accepts ``eps`` or the empty string for ε."""
-    sc = _TermScanner(s)
-    sc.skip_ws()
-    if sc.s[sc.pos:].strip() == "eps":
-        return ()
-    f = _parse_forest(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.s):
-        raise TermError("trailing input", sc.pos)
+    """Parse the term notation of a forest; ``eps`` or the empty string is
+    ε."""
+    f = ground(_TermScanner(s).rhs())
+    if f is None:
+        raise TermError("a forest has no calls, parameters or %t", 0)
     return f

@@ -8,11 +8,12 @@ guard ``%t`` (any other node), and ``eps`` (the empty forest).  Every state
 must carry exactly one default and one eps rule, which is what makes the
 machine total and deterministic.
 
-Rule right-hand sides are forest expressions: sequences of output nodes
-(whose label may be ``%t`` = "copy the current input label"), parameter
-leaves ``y<i>``, and state calls ``q(x<i>, arg, ...)`` where ``x0`` is the
-current position (a stay move), ``x1`` the children of the matched node and
-``x2`` its following siblings.
+Rule right-hand sides are forest expressions (:data:`mfx.forest.Rhs`):
+sequences of output nodes (whose label may be ``%t`` = "copy the current
+input label"), parameter leaves ``y<i>``, and state calls ``q(x<i>, arg,
+...)`` where ``x0`` is the current position (a stay move), ``x1`` the
+children of the matched node and ``x2`` its following siblings.  The term
+notation lives in :mod:`mfx.forest`; this module re-exports its types.
 
 Rule selection on a forest g: the eps rule if g is empty, else the symbol
 rule for the head label if present, else the text rule if the head is a
@@ -29,36 +30,12 @@ from functools import cached_property
 from operator import is_
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .forest import Forest, NodeKind, Tree, _label_needs_quotes, _quote
-from . import forest as F
+from .forest import (Call, Forest, Node, NodeKind, Param, Rhs, Tree,
+                     _label_needs_quotes, _quote, _TermScanner, print_term)
 
 # ---------------------------------------------------------------------------
 # Right-hand sides
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Node:
-    """Output node; ``label=None`` means %t (copy the current input label)."""
-
-    label: Optional[str]
-    kind: NodeKind = NodeKind.ELEMENT
-    children: "Rhs" = ()
-
-
-@dataclass(frozen=True)
-class Param:
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class Call:
-    state: str
-    var: int  # 0, 1 or 2
-    args: Tuple["Rhs", ...] = ()
-
-
-Rhs = Tuple[object, ...]
 
 
 def rhs_nodes(rhs: Rhs) -> List[object]:
@@ -201,7 +178,7 @@ class Rule:
     def rhs_text(self) -> str:
         """The body in rule-file syntax (see :func:`print_mft`), printed
         once per rule: the optimizer prints its transducer every round."""
-        return _print_rhs(self.rhs)
+        return print_term(self.rhs)
 
 
 class Mft:
@@ -539,10 +516,7 @@ def size(m: Mft) -> int:
 # One rule per line:   q(sigma(x1)x2, y1, y2) -> rhs
 #   guards:  label(x1)x2   |  %t(x1)x2  |  %text(x1)x2  |  eps  |  %
 #   (the % shorthand expands to identical default and eps rules)
-# rhs: space-separated items; q(x0, arg, ...) is a state call (first
-# argument must be x0/x1/x2), label(...) an output node, #"..." a text
-# node, @name(...) an attribute node, %t(...) copies the current label,
-# y<i> a parameter, eps the empty forest.
+# rhs: a rule body in term notation (see mfx.forest).
 # An optional header line "# sigma: a b c" declares extra symbols.
 
 
@@ -552,86 +526,15 @@ class MftSyntaxError(ValueError):
         self.line = line
 
 
-_X_VARS = {"x0": 0, "x1": 1, "x2": 2}
+class _RuleScanner(_TermScanner):
+    """The term reader, raising :class:`MftSyntaxError` with the line."""
 
-
-class _RuleScanner(F._TermScanner):
     def __init__(self, s: str, line: int):
         super().__init__(s)
         self.line = line
 
     def err(self, msg: str):
         raise MftSyntaxError(msg, self.line, self.pos)
-
-
-def _parse_rhs_items(sc: _RuleScanner, stop: str) -> Rhs:
-    items = []
-    while True:
-        sc.skip_ws()
-        c = sc.peek()
-        if c == "" or c in stop:
-            break
-        it = _parse_rhs_item(sc)
-        if it != ():  # a bare "eps" contributes nothing
-            items.append(it)
-    return tuple(items)
-
-
-def _parse_rhs_item(sc: _RuleScanner):
-    c = sc.peek()
-    if c == "#":
-        sc.pos += 1
-        return Node(sc.quoted(), NodeKind.TEXT, ())
-    kind = NodeKind.ELEMENT
-    copy_label = False
-    if c == "@":
-        sc.pos += 1
-        kind = NodeKind.ATTRIBUTE
-        c = sc.peek()
-    if c == "%":
-        sc.pos += 1
-        word = sc.bare()
-        if word != "t":
-            sc.err("unknown %%%s" % word)
-        copy_label = True
-        label = None
-    elif c == '"':
-        label = sc.quoted()
-    else:
-        word = sc.bare()
-        sc.skip_ws()
-        if sc.peek() != "(":
-            # bare word: parameter or eps
-            if word == "eps":
-                return ()
-            if word.startswith("y") and word[1:].isdigit():
-                return Param(int(word[1:]))
-            sc.err("bare label %r (parameters are y<i>)" % word)
-        label = word
-    sc.skip_ws()
-    sc.expect("(")
-    sc.skip_ws()
-    # state call if the first token is an input variable
-    mark = sc.pos
-    if sc.peek() not in ('"', ")", "#", "%", "@"):
-        word = sc.bare()
-        if word in _X_VARS and not copy_label:
-            var = _X_VARS[word]
-            args = []
-            sc.skip_ws()
-            while sc.peek() == ",":
-                sc.pos += 1
-                args.append(_parse_rhs_items(sc, stop=",)"))
-                sc.skip_ws()
-            sc.expect(")")
-            return Call(label, var, tuple(args))
-        sc.pos = mark
-    children = _parse_rhs_items(sc, stop=")")
-    sc.skip_ws()
-    sc.expect(")")
-    if copy_label:
-        return Node(None, NodeKind.ELEMENT, children)
-    return Node(label, kind, children)
 
 
 def parse_mft(text: str) -> Mft:
@@ -707,7 +610,7 @@ def parse_mft(text: str) -> Mft:
         if sc.s[sc.pos:sc.pos + 2] != "->":
             sc.err("expected ->")
         sc.pos += 2
-        rhs = _parse_rhs_items(sc, stop="")
+        rhs = sc.rhs()
         rank = params + 1
         if state in states and states[state] != rank:
             sc.err("state %s used with ranks %d and %d"
@@ -723,69 +626,6 @@ def parse_mft(text: str) -> Mft:
     if initial is None:
         raise MftSyntaxError("no rules", 0)
     return Mft(states, sigma, initial, rules)
-
-
-#: the text of an empty call argument, as an item to print
-_EPS_ARG = ("eps",)
-
-
-def _print_rhs(rhs: Rhs) -> str:
-    """Rule-file text of an rhs, ``eps`` if it is empty.  The sequences
-    being printed wait on an explicit stack, so nesting is not limited by
-    the recursion limit: a frame holds a sequence's items left, the text
-    that closes it, and the separator before its next item.  A call's
-    arguments are one frame each, closed by ``, `` or the call's ``)``;
-    a string item is printed as it is."""
-    if not rhs:
-        return "eps"
-    out: List[str] = []
-    emit = out.append
-    frames: List[tuple] = []
-    items, close, sep = iter(rhs), "", ""
-    while True:
-        for it in items:
-            if sep:
-                emit(sep)
-            sep = " "
-            t = type(it)
-            if t is Param:
-                emit("y%d" % it.index)
-            elif t is Call:
-                args = it.args
-                if not args:
-                    emit("%s(x%d)" % (it.state, it.var))
-                    continue
-                emit("%s(x%d, " % (it.state, it.var))
-                frames.append((items, close, " "))
-                last = len(args) - 1
-                for i in range(last, 0, -1):
-                    frames.append((iter(args[i] or _EPS_ARG),
-                                   ")" if i == last else ", ", ""))
-                items, close, sep = (iter(args[0] or _EPS_ARG),
-                                     ")" if last == 0 else ", ", "")
-                break
-            elif t is str:
-                emit(it)
-            elif it.label is not None and it.kind is NodeKind.TEXT:
-                emit("#" + _quote(it.label))
-            else:
-                if it.label is None:
-                    emit("%t(")
-                else:
-                    emit(("@%s(" if it.kind is NodeKind.ATTRIBUTE else "%s(")
-                         % (_quote(it.label) if _label_needs_quotes(it.label)
-                            else it.label))
-                if not it.children:
-                    emit(")")
-                    continue
-                frames.append((items, close, " "))
-                items, close, sep = iter(it.children), ")", ""
-                break
-        else:
-            emit(close)
-            if not frames:
-                return "".join(out)
-            items, close, sep = frames.pop()
 
 
 def print_mft(m: Mft) -> str:

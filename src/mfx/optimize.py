@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Dict, List, Optional, Set, Tuple
 
-from .forest import Forest, Tree, coalesce_text
+from .forest import Forest, coalesce_text, ground
 from .mft import (Call, Mft, Node, Param, Rhs, Rule, map_rhs, rhs_nodes,
                   rhs_size)
 
@@ -133,18 +133,6 @@ def _drop_params(m: Mft, removed: Set[Tuple[str, int]],
 # ---------------------------------------------------------------------------
 
 
-def _ground_forest(rhs: Rhs) -> Optional[Forest]:
-    out: List[Tree] = []
-    for it in rhs:
-        if not isinstance(it, Node) or it.label is None:
-            return None
-        kids = _ground_forest(it.children)
-        if kids is None:
-            return None
-        out.append(Tree(it.label, it.kind, kids))
-    return tuple(out)
-
-
 def _forest_rhs(f: Forest) -> Rhs:
     return tuple(Node(t.label, t.kind, _forest_rhs(t.children)) for t in f)
 
@@ -168,7 +156,7 @@ def constant_params(m: Mft) -> Mft:
                     continue
                 if rule.state == call.state and arg == (Param(idx),):
                     continue  # passed through unchanged
-                g = _ground_forest(arg)
+                g = ground(arg)
                 if g is None:
                     value[key] = False
                     continue

@@ -72,7 +72,7 @@ import io
 import time
 from dataclasses import dataclass
 from sys import getrefcount
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .forest import NodeKind
 from .mft import (NO_CURRENT_NODE, NO_RULE, STAY_FLOOR, Call, Mft, Node,
@@ -232,38 +232,47 @@ def _leaf_events(label: str, kind: NodeKind) -> tuple:
 def _compile(rhs: Optional[Rhs], copies: set) -> Optional[tuple]:
     if rhs is None:
         return None  # no such rule
-    ops: List[tuple] = []
-    for it in rhs:
-        t = type(it)
-        if t is Param:
-            ops.append((_O_PARAM, it.index - 1))
-        elif t is Call:
-            if it.state in copies:
-                ops.append((_O_CLONE, it.var))
+    # the body and the sequences in it, each after the one it sits in:
+    # compiled in reverse, a sequence finds its parts done, and nesting
+    # is not limited by the recursion limit
+    seqs = [rhs]
+    for seq in seqs:
+        for it in seq:
+            t = type(it)
+            if t is Call:
+                if it.args and it.state not in copies:
+                    seqs.extend([a for a in it.args if len(a) > 1
+                                 or a and type(a[0]) is not Param])
+            elif t is Node and it.children:
+                seqs.append(it.children)
+    done: Dict[int, tuple] = {}  # id of a sequence -> it, compiled
+    for seq in reversed(seqs):
+        ops: List[tuple] = []
+        for it in seq:
+            t = type(it)
+            if t is Param:
+                ops.append((_O_PARAM, it.index - 1))
+            elif t is Call:
+                if it.state in copies:
+                    ops.append((_O_CLONE, it.var))
+                else:
+                    # an argument in a plan: see the comment above
+                    ops.append((_O_CALL, it.state, it.var, tuple([
+                        a[0].index - 1 if len(a) == 1 and type(a[0]) is Param
+                        else done[id(a)] if a else () for a in it.args])))
+            elif it.label is None:
+                ops.append((_O_COPY, done[id(it.children)]
+                            if it.children else None))
+            elif it.kind is _TEXT or not it.children:
+                ops.append((_O_LEAF, _leaf_events(it.label, it.kind)))
             else:
-                ops.append((_O_CALL, it.state, it.var, tuple(
-                    [_compile_arg(a, copies) for a in it.args])))
-        elif it.label is None:
-            ops.append((_O_COPY, _compile(it.children, copies)
-                        if it.children else None))
-        elif it.kind is _TEXT or not it.children:
-            ops.append((_O_LEAF, _leaf_events(it.label, it.kind)))
-        else:
-            ops.append((_O_NODE, _start(it.label, it.kind),
-                        _compile(it.children, copies)))
-    tail = None
-    if len(ops) == 1 and ops[0][0] == _O_CALL and not rhs[0].args:
-        tail = (rhs[0].state, rhs[0].var)
-    return tuple(reversed(ops)), tail
-
-
-def _compile_arg(arg: Rhs, copies: set):
-    """A call argument in a plan: see the comment above."""
-    if not arg:
-        return ()
-    if len(arg) == 1 and type(arg[0]) is Param:
-        return arg[0].index - 1  # pass-through: share the caller's value
-    return _compile(arg, copies)
+                ops.append((_O_NODE, _start(it.label, it.kind),
+                            done[id(it.children)]))
+        tail = None
+        if len(ops) == 1 and ops[0][0] == _O_CALL and not seq[0].args:
+            tail = (seq[0].state, seq[0].var)
+        done[id(seq)] = tuple(reversed(ops)), tail
+    return done[id(rhs)]
 
 
 class _Rows(dict):

@@ -48,11 +48,6 @@ q(eps, y1) -> y1
 """
 
 
-def _rhs(src: str):
-    sc = MF._RuleScanner(src, 1)
-    return MF._parse_rhs_items(sc, stop="")
-
-
 def _pipeline_ok(m1, m2, comp, rng, rounds=5, budget=10):
     for _ in range(rounds):
         f = random_forest(rng, budget=budget)

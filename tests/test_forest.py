@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfx.forest import (NodeKind, Tree, attr, check_forest,
+from mfx.forest import (NodeKind, TermError, Tree, attr, check_forest,
                         coalesce_text, elem, parse_term, print_term,
                         print_tree, text)
 
@@ -35,6 +35,15 @@ def test_term_errors_have_positions():
     with pytest.raises(ValueError) as ei:
         parse_term("a(b(")
     assert "offset" in str(ei.value)
+
+
+def test_terms_read_as_rule_bodies_do():
+    # a forest is a rule body without calls, parameters or %t
+    assert parse_term("a(eps) eps") == (elem("a"),)
+    assert parse_term("a(x1())") == (elem("a", elem("x1")),)
+    for body in ("a(q(x1))", "y1", "%t()"):
+        with pytest.raises(TermError):
+            parse_term(body)
 
 
 @settings(max_examples=60)

@@ -8,9 +8,9 @@ from mfx.bench import CORPUS_QUERIES
 from mfx.compile import compile_query
 from mfx.forest import elem, parse_term, text
 from mfx.gen import generate_bytes
-from mfx.mft import (Call, EPS, Guard, Node, Param, Rule, STAY_FLOOR,
-                     StayBudgetExceeded, classify, evaluate, is_tree_rhs,
-                     parse_mft, print_mft, size, validate)
+from mfx.mft import (Call, EPS, Guard, MftSyntaxError, Node, Param, Rule,
+                     STAY_FLOOR, StayBudgetExceeded, classify, evaluate,
+                     is_tree_rhs, parse_mft, print_mft, size, validate)
 from mfx.optimize import optimize
 from mfx.stream import stream_bytes
 from mfx.xmlio import bytes_to_forest
@@ -197,6 +197,14 @@ def test_roundtrip_random_transducers():
         again = parse_mft(out)
         assert print_mft(again) == out
         assert validate(again) == []
+
+
+def test_rule_file_errors_name_their_line():
+    # an unclosed node, an unterminated string and a stray ")" in a body
+    for bad in ("q(eps) -> a(b()", 'q(eps) -> #"ab', "q(eps) -> a())"):
+        with pytest.raises(MftSyntaxError) as ei:
+            parse_mft("q(%t(x1)x2) -> eps\n" + bad)
+        assert ei.value.line == 2
 
 
 def test_text_guard_checked_before_default():

@@ -406,17 +406,19 @@ def _stay(depth: int) -> Mft:
 
 def test_print_and_optimize_are_not_limited_by_recursion():
     # bodies nested deeper than the recursion limit allows a recursive
-    # printer or a recursive comparison of two bodies, and
+    # printer, reader or comparison of two bodies, and
     # continuation-encoded rules of 200, 1,000 and 5,000 sibling calls
-    for depth in (300, 900):
+    for depth in (300, 900, 5000):
         m = _nested(depth)
         want = ("# sigma: a\nq(%%t(x1)x2) -> %sq(x1)%s\nq(eps) -> eps\n"
                 % ("a(" * depth, ")" * depth))
         assert print_mft(m) == want
         assert print_mft(optimize(m)) == want
+        assert print_mft(parse_mft(print_mft(m))) == print_mft(m)
         # s is a stay state too large to inline
         m = _stay(depth)
         assert print_mft(optimize(m)) == print_mft(m)
+        assert print_mft(parse_mft(print_mft(m))) == print_mft(m)
     for width in (200, 1000, 5000):
         flat = Mft({"q": 1}, {"a"}, "q", {
             ("q", DEFAULT): Rule("q", DEFAULT, (Call("q", 1),) * width),
@@ -425,3 +427,4 @@ def test_print_and_optimize_are_not_limited_by_recursion():
         nested = "q(x1, " * width + "y1" + ")" * width
         assert "q(%%t(x1)x2, y1) -> %s\n" % nested in print_mft(m)
         assert print_mft(optimize(m)) == print_mft(m)
+        assert print_mft(parse_mft(print_mft(m))) == print_mft(m)

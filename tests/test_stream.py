@@ -6,8 +6,9 @@ import pytest
 import mfx.stream
 from mfx.compile import compile_text
 from mfx.forest import elem, text
-from mfx.mft import (EPS, StayBudgetExceeded, TransducerError, evaluate,
-                     parse_mft)
+from mfx.compose import ft_to_mtt
+from mfx.mft import (DEFAULT, EPS, Call, Mft, Node, Rule, StayBudgetExceeded,
+                     TransducerError, evaluate, parse_mft)
 from mfx.optimize import optimize
 from mfx.stream import Engine, EngineError, measure, stream_bytes, stream_run
 from mfx.xmlio import (_CHUNK, EOF, End, StartElement, Text, XmlError,
@@ -162,6 +163,19 @@ def test_deep_documents_stream():
     assert out == b"<out>" + deep + b"</out>"
     # retained nodes track depth
     assert stats.peak_nodes <= 3100
+
+
+def test_deep_and_wide_rule_bodies_stream():
+    # the continuation encoding nests 1,000 sibling calls 1,000 deep in
+    # call arguments; the other body nests output nodes 2,000 deep
+    wide = ft_to_mtt(Mft({"q": 1}, {"a", "b"}, "q", {
+        ("q", DEFAULT): Rule("q", DEFAULT, (Node("b"), Call("q", 1)) * 1000),
+        ("q", EPS): Rule("q", EPS, ())}))
+    deep = parse_mft("q(%%t(x1)x2) -> %sq(x1)%s\nq(eps) -> eps\n"
+                     % ("a(" * 2000, ")" * 2000))
+    for m, xml in ((wide, b"<a/>"), (deep, b"<a><a/></a>")):
+        out = stream_bytes(m, xml)[0]
+        assert out and out == run_bytes(m, bytes_to_forest(xml))
 
 
 def test_suspensions_are_shared(m_person):
