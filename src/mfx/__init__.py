@@ -2,8 +2,8 @@
 
 The package is organised around one value domain and one machine model:
 
-* :mod:`mfx.forest` -- immutable XML forests, and the term notation they
-  share with rule bodies (the rule-body types, one printer, one reader).
+* :mod:`mfx.forest` -- immutable XML forests, whose node class rule
+  bodies share, and their one term notation (one printer, one reader).
 * :mod:`mfx.xmlio` -- the event boundary between concrete XML bytes and
   forests (a small start/text/end event vocabulary).
 * :mod:`mfx.mft` -- macro forest transducers: representation, the rhs

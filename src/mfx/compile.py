@@ -247,7 +247,7 @@ class _ScanGen:
         self.ctx = ctx
         self.auto = auto
         self.m = m           # parameters threaded through the scan
-        self.ys = _args(_ys(m))  # the call arguments passing them on
+        self.ys = _args(_ys(m))  # shared arguments passing them on
         self.q2 = q2         # None for predicate scans (u1/u2 style)
         self.names: Dict[Tuple, str] = {}
         self.preds: Dict[Predicate, str] = {}
@@ -310,7 +310,7 @@ class _ScanGen:
             type(it) is Call and it.state == self.q2 for it in rhs_nodes(rhs))
 
     def eps_rhs(self) -> Rhs:
-        return () if self.q2 is not None else (Param(2),)
+        return () if self.q2 is not None else self.ys[1]
 
     def rhs_for(self, st, cls) -> Rhs:
         pending = [j for j in self.auto.matching_tokens(st, cls)
@@ -353,7 +353,7 @@ class _ScanGen:
                 copy = Node(label, NodeKind.ELEMENT, (Call(COPY_STATE, 1),))
             rhs.append(Call(self.q2, 0, ys + ((copy,),)))
         elif sel:
-            return (Param(1),)  # predicate scan: first hit wins
+            return ys[0]  # predicate scan: first hit wins
         if sel and not down:
             self.state_name((down, True))  # post-match state, never called
         down_name = self.state_name((down, False)) if down else None
@@ -361,18 +361,16 @@ class _ScanGen:
             if self.q2 is not None:
                 rhs.append(Call(down_name, 1, ys))
             else:
-                fail: Rhs = ((Call(self.state_name((right, False)), 2,
-                              ((Param(1),), (Param(2),))),)
-                             if right else (Param(2),))
-                return tuple(rhs) + (Call(down_name, 1, ((Param(1),), fail)),)
+                fail: Rhs = ((Call(self.state_name((right, False)), 2, ys),)
+                             if right else ys[1])
+                return tuple(rhs) + (Call(down_name, 1, (ys[0], fail)),)
         if right:
             if self.q2 is not None:
                 rhs.append(Call(self.state_name((right, False)), 2, ys))
             else:
-                rhs.append(Call(self.state_name((right, False)), 2,
-                                ((Param(1),), (Param(2),))))
+                rhs.append(Call(self.state_name((right, False)), 2, ys))
         if not rhs and self.q2 is None:
-            return (Param(2),)
+            return ys[1]
         return tuple(rhs)
 
     # -- predicates -----------------------------------------------------------

@@ -66,8 +66,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .forest import NodeKind
 from .mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rhs, Rule,
-                  TEXT, is_tree_rhs, map_rhs, positions, rhs_size, size,
-                  validate)
+                  TEXT, is_tree_rhs, map_rhs, positions, rhs_nodes, rhs_size,
+                  sequences, size, validate)
 
 
 def ft_to_mtt(m: Mft) -> Mft:
@@ -81,23 +81,30 @@ def ft_to_mtt(m: Mft) -> Mft:
         init += "_"
     states = {q: 2 for q in m.states}
     states[init] = 1
+    kappa = (Param(1),)  # what follows a body: the continuation y1
 
-    def enc(rhs: Rhs, kappa: Rhs) -> Rhs:
-        # from the last sibling back: a call takes what follows it as its
-        # argument, and the nodes met since go in front of that
-        out, nodes = kappa, []
-        for it in reversed(rhs):
-            if isinstance(it, Node):
-                nodes.append(Node(it.label, it.kind, enc(it.children, ())))
-            elif isinstance(it, Call):
-                out = (Call(it.state, it.var, (tuple(nodes[::-1]) + out,)),)
-                nodes = []
-            else:
-                raise ValueError("parameter in a parameter-free transducer")
-        return tuple(nodes[::-1]) + out
+    def enc(rhs: Rhs) -> Rhs:
+        # bottom up, each sequence from its last item back: a call takes
+        # what follows it as its argument, and the nodes met since go first
+        done: Dict[int, Rhs] = {}  # id of a sequence -> it, encoded
+        for seq in reversed(sequences(rhs)):
+            out, nodes = kappa if seq is rhs else (), []
+            for it in reversed(seq):
+                if type(it) is Node:
+                    nodes.append(Node(it.label, it.kind,
+                                      done[id(it.children)])
+                                 if it.children else it)
+                elif type(it) is Call:
+                    out = (Call(it.state, it.var,
+                                (tuple(nodes[::-1]) + out,)),)
+                    nodes = []
+                else:
+                    raise ValueError(
+                        "parameter in a parameter-free transducer")
+            done[id(seq)] = tuple(nodes[::-1]) + out
+        return done[id(rhs)]
 
-    rules = {k: Rule(r.state, r.guard, enc(r.rhs, (Param(1),)))
-             for k, r in m.rules.items()}
+    rules = {k: Rule(r.state, r.guard, enc(r.rhs)) for k, r in m.rules.items()}
     rules[(init, DEFAULT)] = Rule(init, DEFAULT, (Call(m.initial, 0, ((),)),))
     rules[(init, EPS)] = Rule(init, EPS, (Call(m.initial, 0, ((),)),))
     return Mft(states, m.sigma, init, rules)
@@ -111,8 +118,8 @@ def ft_to_mtt(m: Mft) -> Mft:
 def _instantiate(rhs: Rhs, label: str,
                  kind: NodeKind = NodeKind.ELEMENT) -> Rhs:
     """Replace dynamic-label (``%t``) outputs by a static label of a kind."""
-    return map_rhs(rhs, lambda it, rec: (Node(label, kind, rec(it.children)),)
-                   if isinstance(it, Node) and it.label is None else None)
+    return map_rhs(rhs, lambda it: (Node(label, kind, it.children),)
+                   if type(it) is Node and it.label is None else None)
 
 
 def complete_alphabet(m1: Mft, m2: Mft) -> Mft:
@@ -300,17 +307,19 @@ def _pair(m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
         return 1 + (m1.states[q] - 1) * n + (m2.states[p] - 1)
 
     def name(key: Tuple) -> str:
-        if key not in names:
-            names[key] = w = "%s%d" % (key[0], len(names))
-            states[w] = rank(key)
-            todo.append(key)
-        return names[key]
+        names[key] = w = "%s%d" % (key[0], len(names))
+        states[w] = rank(key)
+        todo.append(key)
+        return w
 
-    def named(it, rec):
-        # a key's first call from a finished rule names it
-        if type(it) is not Call:
-            return None
-        return (Call(name(it.state), it.var, tuple(map(rec, it.args))),)
+    def named(rhs: Rhs) -> Rhs:
+        # a finished body's callees are named in prefix order, then renamed
+        for it in rhs_nodes(rhs):
+            if type(it) is Call and it.state not in names:
+                name(it.state)
+        return map_rhs(rhs, lambda it: (Call(names[it.state], it.var,
+                                             it.args),)
+                       if type(it) is Call else None)
 
     def call(key: Tuple, args: Tuple[Rhs, ...], dup: bool) -> Rhs:
         """A stay call of a walker, or its body with the arguments in
@@ -327,7 +336,7 @@ def _pair(m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
                 return (Call(key, 0, args),)  # keep a shared argument shared
         if args == ys[:len(args)]:
             return body
-        return map_rhs(body, lambda it, rec: args[it.index - 1]
+        return map_rhs(body, lambda it: args[it.index - 1]
                        if type(it) is Param else None)
 
     def walker(key: Tuple) -> Tuple[Rhs, int, Dict[int, int]]:
@@ -359,11 +368,11 @@ def _pair(m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
 
             # m2's moves become walkers at u, u.1 and u.2, and its
             # parameters (only when m1 has none) stay where they are
-            def move(it, rec):
+            def move(it):
                 if type(it) is not Call:
                     return None
                 return call(("w", rkey, u if it.var == 0 else u + (it.var,),
-                             it.state), cp + tuple(map(rec, it.args)),
+                             it.state), cp + it.args,
                             (it.var, it.state) in dup)
 
             rhs = map_rhs(rhs, move)
@@ -397,12 +406,12 @@ def _pair(m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
             _, q, p = key
             ps = ys[:states[w] - 1]
             for rkey in by_state.get(q, ()):
-                rules[(w, rkey[1])] = Rule(w, rkey[1], map_rhs(
-                    call(("w", rkey, (), p), ps, False), named))
+                rules[(w, rkey[1])] = Rule(w, rkey[1], named(
+                    call(("w", rkey, (), p), ps, False)))
             continue
         g = key[1][1]
         # a walker has exactly one live rule
-        rules[(w, g)] = Rule(w, g, map_rhs(walker(key)[0], named))
+        rules[(w, g)] = Rule(w, g, named(walker(key)[0]))
         for pad in (DEFAULT, EPS):
             if g.kind != pad.kind:
                 rules[(w, pad)] = Rule(w, pad, ())

@@ -4,7 +4,7 @@ A forest is an ordered, possibly empty sequence of trees.  Every node is
 labeled by a non-empty string, and no label is reserved; text and
 attribute nodes are ordinary trees tagged with a :class:`NodeKind`.  A
 text node has no children, an attribute node has exactly one text child.
-Forests are plain tuples of :class:`Tree` values and are immutable, so
+Forests are plain tuples of :class:`Node` values and are immutable, so
 they can be shared freely.
 
 A transducer rule's right-hand side (:data:`Rhs`) is a forest expression,
@@ -13,8 +13,10 @@ term notation (``a(b() #"hi")``, ``%t(q(x1, y1)) q(x2)``), one printer,
 :func:`print_term`, and one reader, which :func:`parse_term` and
 :func:`mfx.mft.parse_mft` use.
 
-Equality, hashing, :func:`check_forest`, :func:`coalesce_text`, the
-printer and the reader walk an explicit stack, so the recursion limit
+A forest's nodes and a rule body's output nodes are one class,
+:class:`Node`, so a forest is a rule body as it is and :func:`ground`
+only checks that a body is one.  Equality, hashing, :func:`coalesce_text`,
+the printer and the reader walk an explicit stack, so the recursion limit
 does not bound the depth they handle.
 """
 
@@ -33,44 +35,29 @@ class NodeKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Tree:
-    """One node and its subtree.  ``children`` is a Forest (tuple of Tree)."""
+class Node:
+    """A node and its subtree: a forest's node, whose ``children`` is a
+    forest, or an output node of a rule body, whose ``children`` is an
+    :data:`Rhs` and whose ``label=None`` means %t (copy the current input
+    label)."""
 
-    label: str
+    label: Optional[str]
     kind: NodeKind = NodeKind.ELEMENT
-    children: "Forest" = ()
+    children: "Rhs" = ()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tree):
+    def __eq__(self, other) -> bool:  # a call's too
+        if type(other) is not type(self):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is not b:
-                if (a.label != b.label or a.kind is not b.kind
-                        or len(a.children) != len(b.children)):
-                    return False
-                stack.extend(zip(a.children, b.children))
-        return True
+        return _same([((self,), (other,))])
 
     def __hash__(self) -> int:  # of what __eq__ compares
         return hash(print_term((self,)))
 
     def __repr__(self) -> str:  # compact, term-ish
-        return "Tree(%s)" % print_term((self,))
+        return "%s(%s)" % (type(self).__name__, print_term((self,)))
 
 
-Forest = Tuple[Tree, ...]
-
-
-@dataclass(frozen=True)
-class Node:
-    """Output node of a rule body; ``label=None`` means %t (copy the
-    current input label)."""
-
-    label: Optional[str]
-    kind: NodeKind = NodeKind.ELEMENT
-    children: "Rhs" = ()
+Forest = Tuple[Node, ...]
 
 
 @dataclass(frozen=True)
@@ -84,20 +71,52 @@ class Call:
     var: int  # 0, 1 or 2
     args: Tuple["Rhs", ...] = ()
 
+    __eq__, __hash__, __repr__ = Node.__eq__, Node.__hash__, Node.__repr__
+
+
+def _same(todo: List[tuple]) -> bool:
+    """Whether each pair of sequences in ``todo`` holds equal items; the
+    pairs still to compare wait on this stack, not on the recursion."""
+    while todo:
+        xs, ys = todo.pop()
+        if len(xs) != len(ys):
+            return False
+        for a, b in zip(xs, ys):
+            if a is b:
+                continue
+            t = type(a)
+            if t is not type(b):
+                return False
+            if t is Node:
+                if a.label != b.label or a.kind is not b.kind:
+                    return False
+                if a.children is not b.children:
+                    todo.append((a.children, b.children))
+            elif t is Call:
+                if a.state != b.state or a.var != b.var:
+                    return False
+                if a.args is not b.args:
+                    todo.append((a.args, b.args))
+            elif t is tuple:
+                todo.append((a, b))
+            elif a.index != b.index:  # two parameters
+                return False
+    return True
+
 
 Rhs = Tuple[object, ...]
 
 
-def elem(label: str, *children: Tree) -> Tree:
-    return Tree(label, NodeKind.ELEMENT, tuple(children))
+def elem(label: str, *children: Node) -> Node:
+    return Node(label, NodeKind.ELEMENT, tuple(children))
 
 
-def text(content: str) -> Tree:
-    return Tree(content, NodeKind.TEXT, ())
+def text(content: str) -> Node:
+    return Node(content, NodeKind.TEXT, ())
 
 
-def attr(name: str, value: str) -> Tree:
-    return Tree(name, NodeKind.ATTRIBUTE, (text(value),))
+def attr(name: str, value: str) -> Node:
+    return Node(name, NodeKind.ATTRIBUTE, (text(value),))
 
 
 def node_count(f: Forest) -> int:
@@ -109,46 +128,6 @@ def node_count(f: Forest) -> int:
         total += 1
         stack.extend(t.children)
     return total
-
-
-def check_forest(f: Forest) -> list:
-    """Structural invariant check; returns a list of violation messages.
-
-    Checked: non-empty labels, text nodes are leaves, attribute nodes have
-    exactly one text child, no two adjacent text siblings.
-    Text content read from XML attribute values may be empty, so emptiness
-    is only enforced for element and attribute labels.
-    """
-    problems = []
-    # one frame per open level: its path and the children left to check
-    stack = [("", enumerate(f))]
-    prev_text = False
-    while stack:
-        path, todo = stack[-1]
-        for i, t in todo:
-            where = "%s[%d]" % (path, i)
-            if t.kind is NodeKind.TEXT:
-                if t.children:
-                    problems.append("%s: text node with children" % where)
-                if prev_text:
-                    problems.append("%s: adjacent text siblings" % where)
-                prev_text = True
-                continue
-            prev_text = False
-            if not t.label:
-                problems.append("%s: empty label" % where)
-            if t.kind is NodeKind.ATTRIBUTE:
-                ok = len(t.children) == 1 and t.children[0].kind is NodeKind.TEXT
-                if not ok:
-                    problems.append(
-                        "%s: attribute must have exactly one text child" % where
-                    )
-            stack.append((where + "/" + t.label, enumerate(t.children)))
-            break
-        else:
-            stack.pop()
-            prev_text = False
-    return problems
 
 
 def coalesce_text(f: Forest) -> Forest:
@@ -176,27 +155,20 @@ def coalesce_text(f: Forest) -> Forest:
             stack.pop()
             if node is None:
                 return tuple(out)
-            parent_out.append(Tree(node.label, node.kind, tuple(out)))
+            parent_out.append(Node(node.label, node.kind, tuple(out)))
 
 
 def ground(rhs: Rhs) -> Optional[Forest]:
-    """The forest a rule body denotes if it has no calls, parameters or
-    ``%t`` nodes, else None."""
-    # one frame per open node: (its items left, its trees so far, the node);
-    # the root frame has no node
-    stack = [(iter(rhs), [], None)]
-    while True:
-        items, out, node = stack[-1]
-        for it in items:
+    """The body itself if it is a forest (it has no calls, parameters or
+    ``%t`` nodes), else None."""
+    seqs = [rhs]
+    while seqs:
+        for it in seqs.pop():
             if type(it) is not Node or it.label is None:
                 return None
-            stack.append((iter(it.children), [], it))
-            break
-        else:
-            stack.pop()
-            if node is None:
-                return tuple(out)
-            stack[-1][1].append(Tree(node.label, node.kind, tuple(out)))
+            if it.children:
+                seqs.append(it.children)
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +205,8 @@ def _quote(label: str) -> str:
     return '"%s"' % label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def print_tree(t: Tree) -> str:
-    return print_term((t,))
-
-
 def print_term(rhs: Rhs) -> str:
-    """Term notation of a rule body or a forest (a :class:`Tree` prints
-    as the :class:`Node` with its fields), ``eps`` if it is empty.  The
+    """Term notation of a rule body or a forest, ``eps`` if it is empty.  The
     sequences being printed wait on an explicit stack, so nesting is not
     limited by the recursion limit: a frame holds a sequence's items left,
     the text that closes it, and the separator before its next item.  A

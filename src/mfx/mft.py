@@ -27,10 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import is_
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .forest import (Call, Forest, Node, NodeKind, Param, Rhs, Tree,
+from .forest import (Call, Forest, Node, NodeKind, Param, Rhs,
                      _label_needs_quotes, _quote, _TermScanner, print_term)
 
 # ---------------------------------------------------------------------------
@@ -80,37 +79,81 @@ def positions(rhs: Rhs) -> Iterator[Tuple[Tuple[int, ...], Rhs]]:
                                    for j, a in enumerate(head.args, 2)]))
 
 
-def map_rhs(rhs: Rhs, fn) -> Rhs:
-    """Rebuild an rhs item by item.  ``fn(item, rec)`` returns the items
-    that replace ``item``, or None to keep it with its children and call
-    arguments rebuilt by ``rec`` (which maps an rhs the same way).  A
-    sequence in which nothing changed is returned as it is, not copied."""
-
-    def rec(seq: Rhs) -> Rhs:
-        out: List = []
-        same = True
+def sequences(rhs: Rhs) -> List[Rhs]:
+    """The rhs and its nested sequences (a node's children, a call's
+    arguments but for an empty one and one parameter, which the stream
+    compiler plans by its index), each after the one it sits in."""
+    seqs = [rhs]
+    add = seqs.append
+    for seq in seqs:
         for it in seq:
-            got = fn(it, rec)
-            if got is not None:
-                out.extend(got)
-                same = False
-                continue
             t = type(it)
             if t is Node:
                 if it.children:
-                    kids = rec(it.children)
-                    if kids is not it.children:
-                        it = Node(it.label, it.kind, kids)
-                        same = False
-            elif t is Call and it.args:
-                args = tuple(map(rec, it.args))
-                if not all(map(is_, args, it.args)):
-                    it = Call(it.state, it.var, args)
-                    same = False
-            out.append(it)
-        return seq if same else tuple(out)
+                    add(it.children)
+            elif t is Call:
+                for a in it.args:
+                    if len(a) > 1 or a and type(a[0]) is not Param:
+                        add(a)
+    return seqs
 
-    return rec(rhs)
+
+def map_rhs(rhs: Rhs, fn) -> Rhs:
+    """Rebuild an rhs bottom up.  ``fn(item)`` gets each item with its
+    children and call arguments already rebuilt, and returns the items
+    that replace it, or None to keep it.  A sequence in which nothing
+    changed is kept, not copied.  One pass meets the items in the order a
+    recursive walk would, each after the ones nested in it."""
+    # a frame per sequence waiting on a nested one: (its items left, it,
+    # its items so far, whether they changed, the node or call rebuilt, or
+    # None for an argument); a call's arguments are one more sequence
+    frames: List[tuple] = []
+    items, seq, out, changed = iter(rhs), rhs, [], False
+    while True:
+        for it in items:
+            t = type(it)
+            if t is tuple:  # a call argument
+                if len(it) == 1 and type(it[0]) is Param:
+                    got = fn(it[0])  # a pass-through, mapped in place
+                    if got is not None:
+                        it, changed = tuple(got), True
+                elif it:
+                    frames.append((items, seq, out, changed, None))
+                    items, seq, out, changed = iter(it), it, [], False
+                    break
+                out.append(it)
+                continue
+            sub = it.children if t is Node else it.args if t is Call else None
+            if sub:
+                frames.append((items, seq, out, changed, it))
+                items, seq, out, changed = iter(sub), sub, [], False
+                break
+            got = fn(it)
+            if got is None:
+                out.append(it)
+            else:
+                out.extend(got)
+                changed = True
+        else:
+            new = tuple(out) if changed else seq
+            if not frames:
+                return new
+            inner = changed
+            items, seq, out, changed, it = frames.pop()
+            if it is None:  # a call argument
+                out.append(new)
+                changed = changed or inner
+                continue
+            if inner:
+                it = (Node(it.label, it.kind, new) if type(it) is Node
+                      else Call(it.state, it.var, new))
+            got = fn(it)
+            if got is None:
+                out.append(it)
+                changed = changed or inner
+            else:
+                out.extend(got)
+                changed = True
 
 
 def rhs_size(rhs: Rhs) -> int:
@@ -386,7 +429,7 @@ def evaluate(m: Mft, f: Forest) -> Forest:
     budget = None  # stay_budget(m), once a stay run passes STAY_FLOOR
     table = dispatch_table(m)
 
-    out: List[Tree] = []
+    out: List[Node] = []
     # ops: ("seq", rhs, env, acc) expand items in order into acc
     #      ("item", item, env, acc) expand one item into acc
     #      ("close", label, kind, child_acc, acc) wrap finished children
@@ -404,7 +447,7 @@ def evaluate(m: Mft, f: Forest) -> Forest:
             if isinstance(it, Param):
                 v = env.params[it.index - 1]
                 if type(v) is _Thunk and v.value is None:
-                    value_acc: List[Tree] = []
+                    value_acc: List[Node] = []
                     stack.append(("memo", v, value_acc, acc))
                     stack.append(("seq", v.rhs, v.env, value_acc))
                 else:
@@ -417,7 +460,7 @@ def evaluate(m: Mft, f: Forest) -> Forest:
                     label, kind = head.label, head.kind
                 else:
                     label, kind = it.label, it.kind
-                child_acc: List[Tree] = []
+                child_acc: List[Node] = []
                 stack.append(("close", label, kind, child_acc, acc))
                 stack.append(("seq", it.children, env, child_acc))
             else:
@@ -441,7 +484,7 @@ def evaluate(m: Mft, f: Forest) -> Forest:
                 stack.append(("apply", it.state, g, i, params, acc, stay))
         elif tag == "close":
             _, label, kind, child_acc, acc = op
-            acc.append(Tree(label, kind, tuple(child_acc)))
+            acc.append(Node(label, kind, tuple(child_acc)))
         elif tag == "memo":
             _, thunk, value_acc, acc = op
             thunk.value, thunk.env = tuple(value_acc), None

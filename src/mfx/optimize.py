@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Dict, List, Optional, Set, Tuple
 
-from .forest import Forest, coalesce_text, ground
+from .forest import coalesce_text, ground
 from .mft import (Call, Mft, Node, Param, Rhs, Rule, map_rhs, rhs_nodes,
                   rhs_size)
 
@@ -99,18 +99,18 @@ def _drop_params(m: Mft, removed: Set[Tuple[str, int]],
     def rw(rhs: Rhs, q: str) -> Rhs:
         nums = renum.get(q)
 
-        def drop(it, rec):
+        def drop(it):
             t = type(it)
             if t is Param:
                 if nums is None or nums.get(it.index) == it.index:
                     return None
                 if (q, it.index) not in removed:
                     return (Param(nums[it.index]),)
-                return rec(replacement[(q, it.index)]) if replacement else ()
+                return replacement[(q, it.index)] if replacement else ()
             if t is Call and it.state in touched:
                 return (Call(it.state, it.var,
-                             tuple(rec(a) for idx, a in enumerate(it.args, 1)
-                                   if (it.state, idx) not in removed)),)
+                             tuple([a for idx, a in enumerate(it.args, 1)
+                                    if (it.state, idx) not in removed])),)
             return None
 
         return map_rhs(rhs, drop)
@@ -133,10 +133,6 @@ def _drop_params(m: Mft, removed: Set[Tuple[str, int]],
 # ---------------------------------------------------------------------------
 
 
-def _forest_rhs(f: Forest) -> Rhs:
-    return tuple(Node(t.label, t.kind, _forest_rhs(t.children)) for t in f)
-
-
 def constant_params(m: Mft) -> Mft:
     """Remove parameters that every call instantiates with one fixed ground
     forest (or passes through unchanged within the same state), replacing
@@ -156,11 +152,10 @@ def constant_params(m: Mft) -> Mft:
                     continue
                 if rule.state == call.state and arg == (Param(idx),):
                     continue  # passed through unchanged
-                g = ground(arg)
-                if g is None:
+                if ground(arg) is None:
                     value[key] = False
                     continue
-                g = coalesce_text(g)
+                g = coalesce_text(arg)
                 if value[key] is None:
                     value[key] = g
                 elif value[key] != g:
@@ -169,8 +164,7 @@ def constant_params(m: Mft) -> Mft:
                if v is not None and v is not False}
     if not removed:
         return m
-    replacement = {k: _forest_rhs(value[k]) for k in removed}
-    return _drop_params(m, removed, replacement)
+    return _drop_params(m, removed, {k: value[k] for k in removed})
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +175,11 @@ _INLINE_SIZE_LIMIT = 32
 
 
 def _substitute(body: Rhs, var: int, args: Tuple[Rhs, ...]) -> Rhs:
-    def sub(it, rec):
+    def sub(it):
         if type(it) is Param:
             return args[it.index - 1]
         if type(it) is Call:
-            return (Call(it.state, var, tuple(rec(a) for a in it.args)),)
+            return (Call(it.state, var, it.args),)
         return None
 
     return map_rhs(body, sub)
@@ -210,14 +204,11 @@ def remove_stay_moves(m: Mft, warn=None) -> Mft:
 
     def stay_rule(q: str) -> Optional[Rule]:
         """The default rule of a pure stay state: exactly one default and
-        one eps rule, identical, x0-only calls, no dynamic-label output.
-        Separate bodies are compared as printed: ``==`` recurses on their
-        nesting."""
+        one eps rule, identical, x0-only calls, no dynamic-label output."""
         pair = [rules[key] for key in rules_of.get(q, ())]
         if (q == m.initial or len(pair) != 2
                 or {r.guard.kind for r in pair} != {"default", "eps"}
-                or pair[0].rhs is not pair[1].rhs
-                and pair[0].rhs_text != pair[1].rhs_text):
+                or pair[0].rhs != pair[1].rhs):
             return None
         for it in rhs_nodes(pair[0].rhs):
             t = type(it)
@@ -248,10 +239,9 @@ def remove_stay_moves(m: Mft, warn=None) -> Mft:
                 return m
             return Mft(states, m.sigma, m.initial, rules)
 
-        def inline(it, rec):
+        def inline(it):
             if type(it) is Call and it.state == q:
-                return _substitute(stay.rhs, it.var,
-                                   tuple(rec(a) for a in it.args))
+                return _substitute(stay.rhs, it.var, it.args)
             return None
 
         done: Dict[int, Tuple[Rhs, Rhs]] = {}  # id of a body -> it, rewritten

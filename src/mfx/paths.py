@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Tuple
 
-from .forest import Forest, NodeKind, Tree
+from .forest import Forest, Node, NodeKind
 from .xquery import NodeTest, Predicate, Step
 
 State = FrozenSet[int]
@@ -99,7 +99,7 @@ class Numbering:
 
     def __init__(self, forest: Forest):
         self.forest = forest
-        trees: List[Optional[Tree]] = [None]
+        trees: List[Optional[Node]] = [None]
         parent, end = [0], [0]
         # one frame per open node: its number and its children left to read
         stack = [(0, iter(forest))]

@@ -77,7 +77,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .forest import NodeKind
 from .mft import (NO_CURRENT_NODE, NO_RULE, STAY_FLOOR, Call, Mft, Node,
                   Param, Rhs, StayBudgetExceeded, TransducerError,
-                  dispatch_table, stay_budget)
+                  dispatch_table, sequences, stay_budget)
 from .xmlio import (END, EOF, Eof, EventSink, StartAttribute, StartElement,
                     Text, XmlEvent, push, read_events, sink_to, step_args)
 
@@ -232,21 +232,10 @@ def _leaf_events(label: str, kind: NodeKind) -> tuple:
 def _compile(rhs: Optional[Rhs], copies: set) -> Optional[tuple]:
     if rhs is None:
         return None  # no such rule
-    # the body and the sequences in it, each after the one it sits in:
-    # compiled in reverse, a sequence finds its parts done, and nesting
-    # is not limited by the recursion limit
-    seqs = [rhs]
-    for seq in seqs:
-        for it in seq:
-            t = type(it)
-            if t is Call:
-                if it.args and it.state not in copies:
-                    seqs.extend([a for a in it.args if len(a) > 1
-                                 or a and type(a[0]) is not Param])
-            elif t is Node and it.children:
-                seqs.append(it.children)
+    # compiled bottom up (see mft.sequences), a sequence finds its parts
+    # done, and nesting is not limited by the recursion limit
     done: Dict[int, tuple] = {}  # id of a sequence -> it, compiled
-    for seq in reversed(seqs):
+    for seq in reversed(sequences(rhs)):
         ops: List[tuple] = []
         for it in seq:
             t = type(it)

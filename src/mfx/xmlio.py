@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, List, Optional, Union
 
-from .forest import Forest, NodeKind, Tree
+from .forest import Forest, Node, NodeKind
 
 _CHUNK = 4096
 
@@ -224,7 +224,7 @@ def push(src: Union[XmlReader, Iterable[XmlEvent]], step: Step) -> None:
 def build_forest(src: Union[XmlReader, Iterable[XmlEvent]]) -> Forest:
     """Materialise a reader, or an event stream up to its ``Eof``, as a
     forest.  Raises on unbalanced input."""
-    root: List[Tree] = []
+    root: List[Node] = []
     # stack of (label, kind, children-list) for open nodes
     stack: List[tuple] = []
 
@@ -234,11 +234,11 @@ def build_forest(src: Union[XmlReader, Iterable[XmlEvent]]) -> Forest:
                 raise XmlError("unbalanced events: End with no open node")
             label, kind, children = stack.pop()
             if kind is _ATTRIBUTE and not children:
-                children = [Tree("", _TEXT, ())]
+                children = [Node("", _TEXT, ())]
             (stack[-1][2] if stack else root).append(
-                Tree(label, kind, tuple(children)))
+                Node(label, kind, tuple(children)))
         elif kind is _TEXT:
-            (stack[-1][2] if stack else root).append(Tree(label, _TEXT, ()))
+            (stack[-1][2] if stack else root).append(Node(label, _TEXT, ()))
         else:
             stack.append((label, kind, []))
         return True

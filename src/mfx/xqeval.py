@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Union
 
-from .forest import Forest, NodeKind, Tree
+from .forest import Forest, Node, NodeKind
 from .paths import Numbering, select_ctx
 from .xquery import Element, For, Let, PathExpr, Sequence, StringLit
 
@@ -38,14 +38,14 @@ def _anchor(env: Dict[str, Value], var: str) -> int:
 
 def _eval(q, env: Dict[str, Value], doc: Numbering) -> Forest:
     if isinstance(q, Element):
-        kids: List[Tree] = []
+        kids: List[Node] = []
         for c in q.children:
             kids.extend(_eval(c, env, doc))
-        return (Tree(q.name, NodeKind.ELEMENT, tuple(kids)),)
+        return (Node(q.name, NodeKind.ELEMENT, tuple(kids)),)
     if isinstance(q, StringLit):
-        return (Tree(q.value, NodeKind.TEXT, ()),)
+        return (Node(q.value, NodeKind.TEXT, ()),)
     if isinstance(q, Sequence):
-        out: List[Tree] = []
+        out: List[Node] = []
         for c in q.items:
             out.extend(_eval(c, env, doc))
         return tuple(out)

@@ -6,15 +6,15 @@ import pytest
 
 from mfx.bench import CORPUS_QUERIES
 from mfx.compile import compile_query
-from mfx.forest import NodeKind, Tree, parse_term
+from mfx.forest import NodeKind, parse_term
 from mfx.mft import Call, Node, classify, evaluate, parse_mft, validate
 from mfx.optimize import optimize, reachable_states, remove_unreachable
 from mfx.xquery import parse_query
 from mfx.compose import compose, ft_to_mtt
 import mfx.mft as MF
 
-from util import (canonical_mft, necessary_params_oracle, random_forest,
-                  random_ft, random_mft, random_tt, run_bytes)
+from util import (canonical_mft, eval_events, necessary_params_oracle,
+                  random_forest, random_ft, random_mft, random_tt, run_bytes)
 
 CHAIN_TT = """\
 q0(a(x1)x2) -> b(b(b(b(q0(x1)))))
@@ -171,6 +171,46 @@ def test_randomized_pipeline_equivalence(mode, gen1, gen2):
     assert worst_ratio < 4.0, (mode, worst_ratio)
 
 
+def _copy_draw(mode: str, n: int):
+    """Draw ``random.Random(n)`` of the ``copies`` generators for a mode:
+    the two operands, their product and the rng the forests come from."""
+    make = {"tt": random_tt, "ft": random_ft,
+            "mtt": lambda rng, copies: random_mft(rng, True, copies=copies)}
+    rng = random.Random(n)
+    m1, m2 = (make[kind](rng, True) for kind in mode.split("-"))
+    return m1, m2, compose(m1, m2, mode)[0], rng
+
+
+def _copy_draw_ok(mode: str, n: int) -> bool:
+    # output events, not bytes: an attribute may land after content, which
+    # does not serialise
+    m1, m2, comp, rng = _copy_draw(mode, n)
+    assert validate(comp) == []
+    for _ in range(4):
+        f = random_forest(rng, budget=8, attrs=True)
+        if eval_events(comp, f) != eval_events(m2, evaluate(m1, f)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("mode", ["tt-tt", "mtt-tt", "tt-mtt", "mtt-ft",
+                                  "tt-ft", "ft-tt"])
+def test_pipeline_equivalence_with_copies_and_attributes(mode):
+    # draws whose default and text rules copy with %t and whose output
+    # elements may start with an attribute, over inputs with attributes
+    for n in range(40):
+        assert _copy_draw_ok(mode, n), (mode, n)
+
+
+@pytest.mark.xfail(strict=True, reason="alphabet completion instantiates "
+                   "m1's %t under a symbol guard as an element, also where "
+                   "the input node is an attribute")
+def test_copied_attribute_keeps_its_kind_through_composition():
+    # m1's default rule copies an input attribute @a; complete_alphabet
+    # gives m1 a symbol rule for a (m2 has one) that outputs an element a
+    assert _copy_draw_ok("tt-tt", 207)
+
+
 def test_fused_ft_tt_evaluates_unused_parameter_copies_lazily():
     # draw 7 of random.Random(9), third forest: the fused transducer has
     # 18 states, and no rule reads most of their parameter copies
@@ -228,7 +268,7 @@ p(eps, y1) -> y1
     def chain(n):
         f = ()
         for _ in range(n):
-            f = (Tree("a", NodeKind.ELEMENT, f),)
+            f = (Node("a", NodeKind.ELEMENT, f),)
         return f
 
     f = chain(4)

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfx.forest import (NodeKind, TermError, Tree, attr, check_forest,
-                        coalesce_text, elem, parse_term, print_term,
-                        print_tree, text)
+from mfx.forest import (Node, NodeKind, TermError, attr, coalesce_text, elem,
+                        parse_term, print_term, text)
 
-from util import random_forest
+from util import check_forest, random_forest
 
 
 def test_term_examples():
@@ -56,7 +55,7 @@ def test_term_roundtrip_random(seed):
 def test_check_forest_flags_violations():
     ok = (elem("a", text("x"), elem("b")),)
     assert check_forest(ok) == []
-    bad = (Tree("t", NodeKind.TEXT, (elem("a"),)),)
+    bad = (Node("t", NodeKind.TEXT, (elem("a"),)),)
     assert check_forest(bad)
     adjacent = (elem("a", text("x"), text("y")),)
     assert check_forest(adjacent)
@@ -89,25 +88,24 @@ def test_tree_equality_is_structural_at_any_depth():
     assert deep != _chain(5000, (elem("x"),))
     assert deep != _chain(5000, (text("x"), text("x")))
     assert deep != _chain(4999, (text("x"),))
-    assert elem("a") != "a" and elem("a") == Tree("a")
+    assert elem("a") != "a" and elem("a") == Node("a")
     assert hash(elem("a", text("x"))) == hash(elem("a", text("x")))
 
 
 def test_helpers_handle_a_5000_deep_chain():
     t = text("x")
     for k in range(5000):
-        t = Tree("n", NodeKind.ATTRIBUTE if k == 0 else NodeKind.ELEMENT,
+        t = Node("n", NodeKind.ATTRIBUTE if k == 0 else NodeKind.ELEMENT,
                  (t,))
     want = "n(" * 4999 + '@n(#"x")' + ")" * 4999
     assert print_term((t,)) == want
-    assert print_tree(t) == want
-    assert repr(t) == "Tree(%s)" % want
+    assert repr(t) == "Node(%s)" % want
     assert check_forest((t,)) == []
-    bad = Tree("n", NodeKind.ELEMENT, (t, text("a"), text("b")))
+    bad = Node("n", NodeKind.ELEMENT, (t, text("a"), text("b")))
     assert check_forest((bad,)) == ["[0]/n[2]: adjacent text siblings"]
     twin = text("x")
     for k in range(5000):
-        twin = Tree("n", NodeKind.ATTRIBUTE if k == 0 else NodeKind.ELEMENT,
+        twin = Node("n", NodeKind.ATTRIBUTE if k == 0 else NodeKind.ELEMENT,
                     (twin,))
     assert twin == t and hash(twin) == hash(t)
     assert len({t, twin, bad}) == 2

@@ -3,8 +3,8 @@ import random
 
 from mfx.forest import elem
 from mfx.compose import ft_to_mtt
-from mfx.mft import (DEFAULT, EPS, Call, Mft, Node, Rule, classify, evaluate,
-                     parse_mft, print_mft, size, validate)
+from mfx.mft import (DEFAULT, EPS, Call, Mft, Node, Param, Rule, classify,
+                     evaluate, parse_mft, print_mft, size, validate)
 from mfx.optimize import (constant_params, necessary_params, optimize,
                           reachable_states, remove_stay_moves,
                           remove_unreachable, unused_params)
@@ -404,10 +404,25 @@ def _stay(depth: int) -> Mft:
         ("s", EPS): Rule("s", EPS, body())})
 
 
+def _constant(depth: int) -> Mft:
+    """A parameter of q that its one call site passes a constant forest,
+    ``depth`` a-nodes deep, and that q reads and passes on."""
+    const = (Node("b"),)
+    for _ in range(depth):
+        const = (Node("a", children=const),)
+    return Mft({"i": 1, "q": 2}, {"a", "b"}, "i", {
+        ("i", DEFAULT): Rule("i", DEFAULT, (Call("q", 1, (const,)),)),
+        ("i", EPS): Rule("i", EPS, ()),
+        ("q", DEFAULT): Rule("q", DEFAULT, (Param(1), Call("q", 2, (
+            (Param(1),),)))),
+        ("q", EPS): Rule("q", EPS, ())})
+
+
 def test_print_and_optimize_are_not_limited_by_recursion():
     # bodies nested deeper than the recursion limit allows a recursive
-    # printer, reader or comparison of two bodies, and
-    # continuation-encoded rules of 200, 1,000 and 5,000 sibling calls
+    # printer, reader, comparison or rewriter of bodies (the
+    # continuation encoding included), and continuation-encoded rules of
+    # 200, 1,000 and 5,000 sibling calls
     for depth in (300, 900, 5000):
         m = _nested(depth)
         want = ("# sigma: a\nq(%%t(x1)x2) -> %sq(x1)%s\nq(eps) -> eps\n"
@@ -415,10 +430,22 @@ def test_print_and_optimize_are_not_limited_by_recursion():
         assert print_mft(m) == want
         assert print_mft(optimize(m)) == want
         assert print_mft(parse_mft(print_mft(m))) == print_mft(m)
+        body = m.rules[("q", DEFAULT)].rhs
+        twin = _nested(depth).rules[("q", DEFAULT)].rhs
+        assert body == twin and body != _nested(depth - 1).rules[
+            ("q", DEFAULT)].rhs
+        assert ("q(%%t(x1)x2, y1) -> %sq(x1, eps)%s y1\n"
+                % ("a(" * depth, ")" * depth)) in print_mft(ft_to_mtt(m))
         # s is a stay state too large to inline
         m = _stay(depth)
         assert print_mft(optimize(m)) == print_mft(m)
         assert print_mft(parse_mft(print_mft(m))) == print_mft(m)
+    for depth in (2000, 5000):
+        # the constant is substituted for the parameter it fills
+        assert print_mft(optimize(_constant(depth))) == (
+            "# sigma: a b\ni(%%t(x1)x2) -> q(x1)\ni(eps) -> eps\n"
+            "q(%%t(x1)x2) -> %sb()%s q(x2)\nq(eps) -> eps\n"
+            % ("a(" * depth, ")" * depth))
     for width in (200, 1000, 5000):
         flat = Mft({"q": 1}, {"a"}, "q", {
             ("q", DEFAULT): Rule("q", DEFAULT, (Call("q", 1),) * width),

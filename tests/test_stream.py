@@ -6,7 +6,7 @@ import pytest
 import mfx.stream
 from mfx.compile import compile_text
 from mfx.forest import elem, text
-from mfx.compose import ft_to_mtt
+from mfx.compose import compose, ft_to_mtt
 from mfx.mft import (DEFAULT, EPS, Call, Mft, Node, Rule, StayBudgetExceeded,
                      TransducerError, evaluate, parse_mft)
 from mfx.optimize import optimize
@@ -16,7 +16,8 @@ from mfx.xmlio import (_CHUNK, EOF, End, StartElement, Text, XmlError,
                        read_events, sink_to)
 
 from conftest import DOC1, DOC2
-from util import random_forest, random_ft, random_mft, random_tt, run_bytes
+from util import (engine_events, eval_events, random_forest, random_ft,
+                  random_mft, random_tt, run_bytes)
 
 IDENTITY_QUERY = "<out>{$input/node()}</out>"
 
@@ -76,6 +77,19 @@ def test_stream_equals_evaluate_on_random_inputs():
             out = io.BytesIO()
             stream_run(m, iter(list(forest_events(f)) + [EOF]), sink_to(out))
             assert out.getvalue() == want
+
+
+def test_stream_equals_evaluate_with_copies_and_attributes():
+    # %t outputs in default and text rules, output elements that start
+    # with an attribute, inputs with attributes; compared as events, since
+    # an attribute may land after content
+    for n in range(40):
+        rng = random.Random(n)
+        for m in (random_mft(rng, copies=True), random_tt(rng, True),
+                  random_ft(rng, True)):
+            for _ in range(3):
+                f = random_forest(rng, budget=10, attrs=True)
+                assert engine_events(m, f) == eval_events(m, f), n
 
 
 def test_stream_equals_evaluate_on_compiled_queries():
@@ -167,13 +181,18 @@ def test_deep_documents_stream():
 
 def test_deep_and_wide_rule_bodies_stream():
     # the continuation encoding nests 1,000 sibling calls 1,000 deep in
-    # call arguments; the other body nests output nodes 2,000 deep
+    # call arguments; the other body nests output nodes 5,000 deep, and is
+    # streamed as it is, continuation-encoded and composed with the
+    # identity
     wide = ft_to_mtt(Mft({"q": 1}, {"a", "b"}, "q", {
         ("q", DEFAULT): Rule("q", DEFAULT, (Node("b"), Call("q", 1)) * 1000),
         ("q", EPS): Rule("q", EPS, ())}))
     deep = parse_mft("q(%%t(x1)x2) -> %sq(x1)%s\nq(eps) -> eps\n"
-                     % ("a(" * 2000, ")" * 2000))
-    for m, xml in ((wide, b"<a/>"), (deep, b"<a><a/></a>")):
+                     % ("a(" * 5000, ")" * 5000))
+    identity = parse_mft("q(%t(x1)x2) -> %t(q(x1)) q(x2)\nq(eps) -> eps\n")
+    fused = compose(deep, identity, "ft-tt")[0]
+    for m, xml in ((wide, b"<a/>"), (deep, b"<a><a/></a>"),
+                   (ft_to_mtt(deep), b"<a><a/></a>"), (fused, b"<a><a/></a>")):
         out = stream_bytes(m, xml)[0]
         assert out and out == run_bytes(m, bytes_to_forest(xml))
 

@@ -1,6 +1,6 @@
 """Shared test helpers: byte-level runners, reference oracles that only
-the tests use (automaton-driven path selection, necessary parameters) and
-random generators.
+the tests use (automaton-driven path selection, necessary parameters), a
+structural check of forests and random generators.
 
 The generators keep element-name and text-content alphabets disjoint
 (text contents double as comparison constants), which is the regime the
@@ -15,13 +15,14 @@ import random
 from collections import deque
 from typing import Dict, List, Set, Tuple
 
-from mfx.forest import Forest, NodeKind, Tree, coalesce_text, elem, text
+from mfx.forest import Forest, NodeKind, coalesce_text, elem, text
 from mfx.mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rule, TEXT,
                      _guard_order, evaluate, map_rhs, print_mft, rhs_nodes,
                      validate)
 from mfx.optimize import bare_params
 from mfx.paths import Numbering, PathAutomaton
-from mfx.xmlio import forest_to_bytes
+from mfx.stream import stream_run
+from mfx.xmlio import EOF, Text, forest_events, forest_to_bytes
 from mfx.xquery import (Element, For, Let, NodeTest, Path, PathExpr, Predicate,
                         Sequence, Step, StringLit)
 
@@ -31,6 +32,72 @@ TEXT_CONTENTS = ("t1", "t2", "t3")
 
 def run_bytes(m: Mft, f: Forest) -> bytes:
     return forest_to_bytes(coalesce_text(evaluate(m, f)))
+
+
+def flat_events(events) -> list:
+    """An event stream as its serialisation reads, whether or not that is
+    well formed (an attribute may follow content): without ``Eof`` and
+    empty text, adjacent text events merged."""
+    out: list = []
+    for ev in events:
+        if ev is EOF or type(ev) is Text and not ev.content:
+            continue
+        if type(ev) is Text and out and type(out[-1]) is Text:
+            out[-1] = Text(out[-1].content + ev.content)
+        else:
+            out.append(ev)
+    return out
+
+
+def eval_events(m: Mft, f: Forest) -> list:
+    return flat_events(forest_events(evaluate(m, f)))
+
+
+def engine_events(m: Mft, f: Forest) -> list:
+    """The engine's output on the events of ``f``, fed without parsing."""
+    out: list = []
+    stream_run(m, iter(list(forest_events(f)) + [EOF]), out.append)
+    return flat_events(out)
+
+
+def check_forest(f: Forest) -> list:
+    """Structural invariant check; returns a list of violation messages.
+
+    Checked: non-empty labels, text nodes are leaves, attribute nodes have
+    exactly one text child, no two adjacent text siblings.
+    Text content read from XML attribute values may be empty, so emptiness
+    is only enforced for element and attribute labels.
+    """
+    problems = []
+    # one frame per open level: its path and the children left to check
+    stack = [("", enumerate(f))]
+    prev_text = False
+    while stack:
+        path, todo = stack[-1]
+        for i, t in todo:
+            where = "%s[%d]" % (path, i)
+            if t.kind is NodeKind.TEXT:
+                if t.children:
+                    problems.append("%s: text node with children" % where)
+                if prev_text:
+                    problems.append("%s: adjacent text siblings" % where)
+                prev_text = True
+                continue
+            prev_text = False
+            if not t.label:
+                problems.append("%s: empty label" % where)
+            if t.kind is NodeKind.ATTRIBUTE:
+                ok = len(t.children) == 1 and t.children[0].kind is NodeKind.TEXT
+                if not ok:
+                    problems.append(
+                        "%s: attribute must have exactly one text child" % where
+                    )
+            stack.append((where + "/" + t.label, enumerate(t.children)))
+            break
+        else:
+            stack.pop()
+            prev_text = False
+    return problems
 
 
 def oracle_bytes(ast, f: Forest) -> bytes:
@@ -86,9 +153,9 @@ def canonical_mft(m: Mft) -> str:
         raise ValueError("unreachable states: %s"
                          % ", ".join(sorted(set(m.states) - set(names))))
 
-    def rename(it, rec):
+    def rename(it):
         if isinstance(it, Call):
-            return (Call(names[it.state], it.var, tuple(map(rec, it.args))),)
+            return (Call(names[it.state], it.var, it.args),)
         return None
 
     rules = {(names[q], g): Rule(names[q], g, map_rhs(r.rhs, rename))
@@ -191,7 +258,7 @@ def random_forest(rng: random.Random, budget: int = 12,
                 continue
             last_text = False
             if attrs and items == [] and depth > 0 and rng.random() < 0.2:
-                items.append(Tree(rng.choice(labels), NodeKind.ATTRIBUTE,
+                items.append(Node(rng.choice(labels), NodeKind.ATTRIBUTE,
                                   (text(rng.choice(contents)),)))
                 budget -= 2
                 continue
@@ -318,8 +385,11 @@ def random_query(rng: random.Random, max_depth: int = 4,
 
 
 def random_mft(rng: random.Random, tree_shaped: bool = False,
-               max_rank: int = 3) -> Mft:
-    """A small valid terminating transducer over sigma = {a, b, c}."""
+               max_rank: int = 3, copies: bool = False) -> Mft:
+    """A small valid terminating transducer over sigma = {a, b, c}.  With
+    ``copies``, output nodes may also be %t (in default and text rules)
+    and an output element may start with an attribute; without it no
+    random number is drawn for these, so a seed's draw does not change."""
     sigma = ELEM_LABELS
     nstates = rng.randrange(2, 5)
     names = ["m%d" % i for i in range(nstates)]
@@ -333,16 +403,22 @@ def random_mft(rng: random.Random, tree_shaped: bool = False,
     literal = "lit"
     ranks[literal] = 1
 
-    def gen_rhs(q: str, depth: int, eps_rule: bool):
+    def gen_rhs(q: str, depth: int, eps_rule: bool, copy_rule: bool = False):
         m = ranks[q] - 1
         items = []
         n = rng.randrange(0, 3) if depth else rng.randrange(1, 4)
         for _ in range(n):
             r = rng.random()
             if r < 0.35 and depth < 3:
-                items.append(Node(rng.choice(sigma + ("d", "e")),
-                                  NodeKind.ELEMENT,
-                                  gen_rhs(q, depth + 1, eps_rule)))
+                label = rng.choice(sigma + ("d", "e"))
+                if copy_rule and rng.random() < 0.4:
+                    label = None
+                kids = gen_rhs(q, depth + 1, eps_rule, copy_rule)
+                if copies and label is not None and rng.random() < 0.3:
+                    kids = (Node(rng.choice(sigma), NodeKind.ATTRIBUTE, (
+                        Node(rng.choice(TEXT_CONTENTS), NodeKind.TEXT),)),
+                            ) + kids
+                items.append(Node(label, NodeKind.ELEMENT, kids))
             elif r < 0.5:
                 items.append(Node(rng.choice(TEXT_CONTENTS), NodeKind.TEXT, ()))
             elif r < 0.65 and m:
@@ -353,7 +429,7 @@ def random_mft(rng: random.Random, tree_shaped: bool = False,
                 if eps_rule and var != 0:
                     items.append(Node("z", NodeKind.ELEMENT, ()))
                     continue
-                args = tuple(gen_rhs(q, depth + 2, eps_rule)
+                args = tuple(gen_rhs(q, depth + 2, eps_rule, copy_rule)
                              for _ in range(ranks[callee] - 1))
                 items.append(Call(callee, var, args))
         return tuple(items)
@@ -381,7 +457,8 @@ def random_mft(rng: random.Random, tree_shaped: bool = False,
         if rng.random() < 0.3:
             guards.append(TEXT)
         for g in guards:
-            rhs = gen_rhs(q, 0, eps_rule=(g is EPS))
+            rhs = gen_rhs(q, 0, g is EPS,
+                          copies and (g is DEFAULT or g is TEXT))
             if tree_shaped:
                 rhs = to_tree(rhs)
             rules[(q, g)] = Rule(q, g, rhs)
@@ -393,9 +470,9 @@ def random_mft(rng: random.Random, tree_shaped: bool = False,
     return m
 
 
-def random_tt(rng: random.Random) -> Mft:
-    return random_mft(rng, tree_shaped=True, max_rank=1)
+def random_tt(rng: random.Random, copies: bool = False) -> Mft:
+    return random_mft(rng, tree_shaped=True, max_rank=1, copies=copies)
 
 
-def random_ft(rng: random.Random) -> Mft:
-    return random_mft(rng, tree_shaped=False, max_rank=1)
+def random_ft(rng: random.Random, copies: bool = False) -> Mft:
+    return random_mft(rng, tree_shaped=False, max_rank=1, copies=copies)
