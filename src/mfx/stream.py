@@ -3,8 +3,9 @@
 The engine evaluates the transducer demand-driven, left to right along
 the output, over an input buffer that materialises lazily:
 
-* The input is a chain of cells per sibling level (``_Cell``), filled by
-  a push builder as events arrive.  A filled cell is the buffered node
+* The input is a chain of cells per sibling level (``_Cell``), filled as
+  events arrive by the engine's reader step, which also runs what each
+  event unlocks and drains the output.  A filled cell is the buffered node
   (label, kind, head cell of its children, next cell).  A cursor is a
   cell reference; reading it yields the node, the end of the level, or
   "not yet".  A rule application is its cell (x0; x1 and x2 are read
@@ -52,18 +53,19 @@ tracks the peak number of live buffered nodes (filled cells) and of live
 suspensions, counted up on filling or creation and down in ``__del__``;
 this is what the benchmark harness reports.
 
-Reference counting also tells the buffer which input no one can read: if
-only its own tail stack holds the frontier cell of a level, no sibling,
-parent or task can reach that level, now or later.  The buffer then drops
-a text event there, and a start with everything up to its matching
-``End`` (the tail stack counts the depth with one empty cell per open
-dropped node), and an ``End`` that closes a dead level.  A dropped event
-fills no cell and costs :func:`stream_run` no engine step.  Peaks cannot
-move: such a cell used to be counted live and dead within one ``feed``,
-before the peak is sampled.  Like the ``__del__`` counts, this relies on
-CPython's reference counting.  A reader (:func:`mfx.xmlio.read_events`)
-pushes into the buffer, and expat skips the inside of a dropped start;
-in an event stream the buffer drops that inside event by event.
+Reference counting also tells the engine which input no one can read:
+if only the buffer's tail stack holds the frontier cell of a level, no
+sibling, parent or task can reach that level, now or later.  The reader
+step drops what comes there: a text, a start with everything up to its
+matching ``End`` (the tail stack counts the depth with one empty cell per
+open dropped node), and the ``End`` that closes the level.  A dropped
+event fills no cell and runs no task.  Peaks cannot move: such a cell
+would be counted live and dead within one step, before the peak is
+sampled.  Like the ``__del__`` counts, this relies on CPython's reference
+counting.  When the step refuses a start, a reader
+(:func:`mfx.xmlio.read_events`) has expat skip the rest of that level:
+the next step is the parent's ``End``.  An event stream is dropped event
+by event.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ from .forest import NodeKind
 from .mft import (NO_CURRENT_NODE, NO_RULE, STAY_FLOOR, Call, Mft, Node,
                   Param, Rhs, StayBudgetExceeded, TransducerError,
                   dispatch_table, sequences, stay_budget)
-from .xmlio import (END, EOF, Eof, EventSink, StartAttribute, StartElement,
-                    Text, XmlEvent, push, read_events, sink_to, step_args)
+from .xmlio import (END, EOF, End, Eof, EventSink, StartAttribute,
+                    StartElement, Text, XmlEvent, push, read_events, sink_to)
 
 
 class EngineError(TransducerError):
@@ -89,7 +91,7 @@ class EngineError(TransducerError):
 
 @dataclass
 class StreamStats:
-    events_in: int = 0  # events the engine received
+    events_in: int = 0  # events delivered (a reader skips dead levels)
     events_out: int = 0
     nodes_buffered: int = 0  # cells filled
     peak_nodes: int = 0
@@ -133,16 +135,6 @@ class _Cell:
         self.kind: Optional[NodeKind] = None
         self.closed = False
 
-    def fill(self, label: str, kind: NodeKind, children: "_Cell",
-             live: _Live) -> "_Cell":
-        """Make this cell the node; return the new frontier after it."""
-        self.label, self.kind, self.children = label, kind, children
-        self.live = live
-        live.n += 1
-        live.made += 1
-        self.next = _Cell()
-        return self.next
-
     def __del__(self):
         if self.kind is not None:
             self.live.n -= 1
@@ -154,46 +146,6 @@ _CLOSED.closed = True
 
 _ELEMENT, _ATTRIBUTE = NodeKind.ELEMENT, NodeKind.ATTRIBUTE
 _TEXT = NodeKind.TEXT
-
-
-class _Buffer:
-    """Builds the cell structure below the root cell from reader steps,
-    counts live nodes and drops the input no one can read (see the module
-    docstring).  It holds no cell but its tail stack."""
-
-    def __init__(self, root: _Cell):
-        self.live = _Live()
-        self._tails: List[_Cell] = [root]
-        self.done = False
-
-    def feed(self, kind: Optional[NodeKind], label: Optional[str]) -> bool:
-        """Buffer one node start, text or ``End`` (kind None), as a reader
-        step (:data:`mfx.xmlio.Step`); say whether it was kept."""
-        tails = self._tails
-        if getrefcount(tails[-1]) == 2:
-            # only the tail stack holds the level's cell: the level is dead
-            if kind is None:
-                tails.pop()
-            elif kind is not _TEXT:
-                tails.append(_Cell())  # and so is the inside of this node
-            return False
-        if kind is None:
-            tails.pop().closed = True
-        elif kind is _TEXT:
-            tails[-1] = tails[-1].fill(label, _TEXT, _CLOSED, self.live)
-        else:
-            kids = _Cell()
-            tails[-1] = tails[-1].fill(label, kind, kids, self.live)
-            tails.append(kids)
-        return True
-
-    def eof(self):
-        tails = self._tails
-        if len(tails) != 1:
-            raise EngineError("input ended with %d open elements"
-                              % (len(tails) - 1))
-        tails.pop().closed = True
-        self.done = True
 
 
 # ---------------------------------------------------------------------------
@@ -331,66 +283,115 @@ _END = (END,)
 
 
 class Engine:
-    def __init__(self, m: Mft):
+    """One run: output events go to ``sink``, or :meth:`step` returns them."""
+
+    def __init__(self, m: Mft, sink: Optional[EventSink] = None):
         self.m = m
         self.rows = _Rows(m)
         self.stay_budget: Optional[int] = None  # set past STAY_FLOOR
-        self.stats = StreamStats()
+        stats = self.stats = StreamStats()
         # only the initial task holds the root cell: holding it here would
         # pin the whole document
         root = _Cell()
-        self.buffer = _Buffer(root)
-        self._susps = _Live()
+        #: the buffer's tail stack: the frontier cell of each open level
+        tails = self._tails = [root]
+        nodes, susps = self._nodes, self._susps = _Live(), _Live()
         #: the output target: tasks add to it, each input step drains it
-        self._pending: list = []
+        pending = self._pending = []
         self._text_run: Optional[List[str]] = None  # waits for the next step
-        self.stack: List[tuple] = [
-            (_APPLY, m.initial, root, (), self._pending, 0)]
+        self._out: List[XmlEvent] = []  # what step returns
+        self.emit: EventSink = sink or self._out.append
+        self.stack: List[tuple] = [(_APPLY, m.initial, root, (), pending, 0)]
         #: the cell the task on top of the stack waits on, if it is blocked
         self._waiting: Optional[_Cell] = None
+        drive, drain = self._drive, self._drain
+
+        def feed(kind, label):
+            """The engine's one step per input event (a reader step,
+            :data:`mfx.xmlio.Step`): buffer a node start, text or ``End``
+            (kind None), or drop it if no one can read it (see the module
+            docstring); run what it unlocked and emit the output.  Says
+            whether the event was kept."""
+            stats.events_in += 1
+            if getrefcount(tails[-1]) == 2:
+                # only the tail stack holds the level's cell: the level is dead
+                if kind is None:
+                    tails.pop()
+                elif kind is not _TEXT:
+                    tails.append(_Cell())  # and so is the inside of this node
+                return False
+            if kind is None:
+                tails.pop().closed = True
+            else:
+                cell = tails[-1]
+                cell.label, cell.kind, cell.live = label, kind, nodes
+                cell.next = tails[-1] = _Cell()
+                if kind is _TEXT:
+                    cell.children = _CLOSED
+                else:
+                    cell.children = kids = _Cell()
+                    tails.append(kids)
+                nodes.made += 1
+                nodes.n += 1
+                # the engine creates no buffered nodes, so this peak is final
+                if nodes.n > stats.peak_nodes:
+                    stats.peak_nodes = nodes.n
+            # while the cell the engine blocked on is empty, nothing on the
+            # stack can run
+            wait = self._waiting
+            if wait is None or wait.kind is not None or wait.closed:
+                drive()
+                if susps.n > stats.peak_suspensions:
+                    stats.peak_suspensions = susps.n
+            if pending:
+                drain(False)
+            return True
+
+        self.feed = feed
 
     # -- stepping ---------------------------------------------------------------
 
     def step(self, ev: XmlEvent) -> Sequence[XmlEvent]:
         """Feed one input event; return the output events it unlocked
-        (the shared empty tuple if none)."""
-        t = type(ev)
-        if t is Eof and self.buffer.done:
-            return ()
-        self.stats.events_in += 1
-        if t is Eof:
-            self.buffer.eof()
-        elif not self.buffer.feed(*step_args(ev)):
-            return ()
-        return self._advance()
+        (the shared empty tuple if none, or if the engine has a sink)."""
+        t = type(ev)  # dispatched as in xmlio.push
+        if t is End:
+            self.feed(None, None)
+        elif t is Text:
+            self.feed(_TEXT, ev.content)
+        elif t is not Eof:
+            self.feed(_ELEMENT if t is StartElement else _ATTRIBUTE, ev.name)
+        elif self._tails:
+            self.finish()
+        got = self._out[:]
+        self._out.clear()
+        return got or ()
 
-    def _advance(self) -> Sequence[XmlEvent]:
-        """Run what the event just buffered unlocked; return its output."""
-        stats = self.stats
-        if self.buffer.live.n > stats.peak_nodes:
-            stats.peak_nodes = self.buffer.live.n
-        # _drive creates no buffered nodes, so the peak above is final; and
-        # while the cell it blocked on is empty, nothing on the stack can run
-        wait = self._waiting
-        if wait is None or wait.kind is not None or wait.closed:
-            self._drive()
-            if self._susps.n > stats.peak_suspensions:
-                stats.peak_suspensions = self._susps.n
-        end = self.buffer.done and not self.stack
-        if self.buffer.done:
-            stats.nodes_buffered = self.buffer.live.made
-        if not self._pending and not end:
-            return ()
-        return self._drain(end)
+    def finish(self):
+        """End the input: close the root level, run what that unlocked and
+        emit the rest of the output, and ``Eof`` if the run is done."""
+        stats, tails = self.stats, self._tails
+        stats.events_in += 1
+        if len(tails) != 1:
+            raise EngineError("input ended with %d open elements"
+                              % (len(tails) - 1))
+        tails.pop().closed = True
+        stats.nodes_buffered = self._nodes.made
+        self._drive()
+        if self._susps.n > stats.peak_suspensions:
+            stats.peak_suspensions = self._susps.n
+        if self._pending or not self.stack:
+            self._drain(not self.stack)
 
-    def _drain(self, end: bool) -> Sequence[XmlEvent]:
-        """Empty the pending output into the events of this step: flatten
-        the memoised values in it and coalesce adjacent text.  A trailing
-        text run waits for the next step, unless this is the end."""
+    def _drain(self, end: bool):
+        """Emit the pending output as the events of this step: flatten the
+        memoised values in it and coalesce adjacent text.  A trailing text
+        run waits for the next step, unless this is the end."""
         pending = self._pending
         if end:
             pending.append(EOF)
-        out: List[XmlEvent] = []
+        emit = self.emit
+        n = 0
         run = self._text_run
         its = [iter(pending)]
         while its:
@@ -409,14 +410,15 @@ class Engine:
                     content = "".join(run)
                     run = None
                     if content:
-                        out.append(Text(content))
-                out.append(ev)
+                        emit(Text(content))
+                        n += 1
+                emit(ev)
+                n += 1
             else:
                 its.pop()
         pending.clear()  # tasks hold this list: keep it
         self._text_run = run
-        self.stats.events_out += len(out) - end  # Eof is not counted
-        return out or ()
+        self.stats.events_out += n - end  # Eof is not counted
 
     def _drive(self):
         stack = self.stack
@@ -561,30 +563,18 @@ def stream_run(m: Mft, src, sink: EventSink) -> StreamStats:
     the sink as they are determined.  Returns the run's statistics.  The
     source is a reader or an event stream (see :func:`mfx.xmlio.push`)."""
     t0 = time.perf_counter()
-    eng = Engine(m)
-    stats = eng.stats
 
     def first(ev):
         # times the first output event, then hands the sink over for good
-        nonlocal emit
-        stats.first_output_ms = (time.perf_counter() - t0) * 1000.0
-        emit = sink
+        if eng.emit is first:
+            stats.first_output_ms = (time.perf_counter() - t0) * 1000.0
+            eng.emit = sink
         sink(ev)
 
-    emit = first
-    feed, advance = eng.buffer.feed, eng._advance
-
-    def step(kind, label):
-        stats.events_in += 1
-        if not feed(kind, label):
-            return False
-        for out in advance():
-            emit(out)
-        return True
-
-    push(src, step)
-    for out in eng.step(EOF):
-        emit(out)
+    eng = Engine(m, first)
+    stats = eng.stats
+    push(src, eng.feed)
+    eng.finish()
     if eng.stack:
         raise EngineError("engine blocked at end of input")
     stats.seconds = time.perf_counter() - t0

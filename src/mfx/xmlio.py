@@ -10,12 +10,13 @@ Reading is incremental: :func:`read_events` returns an expat driver that
 feeds its source to the parser in small chunks.  Its ``push(step)`` calls
 ``step(kind, label)`` (a :class:`NodeKind` and a name or text; both None
 for an ``End``) for each node start, text and ``End`` straight from the
-expat handlers, building no event objects.  When a start's step returns
-False, the driver switches expat to handlers that only count depth, and
-the next step is that node's ``End``: this is how the streaming engine
-skips input no one can read.  Iterating the reader is one more consumer,
-which builds the events of each chunk and yields them; :func:`push` runs
-either source through a step.
+expat handlers, building no event objects.  A step that returns False
+refuses a start, and with it the rest of its level: the driver steps that
+node's ``End`` at once and switches expat to handlers that only count
+depth, so the next step is its parent's ``End``.  This is how the
+streaming engine skips input no one can read.  Iterating the reader is
+one more consumer, which builds the events of each chunk and yields them;
+:func:`push` runs either source through a step.
 
 Writing is a push sink that serialises events as they arrive, which is
 what the streaming engine needs to emit output before the input is
@@ -114,7 +115,8 @@ class XmlReader:
 
     def push(self, step: Step) -> None:
         """Call ``step`` for each node start, text and ``End``; a start
-        whose step returns False is skipped to its ``End``."""
+        whose step returns False ends at once, and the rest of its level
+        is skipped to its parent's ``End``."""
         for _ in self._parse(step):
             pass
 
@@ -139,7 +141,7 @@ class XmlReader:
         parser.buffer_text = True
         keep_whitespace = self._keep_whitespace
         text_buf: List[str] = []
-        skip = 0  # open elements inside a skipped subtree
+        skip = 0  # open elements inside a skipped level (0 outside one)
 
         def flush_text():
             content = "".join(text_buf)
@@ -151,15 +153,23 @@ class XmlReader:
             step(_TEXT, content)
 
         def start(name, attrs):
+            nonlocal skip
             if text_buf:
                 flush_text()
             if not step(_ELEMENT, name):
-                set_handlers(skip_start, skip_end, None)
-                return
-            for i in range(0, len(attrs), 2):
-                if step(_ATTRIBUTE, attrs[i]) and attrs[i + 1] != "":
-                    step(_TEXT, attrs[i + 1])
-                step(None, None)
+                skip = 1  # the refused element is open
+            else:
+                for i in range(0, len(attrs), 2):
+                    if not step(_ATTRIBUTE, attrs[i]):
+                        break  # the rest of the element goes with it
+                    if attrs[i + 1] != "":
+                        step(_TEXT, attrs[i + 1])
+                    step(None, None)
+                else:
+                    return
+            # end the refused node, then count depth to its parent's end
+            step(None, None)
+            set_handlers(skip_start, skip_end, None)
 
         def end(name):
             if text_buf:
@@ -199,26 +209,23 @@ class XmlReader:
                 return
 
 
-def step_args(ev: XmlEvent) -> tuple:
-    """The ``(kind, label)`` of the reader step an event stands for."""
-    t = type(ev)
-    if t is End:
-        return None, None
-    if t is Text:
-        return _TEXT, ev.content
-    return (_ELEMENT if t is StartElement else _ATTRIBUTE), ev.name
-
-
 def push(src: Union[XmlReader, Iterable[XmlEvent]], step: Step) -> None:
     """Push a reader, or an event stream up to its ``Eof``, into ``step``.
     Only a reader skips what the step drops."""
     if isinstance(src, XmlReader):
         src.push(step)
         return
+    # event classes have no subclasses: dispatch on the exact type
     for ev in src:
-        if type(ev) is Eof:
+        t = type(ev)
+        if t is End:
+            step(None, None)
+        elif t is Text:
+            step(_TEXT, ev.content)
+        elif t is Eof:
             return
-        step(*step_args(ev))
+        else:
+            step(_ELEMENT if t is StartElement else _ATTRIBUTE, ev.name)
 
 
 def build_forest(src: Union[XmlReader, Iterable[XmlEvent]]) -> Forest:

@@ -189,21 +189,23 @@ def _pushed(reader, decide):
     return got + [EOF]
 
 
-def _without_insides(events, decide):
-    """``events`` with the inside of every subtree ``decide`` picks, in
-    the order the reader steps through the starts, removed."""
+def _without_rest_of_level(events, decide):
+    """``events`` as the reader steps them when it refuses each start
+    ``decide`` picks, in the order the reader steps through the starts: a
+    refused node ends at once, and the rest of its level is skipped up to
+    its parent's ``End``, which is delivered."""
     out, k = [], 0
     while k < len(events):
         ev = events[k]
         out.append(ev)
         k += 1
         if _is_start(ev) and decide():
-            depth = 1
-            while depth:
+            out.append(END)
+            depth = 1  # the refused node is open
+            while events[k] != EOF and (depth or events[k] != END):
                 depth += (1 if _is_start(events[k])
                           else -1 if events[k] == END else 0)
                 k += 1
-            k -= 1  # the closing End is delivered
     return out
 
 
@@ -223,15 +225,29 @@ def test_dropped_subtrees_lose_exactly_their_insides():
             seed = rng.random()
             got = _pushed(read_events(data, keep_whitespace=keep),
                           _coin(seed, p))
-            assert got == _without_insides(full, _coin(seed, p))
+            assert got == _without_rest_of_level(full, _coin(seed, p))
 
 
 def test_a_dropped_subtree_longer_than_a_chunk():
     big = b"".join(b'<i n="%d">t%d <e/> u</i>\n' % (k, k) for k in range(400))
     assert len(big) > 2 * _CHUNK
-    data = b'<r>before<d k="v">' + big + b'</d>after<d/> tail</r>'
-    first_d = iter([False, True])  # <r>, then the first <d>
+    # the refused <d> and the rest of its level each span several chunks
+    data = (b'<r>before<p><d k="v">' + big + b'</d>after' + big
+            + b'<d/> tail</p>last</r>')
+    first_d = iter([False, False, True])  # <r>, <p>, then the first <d>
     got = _pushed(read_events(data), lambda: next(first_d, False))
-    assert got == [StartElement("r"), Text("before"), StartElement("d"), END,
-                   Text("after"), StartElement("d"), END, Text("tail"), END,
-                   EOF]
+    assert got == [StartElement("r"), Text("before"), StartElement("p"),
+                   StartElement("d"), END, END, Text("last"), END, EOF]
+
+
+def test_a_dropped_attribute_skips_the_rest_of_its_element():
+    data = b'<r><e a="1" b="2">kids<k>deep</k>more</e>after</r>'
+    head = [StartElement("r"), StartElement("e")]
+    tail = [END, Text("after"), END, EOF]  # the End of <e> comes next
+    for picks, kept in (([False, False, True], []),
+                        ([False, False, False, True],
+                         [StartAttribute("a"), Text("1"), END])):
+        refused = StartAttribute("b" if kept else "a")
+        pick = iter(picks)
+        got = _pushed(read_events(data), lambda: next(pick, False))
+        assert got == head + kept + [refused, END] + tail
