@@ -5,10 +5,12 @@ The package is organised around one value domain and one machine model:
 * :mod:`mfx.forest` -- immutable XML forests, whose node class rule
   bodies share, and their one term notation (one printer, one reader).
 * :mod:`mfx.xmlio` -- the event boundary between concrete XML bytes and
-  forests (a small start/text/end event vocabulary).
+  forests (a small start/text/end event vocabulary), and the one input
+  contract every source keeps: a refused start is followed directly by
+  its parent's end.
 * :mod:`mfx.mft` -- macro forest transducers: representation, the rhs
   rewriter and binary view, validation, in-memory evaluation (the oracle),
-  classification, and rule-file syntax.
+  and rule-file syntax.
 * :mod:`mfx.xquery` -- the MinXQuery front end (parser, scope checker).
 * :mod:`mfx.paths` -- node tests, the reference path selection over a
   document numbered in pre-order (a node is its pre-order number), and the

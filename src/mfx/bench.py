@@ -1,4 +1,4 @@
-"""The benchmark corpus: the nine benchmark queries and their transducers.
+"""The benchmark corpus: the nine benchmark queries.
 
 The benchmark harness (``benchmark/run.py``) and the tests run these
 queries over generated xmark-lite documents.
@@ -7,10 +7,6 @@ queries over generated xmark-lite documents.
 from __future__ import annotations
 
 from typing import Dict
-
-from .compile import compile_text
-from .mft import Mft
-from .optimize import optimize
 
 #: The benchmark programs, as printed (predicate forms, no where-clauses).
 CORPUS_QUERIES: Dict[str, str] = {
@@ -58,8 +54,3 @@ return <person><name>{$person/name/text()}</name></person>
  <r> { for $y in $x/* return <r1><r2>{$y}</r2>{$y}</r1> } </r>
 }</deepdup>""",
 }
-
-
-def corpus_transducer(name: str, no_opt: bool = False) -> Mft:
-    m = compile_text(CORPUS_QUERIES[name])
-    return m if no_opt else optimize(m)

@@ -10,8 +10,7 @@ they can be shared freely.
 A transducer rule's right-hand side (:data:`Rhs`) is a forest expression,
 and a forest is one without calls, parameters and ``%t``.  Both share one
 term notation (``a(b() #"hi")``, ``%t(q(x1, y1)) q(x2)``), one printer,
-:func:`print_term`, and one reader, which :func:`parse_term` and
-:func:`mfx.mft.parse_mft` use.
+:func:`print_term`, and one reader, which :func:`mfx.mft.parse_mft` uses.
 
 A forest's nodes and a rule body's output nodes are one class,
 :class:`Node`, so a forest is a rule body as it is and :func:`ground`
@@ -107,18 +106,6 @@ def _same(todo: List[tuple]) -> bool:
 Rhs = Tuple[object, ...]
 
 
-def elem(label: str, *children: Node) -> Node:
-    return Node(label, NodeKind.ELEMENT, tuple(children))
-
-
-def text(content: str) -> Node:
-    return Node(content, NodeKind.TEXT, ())
-
-
-def attr(name: str, value: str) -> Node:
-    return Node(name, NodeKind.ATTRIBUTE, (text(value),))
-
-
 def node_count(f: Forest) -> int:
     """Number of nodes in the forest (ε has zero)."""
     total = 0
@@ -143,7 +130,7 @@ def coalesce_text(f: Forest) -> Forest:
                 if not t.label:
                     continue
                 if out and out[-1].kind is TEXT:
-                    out[-1] = text(out[-1].label + t.label)
+                    out[-1] = Node(out[-1].label + t.label, TEXT)
                 else:
                     out.append(t)
             elif t.children:
@@ -384,12 +371,3 @@ class _TermScanner:
             frames.append((items, label, int(call[1]), []) if call
                           else (items, label, kind, None))
             items = []
-
-
-def parse_term(s: str) -> Forest:
-    """Parse the term notation of a forest; ``eps`` or the empty string is
-    ε."""
-    f = ground(_TermScanner(s).rhs())
-    if f is None:
-        raise TermError("a forest has no calls, parameters or %t", 0)
-    return f

@@ -45,11 +45,6 @@ def generate_bytes(profile: str, size: int, seed: int = 0) -> bytes:
     return write_events(generate_events(profile, size, seed))
 
 
-def count_nodes(events) -> int:
-    return sum(1 for ev in events
-               if isinstance(ev, (StartElement, Text)))
-
-
 def _leaf(name: str, content: str):
     yield StartElement(name)
     yield Text(content)

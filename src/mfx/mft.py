@@ -505,7 +505,7 @@ def evaluate(m: Mft, f: Forest) -> Forest:
 
 
 # ---------------------------------------------------------------------------
-# Classification and size
+# Tree-shaped bodies and size
 # ---------------------------------------------------------------------------
 
 def is_tree_rhs(rhs: Rhs) -> bool:
@@ -526,15 +526,6 @@ def is_tree_rhs(rhs: Rhs) -> bool:
             elif t is Call:
                 seqs.extend(it.args)
     return True
-
-
-def classify(m: Mft) -> str:
-    """The smallest of TT ⊂ FT ⊂ MTT ⊂ MFT containing the transducer."""
-    rank1 = all(r == 1 for r in m.states.values())
-    tree = all(is_tree_rhs(rule.rhs) for rule in m.rules.values())
-    if rank1:
-        return "TT" if tree else "FT"
-    return "MTT" if tree else "MFT"
 
 
 def lhs_size(m: Mft, rule: Rule) -> int:

@@ -56,32 +56,27 @@ this is what the benchmark harness reports.
 Reference counting also tells the engine which input no one can read:
 if only the buffer's tail stack holds the frontier cell of a level, no
 sibling, parent or task can reach that level, now or later.  The reader
-step drops what comes there: a text, a start with everything up to its
-matching ``End`` (the tail stack counts the depth with one empty cell per
-open dropped node), and the ``End`` that closes the level.  A dropped
-event fills no cell and runs no task.  Peaks cannot move: such a cell
-would be counted live and dead within one step, before the peak is
-sampled.  Like the ``__del__`` counts, this relies on CPython's reference
-counting.  When the step refuses a start, a reader
-(:func:`mfx.xmlio.read_events`) has expat skip the rest of that level:
-the next step is the parent's ``End``.  An event stream is dropped event
-by event.
+step drops a text that comes there and refuses a start, and every source
+(:mod:`mfx.xmlio`) then skips the rest of the level: the next step is
+the ``End`` that closes it, which pops the level.  A dropped event fills
+no cell and runs no task.  Peaks cannot move: such a cell would be
+counted live and dead within one step, before the peak is sampled.  Like
+the ``__del__`` counts, this relies on CPython's reference counting.
 """
 
 from __future__ import annotations
 
-import io
 import time
 from dataclasses import dataclass
 from sys import getrefcount
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from .forest import NodeKind
 from .mft import (NO_CURRENT_NODE, NO_RULE, STAY_FLOOR, Call, Mft, Node,
                   Param, Rhs, StayBudgetExceeded, TransducerError,
                   dispatch_table, sequences, stay_budget)
-from .xmlio import (END, EOF, End, Eof, EventSink, StartAttribute,
-                    StartElement, Text, XmlEvent, push, read_events, sink_to)
+from .xmlio import (END, EOF, EventSink, StartAttribute, StartElement, Text,
+                    XmlEvent, push)
 
 
 class EngineError(TransducerError):
@@ -91,7 +86,7 @@ class EngineError(TransducerError):
 
 @dataclass
 class StreamStats:
-    events_in: int = 0  # events delivered (a reader skips dead levels)
+    events_in: int = 0  # events delivered (sources skip dead levels)
     events_out: int = 0
     nodes_buffered: int = 0  # cells filled
     peak_nodes: int = 0
@@ -144,8 +139,7 @@ _CLOSED = _Cell()
 _CLOSED.closed = True
 
 
-_ELEMENT, _ATTRIBUTE = NodeKind.ELEMENT, NodeKind.ATTRIBUTE
-_TEXT = NodeKind.TEXT
+_ELEMENT, _TEXT = NodeKind.ELEMENT, NodeKind.TEXT
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +277,10 @@ _END = (END,)
 
 
 class Engine:
-    """One run: output events go to ``sink``, or :meth:`step` returns them."""
+    """One run: input goes to :attr:`feed` and :meth:`finish`, output
+    events to ``sink``."""
 
-    def __init__(self, m: Mft, sink: Optional[EventSink] = None):
+    def __init__(self, m: Mft, sink: EventSink):
         self.m = m
         self.rows = _Rows(m)
         self.stay_budget: Optional[int] = None  # set past STAY_FLOOR
@@ -299,8 +294,7 @@ class Engine:
         #: the output target: tasks add to it, each input step drains it
         pending = self._pending = []
         self._text_run: Optional[List[str]] = None  # waits for the next step
-        self._out: List[XmlEvent] = []  # what step returns
-        self.emit: EventSink = sink or self._out.append
+        self.emit: EventSink = sink
         self.stack: List[tuple] = [(_APPLY, m.initial, root, (), pending, 0)]
         #: the cell the task on top of the stack waits on, if it is blocked
         self._waiting: Optional[_Cell] = None
@@ -314,11 +308,10 @@ class Engine:
             whether the event was kept."""
             stats.events_in += 1
             if getrefcount(tails[-1]) == 2:
-                # only the tail stack holds the level's cell: the level is dead
+                # only the tail stack holds the level's cell: the level is
+                # dead, and its End is the next event after a refused start
                 if kind is None:
                     tails.pop()
-                elif kind is not _TEXT:
-                    tails.append(_Cell())  # and so is the inside of this node
                 return False
             if kind is None:
                 tails.pop().closed = True
@@ -348,24 +341,6 @@ class Engine:
             return True
 
         self.feed = feed
-
-    # -- stepping ---------------------------------------------------------------
-
-    def step(self, ev: XmlEvent) -> Sequence[XmlEvent]:
-        """Feed one input event; return the output events it unlocked
-        (the shared empty tuple if none, or if the engine has a sink)."""
-        t = type(ev)  # dispatched as in xmlio.push
-        if t is End:
-            self.feed(None, None)
-        elif t is Text:
-            self.feed(_TEXT, ev.content)
-        elif t is not Eof:
-            self.feed(_ELEMENT if t is StartElement else _ATTRIBUTE, ev.name)
-        elif self._tails:
-            self.finish()
-        got = self._out[:]
-        self._out.clear()
-        return got or ()
 
     def finish(self):
         """End the input: close the root level, run what that unlocked and
@@ -579,15 +554,3 @@ def stream_run(m: Mft, src, sink: EventSink) -> StreamStats:
         raise EngineError("engine blocked at end of input")
     stats.seconds = time.perf_counter() - t0
     return stats
-
-
-def measure(m: Mft, src) -> StreamStats:
-    """Like :func:`stream_run` with the output discarded."""
-    return stream_run(m, src, lambda ev: None)
-
-
-def stream_bytes(m: Mft, xml: bytes) -> Tuple[bytes, StreamStats]:
-    """Convenience: XML bytes in, serialised output bytes and stats out."""
-    out = io.BytesIO()
-    stats = stream_run(m, read_events(xml), sink_to(out))
-    return out.getvalue(), stats

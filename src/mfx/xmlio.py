@@ -6,17 +6,18 @@ StartAttribute/Text/End triples placed before the element's other content,
 so a forest built from the events has attribute nodes as the first children
 of their element, each with a single text child.
 
+Input reaches a consumer as a *step*, ``step(kind, label)`` (a
+:class:`NodeKind` and a name or text; both None for an ``End``), called
+for each node start, text and ``End``.  Every source keeps one contract:
+a step that returns False after a start refuses that node, its insides
+and the rest of its level, and the next step is the parent's ``End``, if
+it has one.  This is how the streaming engine skips input no one can read.
+
 Reading is incremental: :func:`read_events` returns an expat driver that
-feeds its source to the parser in small chunks.  Its ``push(step)`` calls
-``step(kind, label)`` (a :class:`NodeKind` and a name or text; both None
-for an ``End``) for each node start, text and ``End`` straight from the
-expat handlers, building no event objects.  A step that returns False
-refuses a start, and with it the rest of its level: the driver steps that
-node's ``End`` at once and switches expat to handlers that only count
-depth, so the next step is its parent's ``End``.  This is how the
-streaming engine skips input no one can read.  Iterating the reader is
-one more consumer, which builds the events of each chunk and yields them;
-:func:`push` runs either source through a step.
+feeds its source to the parser in small chunks and steps straight from
+the expat handlers, building no event objects; iterating it builds the
+events of each chunk and yields them.  :func:`push` runs a reader or an
+event stream through a step.
 
 Writing is a push sink that serialises events as they arrive, which is
 what the streaming engine needs to emit output before the input is
@@ -114,9 +115,8 @@ class XmlReader:
         self._keep_whitespace = keep_whitespace
 
     def push(self, step: Step) -> None:
-        """Call ``step`` for each node start, text and ``End``; a start
-        whose step returns False ends at once, and the rest of its level
-        is skipped to its parent's ``End``."""
+        """Call ``step`` for each node start, text and ``End``, keeping
+        the contract of the module docstring."""
         for _ in self._parse(step):
             pass
 
@@ -167,8 +167,7 @@ class XmlReader:
                     step(None, None)
                 else:
                     return
-            # end the refused node, then count depth to its parent's end
-            step(None, None)
+            # count depth to the parent's end
             set_handlers(skip_start, skip_end, None)
 
         def end(name):
@@ -210,22 +209,37 @@ class XmlReader:
 
 
 def push(src: Union[XmlReader, Iterable[XmlEvent]], step: Step) -> None:
-    """Push a reader, or an event stream up to its ``Eof``, into ``step``.
-    Only a reader skips what the step drops."""
+    """Push a reader, or an event stream up to its ``Eof``, into ``step``
+    (see the module docstring).  An event stream that ends inside a
+    refused level raises :class:`XmlError`, as cut bytes do."""
     if isinstance(src, XmlReader):
         src.push(step)
         return
-    # event classes have no subclasses: dispatch on the exact type
+    depth = 0  # open nodes whose start the step took
+    skip = 0  # in a refused level: 1 + its open nodes, the refused one too
     for ev in src:
-        t = type(ev)
+        t = type(ev)  # event classes have no subclasses
+        if t is Eof:
+            break
+        if skip:
+            if t is not End:
+                skip += t is not Text
+                continue
+            skip -= 1
+            if skip:
+                continue
         if t is End:
+            depth -= 1
             step(None, None)
         elif t is Text:
             step(_TEXT, ev.content)
-        elif t is Eof:
-            return
+        elif step(_ELEMENT if t is StartElement else _ATTRIBUTE, ev.name):
+            depth += 1
         else:
-            step(_ELEMENT if t is StartElement else _ATTRIBUTE, ev.name)
+            skip = 2
+    if skip and depth + skip > 1:
+        raise XmlError("unbalanced events: input ended with %d open elements"
+                       % (depth + skip - 1))
 
 
 def build_forest(src: Union[XmlReader, Iterable[XmlEvent]]) -> Forest:

@@ -1,4 +1,4 @@
-"""MinXQuery front end: lexer, parser, scope checker, pretty printer.
+"""MinXQuery front end: lexer, parser, scope checker.
 
 The fragment: nested for/let clauses, element constructors, string
 literals, parenthesised sequences, and downward paths with the child,
@@ -381,85 +381,3 @@ def check_scoping(ast) -> List[str]:
 
     walk(ast, "input", {"input"})
     return out
-
-
-# ---------------------------------------------------------------------------
-# Size and pretty printing
-# ---------------------------------------------------------------------------
-
-
-def query_size(q) -> int:
-    """Parse-tree node count: one per construct, element, literal, variable
-    occurrence, step, node test, predicate and comparison constant."""
-    if isinstance(q, Element):
-        return 1 + sum(query_size(c) for c in q.children)
-    if isinstance(q, StringLit):
-        return 1
-    if isinstance(q, Sequence):
-        return 1 + sum(query_size(c) for c in q.items)
-    if isinstance(q, For):
-        return 1 + 1 + path_size(q.path) + query_size(q.body)
-    if isinstance(q, Let):
-        return 1 + 1 + query_size(q.bound) + query_size(q.body)
-    if isinstance(q, PathExpr):
-        return 1 + path_size(q.path)
-    raise TypeError(q)
-
-
-def path_size(p: Path) -> int:
-    return 1 + sum(_step_size(s) for s in p.steps)
-
-
-def _step_size(s: Step) -> int:
-    n = 2  # step + node test
-    for pred in s.predicates:
-        n += 1 + sum(_step_size(ps) for ps in pred.steps)
-        if pred.value is not None:
-            n += 1
-    return n
-
-
-def pretty(q) -> str:
-    """Parseable text for an AST (axes always explicit)."""
-    if isinstance(q, Element):
-        inner = []
-        for c in q.children:
-            if isinstance(c, Element):
-                inner.append(pretty(c))
-            elif isinstance(c, StringLit):
-                inner.append(c.value)
-            else:
-                inner.append("{ %s }" % pretty(c))
-        return "<%s>%s</%s>" % (q.name, "".join(inner), q.name)
-    if isinstance(q, StringLit):
-        return q.value
-    if isinstance(q, For):
-        return "for $%s in %s return %s" % (q.var, pretty_path(q.path),
-                                            pretty(q.body))
-    if isinstance(q, Let):
-        return "let $%s := %s return %s" % (q.var, pretty(q.bound),
-                                            pretty(q.body))
-    if isinstance(q, PathExpr):
-        return pretty_path(q.path)
-    if isinstance(q, Sequence):
-        return "(%s)" % ", ".join(pretty(c) for c in q.items)
-    raise TypeError(q)
-
-
-def pretty_path(p: Path) -> str:
-    return "$%s%s" % (p.start, "".join(_pretty_step(s) for s in p.steps))
-
-
-def _pretty_step(s: Step) -> str:
-    preds = "".join("[%s]" % _pretty_pred(p) for p in s.predicates)
-    return "/%s::%s%s" % (s.axis, s.test, preds)
-
-
-def _pretty_pred(p: Predicate) -> str:
-    steps = "." + "".join(_pretty_step(s) for s in p.steps)
-    if p.kind == "exists":
-        return steps
-    if p.kind == "empty":
-        return "empty(%s)" % steps
-    op = "=" if p.kind == "eq" else "!="
-    return '%s %s "%s"' % (steps, op, p.value)

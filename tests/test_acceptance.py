@@ -13,24 +13,25 @@ import time
 
 import pytest
 
-from mfx.bench import CORPUS_QUERIES, corpus_transducer
+from mfx.bench import CORPUS_QUERIES
 from mfx.compile import compile_query, compile_text
-from mfx.forest import coalesce_text, parse_term
+from mfx.forest import coalesce_text
 from mfx.gen import generate_bytes, generate_events
-from mfx.mft import classify, evaluate, parse_mft, size, validate
+from mfx.mft import evaluate, parse_mft, size, validate
 from mfx.optimize import (constant_params, necessary_params, optimize,
                           remove_stay_moves, remove_unreachable,
                           unused_params)
 from mfx.compose import compose, ft_to_mtt
-from mfx.stream import measure, stream_bytes
 from mfx.xmlio import bytes_to_forest, forest_to_bytes
-from mfx.xquery import parse_query, query_size
+from mfx.xquery import parse_query
 
 from conftest import (DOC1, DOC2, M_PERSON_TEXT, NESTED_DOC, NESTED_PROGRAM,
                       P_PERSON_TEXT)
-from util import (necessary_params_oracle, oracle_bytes, random_forest,
-                  random_ft, random_mft, random_person_doc, random_query,
-                  random_tt, run_bytes)
+from util import (classify, corpus_transducer, count_nodes, measure,
+                  necessary_params_oracle, oracle_bytes, parse_term,
+                  random_forest, random_ft, random_mft, random_person_doc,
+                  query_size, random_query, random_tt, run_bytes,
+                  stream_bytes)
 
 
 def _ok(name: str, detail: str = ""):
@@ -199,7 +200,6 @@ def test_criterion_7_streaming_memory():
     assert peaks_no[1] >= 5 * peaks_no[0], peaks_no
 
     # (c) doubling the input genuinely needs the input buffered
-    from mfx.gen import count_nodes
     m_double = corpus_transducer("double")
     for s in sizes:
         stats = measure(m_double, generate_events("xmark-lite", s, seed=7))

@@ -3,14 +3,15 @@ import random
 import pytest
 
 from mfx.compile import collect_sigma, compile_query, compile_text
-from mfx.forest import coalesce_text, elem
+from mfx.forest import coalesce_text
 from mfx.mft import evaluate, size, validate
 from mfx.optimize import optimize
 from mfx.xmlio import bytes_to_forest, forest_to_bytes
-from mfx.xquery import check_scoping, parse_query, pretty, query_size
+from mfx.xquery import check_scoping, parse_query
 
 from conftest import DOC1, NESTED_DOC, NESTED_PROGRAM, P_PERSON_TEXT
-from util import oracle_bytes, random_forest, random_person_doc, random_query, run_bytes
+from util import (elem, oracle_bytes, pretty, query_size, random_forest,
+                  random_person_doc, random_query, run_bytes, stream_bytes)
 
 
 def test_p_person_has_fourteen_states():
@@ -178,7 +179,6 @@ def test_three_semantics_agree_deep_and_wide(profile, size, query):
     # input deeper than the recursion limit and wider than a quadratic
     # walk finishes on
     from mfx.gen import generate_bytes
-    from mfx.stream import stream_bytes
     data = generate_bytes(profile, size)
     doc = bytes_to_forest(data)
     ast = parse_query(query)

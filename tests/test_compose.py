@@ -6,15 +6,16 @@ import pytest
 
 from mfx.bench import CORPUS_QUERIES
 from mfx.compile import compile_query
-from mfx.forest import NodeKind, parse_term
-from mfx.mft import Call, Node, classify, evaluate, parse_mft, validate
+from mfx.forest import NodeKind
+from mfx.mft import Call, Node, evaluate, parse_mft, validate
 from mfx.optimize import optimize, reachable_states, remove_unreachable
 from mfx.xquery import parse_query
 from mfx.compose import compose, ft_to_mtt
 import mfx.mft as MF
 
-from util import (canonical_mft, eval_events, necessary_params_oracle,
-                  random_forest, random_ft, random_mft, random_tt, run_bytes)
+from util import (canonical_mft, classify, eval_events,
+                  necessary_params_oracle, parse_term, random_forest,
+                  random_ft, random_mft, random_tt, run_bytes)
 
 CHAIN_TT = """\
 q0(a(x1)x2) -> b(b(b(b(q0(x1)))))
@@ -316,13 +317,13 @@ FUSED_STATES = {
 
 
 def test_fused_corpus_pairs_inline_their_walkers():
-    from mfx.stream import Engine
+    from mfx.stream import _Rows
     for (a, b, mode), want in FUSED_STATES.items():
         comp, _ = compose(*_corpus_pair(a, b), mode)
         assert len(comp.states) == want, (a, b, mode)
         # the copy of a copy is one copy state, which the engine runs as
         # one task; ft-tt threads a continuation through every state
-        copies = Engine(comp).rows.copies
+        copies = _Rows(comp).copies
         assert len(copies) == (mode != "ft-tt"), (a, b, mode)
 
 

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfx.forest import (Node, NodeKind, TermError, attr, coalesce_text, elem,
-                        parse_term, print_term, text)
+from mfx.forest import Node, NodeKind, TermError, coalesce_text, print_term
 
-from util import check_forest, random_forest
+from util import attr, check_forest, elem, parse_term, random_forest, text
 
 
 def test_term_examples():

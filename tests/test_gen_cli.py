@@ -4,12 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from mfx.bench import CORPUS_QUERIES, corpus_transducer
+from mfx.bench import CORPUS_QUERIES
 from mfx.gen import generate_bytes
 from mfx.xmlio import bytes_to_forest
 from mfx.cli import main
 
 from conftest import DOC1, P_PERSON_TEXT
+from util import corpus_transducer, oracle_bytes, stream_bytes
 
 
 def _depth(f):
@@ -37,15 +38,12 @@ def test_minimal_site_accepted_by_all_queries():
     data = generate_bytes("xmark-lite", 1, seed=0)
     for name in CORPUS_QUERIES:
         m = corpus_transducer(name)
-        from mfx.stream import stream_bytes
         out, _ = stream_bytes(m, data)  # no error is the assertion
         assert out.startswith(b"<")
 
 
 def test_every_corpus_query_streams_correctly_vs_oracle():
-    from mfx.stream import stream_bytes
     from mfx.xquery import parse_query
-    from util import oracle_bytes
     data = generate_bytes("xmark-lite", 1500, seed=11)
     forest = bytes_to_forest(data)
     for name, text in CORPUS_QUERIES.items():

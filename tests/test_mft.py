@@ -6,18 +6,17 @@ import pytest
 import mfx.mft
 from mfx.bench import CORPUS_QUERIES
 from mfx.compile import compile_query
-from mfx.forest import elem, parse_term, text
 from mfx.gen import generate_bytes
 from mfx.mft import (Call, EPS, Guard, MftSyntaxError, Node, Param, Rule,
-                     STAY_FLOOR, StayBudgetExceeded, classify, evaluate,
-                     is_tree_rhs, parse_mft, print_mft, size, validate)
+                     STAY_FLOOR, StayBudgetExceeded, evaluate, is_tree_rhs,
+                     parse_mft, print_mft, size, validate)
 from mfx.optimize import optimize
-from mfx.stream import stream_bytes
 from mfx.xmlio import bytes_to_forest
 from mfx.xquery import parse_query
 
 from conftest import DOC2_VERBATIM, M_PERSON_TEXT
-from util import random_forest, random_mft, run_bytes
+from util import (classify, elem, parse_term, random_forest, random_mft,
+                  run_bytes, stream_bytes, text)
 
 Q_COPY = """\
 q(%t(x1)x2) -> %t(q(x1)) q(x2)

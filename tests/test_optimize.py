@@ -1,10 +1,9 @@
 import hashlib
 import random
 
-from mfx.forest import elem
 from mfx.compose import ft_to_mtt
-from mfx.mft import (DEFAULT, EPS, Call, Mft, Node, Param, Rule, classify,
-                     evaluate, parse_mft, print_mft, size, validate)
+from mfx.mft import (DEFAULT, EPS, Call, Mft, Node, Param, Rule, evaluate,
+                     parse_mft, print_mft, size, validate)
 from mfx.optimize import (constant_params, necessary_params, optimize,
                           reachable_states, remove_stay_moves,
                           remove_unreachable, unused_params)
@@ -13,8 +12,9 @@ from mfx.compile import compile_text
 from mfx.bench import CORPUS_QUERIES
 
 from conftest import M_PERSON_TEXT, P_PERSON_TEXT
-from util import (check_ft_eligibility, necessary_params_oracle,
-                  random_forest, random_mft, random_query, run_bytes)
+from util import (check_ft_eligibility, classify, elem,
+                  necessary_params_oracle, pretty, random_forest, random_mft,
+                  random_query, run_bytes)
 
 # Five-rule parameter-flow example (wrapped in a rank-1 initial state):
 # y2 of q is used directly, which makes y1 of q2 used (it is passed as
@@ -303,7 +303,7 @@ def test_eligibility_implies_parameter_free():
         if not check_ft_eligibility(ast):
             continue
         hits += 1
-        m = optimize(compile_text(__import__("mfx.xquery", fromlist=["pretty"]).pretty(ast)))
+        m = optimize(compile_text(pretty(ast)))
         assert m.total_params() == 0, ast
     assert hits >= 5
 

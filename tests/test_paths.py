@@ -1,11 +1,10 @@
 import random
 
-from mfx.forest import elem, text
 from mfx.paths import (Numbering, PathAutomaton, fold_comparison, pred_holds,
                        select_ctx)
 from mfx.xquery import NodeTest, Path, Predicate, Step, parse_query
 
-from util import automaton_select, random_forest
+from util import automaton_select, elem, random_forest, text
 
 
 def _path(expr: str) -> Path:

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from mfx.forest import NodeKind, attr, elem, text
+from mfx.forest import NodeKind
 from mfx.gen import generate_bytes
 from mfx.xmlio import (_CHUNK, END, EOF, StartAttribute, StartElement, Text,
                        XmlError, build_forest, bytes_to_forest, forest_events,
-                       forest_to_bytes, read_events, write_events)
+                       forest_to_bytes, push, read_events, write_events)
 
-from util import random_forest
+from util import attr, elem, random_forest, text
 
 
 def test_book_events():
@@ -175,32 +175,32 @@ _EVENT = {NodeKind.ELEMENT: StartElement, NodeKind.ATTRIBUTE: StartAttribute,
           NodeKind.TEXT: Text}
 
 
-def _pushed(reader, decide):
-    """The events ``reader.push`` steps through when its step returns
-    ``not decide()`` after a start, and False after every text and
-    ``End`` (which the reader must ignore)."""
+def _pushed(src, decide, as_list=False):
+    """The events ``xmlio.push`` steps through from a reader, or from its
+    events in a list, when its step returns ``not decide()`` after a start,
+    and False after every text and ``End`` (which the source must
+    ignore)."""
     got = []
 
     def step(kind, label):
         got.append(END if kind is None else _EVENT[kind](label))
         return kind in (NodeKind.ELEMENT, NodeKind.ATTRIBUTE) and not decide()
 
-    reader.push(step)
+    push(iter(src) if as_list else src, step)
     return got + [EOF]
 
 
 def _without_rest_of_level(events, decide):
-    """``events`` as the reader steps them when it refuses each start
-    ``decide`` picks, in the order the reader steps through the starts: a
-    refused node ends at once, and the rest of its level is skipped up to
-    its parent's ``End``, which is delivered."""
+    """``events`` as a source steps them when it refuses each start
+    ``decide`` picks, in the order the source steps through the starts: the
+    rest of a refused node's level, the node's insides included, is skipped
+    up to its parent's ``End``, which is delivered."""
     out, k = [], 0
     while k < len(events):
         ev = events[k]
         out.append(ev)
         k += 1
         if _is_start(ev) and decide():
-            out.append(END)
             depth = 1  # the refused node is open
             while events[k] != EOF and (depth or events[k] != END):
                 depth += (1 if _is_start(events[k])
@@ -215,7 +215,8 @@ def _coin(seed, p):
 
 
 def test_dropped_subtrees_lose_exactly_their_insides():
-    # steps that drop random starts, in and across read chunks
+    # steps that drop random starts, in and across read chunks, from a
+    # reader and from its events in a list
     rng = random.Random(23)
     for trial in range(60):
         data = _random_document(rng, rng.randrange(5, 120))
@@ -223,9 +224,11 @@ def test_dropped_subtrees_lose_exactly_their_insides():
         full = list(read_events(data, keep_whitespace=keep))
         for p in (0.05, 0.3, 1.0):
             seed = rng.random()
-            got = _pushed(read_events(data, keep_whitespace=keep),
-                          _coin(seed, p))
-            assert got == _without_rest_of_level(full, _coin(seed, p))
+            want = _without_rest_of_level(full, _coin(seed, p))
+            for as_list in (False, True):
+                got = _pushed(read_events(data, keep_whitespace=keep),
+                              _coin(seed, p), as_list)
+                assert got == want, as_list
 
 
 def test_a_dropped_subtree_longer_than_a_chunk():
@@ -234,20 +237,52 @@ def test_a_dropped_subtree_longer_than_a_chunk():
     # the refused <d> and the rest of its level each span several chunks
     data = (b'<r>before<p><d k="v">' + big + b'</d>after' + big
             + b'<d/> tail</p>last</r>')
-    first_d = iter([False, False, True])  # <r>, <p>, then the first <d>
-    got = _pushed(read_events(data), lambda: next(first_d, False))
-    assert got == [StartElement("r"), Text("before"), StartElement("p"),
-                   StartElement("d"), END, END, Text("last"), END, EOF]
+    for as_list in (False, True):
+        first_d = iter([False, False, True])  # <r>, <p>, then the first <d>
+        got = _pushed(read_events(data), lambda: next(first_d, False),
+                      as_list)
+        assert got == [StartElement("r"), Text("before"), StartElement("p"),
+                       StartElement("d"), END, Text("last"), END, EOF]
 
 
 def test_a_dropped_attribute_skips_the_rest_of_its_element():
     data = b'<r><e a="1" b="2">kids<k>deep</k>more</e>after</r>'
     head = [StartElement("r"), StartElement("e")]
     tail = [END, Text("after"), END, EOF]  # the End of <e> comes next
-    for picks, kept in (([False, False, True], []),
-                        ([False, False, False, True],
-                         [StartAttribute("a"), Text("1"), END])):
-        refused = StartAttribute("b" if kept else "a")
-        pick = iter(picks)
-        got = _pushed(read_events(data), lambda: next(pick, False))
-        assert got == head + kept + [refused, END] + tail
+    for as_list in (False, True):
+        for picks, kept in (([False, False, True], []),
+                            ([False, False, False, True],
+                             [StartAttribute("a"), Text("1"), END])):
+            refused = StartAttribute("b" if kept else "a")
+            pick = iter(picks)
+            got = _pushed(read_events(data), lambda: next(pick, False),
+                          as_list)
+            assert got == head + kept + [refused] + tail
+
+
+def test_a_refused_top_level_start_skips_to_the_end_of_the_list():
+    # a forest of three trees, the second refused: the third is the rest
+    # of the top level, and the list ends at its Eof with nothing open
+    events = [StartElement("a"), Text("x"), END,
+              StartElement("b"), StartElement("c"), END, Text("y"), END,
+              StartElement("d"), StartAttribute("k"), Text("v"), END, END,
+              EOF]
+    pick = iter([False, True])  # keep <a>, refuse <b>
+    got = _pushed(events, lambda: next(pick, False))
+    assert got == [StartElement("a"), Text("x"), END, StartElement("b"), EOF]
+    pick = iter([False, True])
+    assert got == _without_rest_of_level(events, lambda: next(pick, False))
+
+
+def test_a_list_cut_inside_a_refused_level_is_unbalanced():
+    # the step never sees the open nodes of a refused level, so push
+    # reports them, with the ones the step saw start, as cut bytes are
+    events = [StartElement("a"), StartElement("b"), StartElement("c"),
+              Text("t"), StartElement("d")]
+    for tail in ([], [EOF]):
+        with pytest.raises(XmlError, match="input ended with 4 open"):
+            _pushed(events + tail, iter([False, True]).__next__)
+    # closed to the top level: balanced, and the parent's End is the last
+    # step
+    got = _pushed(events + [END] * 4 + [EOF], iter([False, True]).__next__)
+    assert got == [StartElement("a"), StartElement("b"), END, EOF]

@@ -4,10 +4,10 @@ import pytest
 
 from mfx.xquery import (Element, For, Let, NodeTest, Path,
                         Predicate, QueryError, Sequence, Step,
-                        check_scoping, parse_query, pretty, query_size)
+                        check_scoping, parse_query)
 
 from conftest import NESTED_PROGRAM, P_PERSON_TEXT
-from util import random_query
+from util import pretty, query_size, random_query
 
 
 def test_nested_program_shape():

@@ -1,6 +1,8 @@
-"""Shared test helpers: byte-level runners, reference oracles that only
-the tests use (automaton-driven path selection, necessary parameters), a
-structural check of forests and random generators.
+"""Shared test helpers: forest and term constructors, byte-level and
+step-by-step runners, reference oracles that only the tests use
+(automaton-driven path selection, necessary parameters, transducer
+classes), query size and printing, a structural check of forests and
+random generators.
 
 The generators keep element-name and text-content alphabets disjoint
 (text contents double as comparison constants), which is the regime the
@@ -11,23 +13,106 @@ x2), except stay calls into designated call-free states.
 
 from __future__ import annotations
 
+import io
 import random
 from collections import deque
 from typing import Dict, List, Set, Tuple
 
-from mfx.forest import Forest, NodeKind, coalesce_text, elem, text
+from mfx.bench import CORPUS_QUERIES
+from mfx.compile import compile_text
+from mfx.forest import (Forest, NodeKind, TermError, _TermScanner,
+                        coalesce_text, ground)
 from mfx.mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rule, TEXT,
-                     _guard_order, evaluate, map_rhs, print_mft, rhs_nodes,
-                     validate)
-from mfx.optimize import bare_params
+                     _guard_order, evaluate, is_tree_rhs, map_rhs, print_mft,
+                     rhs_nodes, validate)
+from mfx.optimize import bare_params, optimize
 from mfx.paths import Numbering, PathAutomaton
-from mfx.stream import stream_run
-from mfx.xmlio import EOF, Text, forest_events, forest_to_bytes
+from mfx.stream import Engine, StreamStats, stream_run
+from mfx.xmlio import (EOF, StartElement, Text, forest_events,
+                       forest_to_bytes, push, read_events, sink_to)
 from mfx.xquery import (Element, For, Let, NodeTest, Path, PathExpr, Predicate,
                         Sequence, Step, StringLit)
 
 ELEM_LABELS = ("a", "b", "c")
 TEXT_CONTENTS = ("t1", "t2", "t3")
+
+
+def elem(label: str, *children: Node) -> Node:
+    return Node(label, NodeKind.ELEMENT, tuple(children))
+
+
+def text(content: str) -> Node:
+    return Node(content, NodeKind.TEXT, ())
+
+
+def attr(name: str, value: str) -> Node:
+    return Node(name, NodeKind.ATTRIBUTE, (text(value),))
+
+
+def parse_term(s: str) -> Forest:
+    """Parse the term notation of a forest with the rule-body reader;
+    ``eps`` or the empty string is ε."""
+    f = ground(_TermScanner(s).rhs())
+    if f is None:
+        raise TermError("a forest has no calls, parameters or %t", 0)
+    return f
+
+
+def classify(m: Mft) -> str:
+    """The smallest of TT ⊂ FT ⊂ MTT ⊂ MFT containing the transducer."""
+    rank1 = all(r == 1 for r in m.states.values())
+    tree = all(is_tree_rhs(rule.rhs) for rule in m.rules.values())
+    if rank1:
+        return "TT" if tree else "FT"
+    return "MTT" if tree else "MFT"
+
+
+def corpus_transducer(name: str, no_opt: bool = False) -> Mft:
+    m = compile_text(CORPUS_QUERIES[name])
+    return m if no_opt else optimize(m)
+
+
+def count_nodes(events) -> int:
+    """Element and text nodes of an event stream."""
+    return sum(1 for ev in events if type(ev) in (StartElement, Text))
+
+
+def stream_bytes(m: Mft, xml: bytes) -> Tuple[bytes, StreamStats]:
+    """XML bytes in, serialised output bytes and stats out."""
+    out = io.BytesIO()
+    stats = stream_run(m, read_events(xml), sink_to(out))
+    return out.getvalue(), stats
+
+
+def measure(m: Mft, src) -> StreamStats:
+    """Like ``stream_run`` with the output discarded."""
+    return stream_run(m, src, lambda ev: None)
+
+
+def stepped(m: Mft, events: list, force_drive: bool = False):
+    """Run ``m`` over an event list, ending at ``Eof``, through
+    ``xmlio.push`` and ``Engine.finish``.  Returns the output of each step
+    keyed by the index of its input event in the list (``finish``'s under
+    the ``Eof``'s), and the engine.  A skipped event has no step, so a run
+    that skips dead input compares with one that buffers it.  With
+    ``force_drive`` the engine runs its task stack on every event, as if it
+    waited on no cell."""
+    at = [0]
+    steps: Dict[int, list] = {}
+    eng = Engine(m, lambda ev: steps.setdefault(at[0], []).append(ev))
+    feed = eng.feed
+
+    def forced(kind, label):
+        eng._waiting = None
+        return feed(kind, label)
+
+    def source():
+        for at[0], ev in enumerate(events):
+            yield ev
+
+    push(source(), forced if force_drive else feed)
+    eng.finish()
+    return steps, eng
 
 
 def run_bytes(m: Mft, f: Forest) -> bytes:
@@ -235,6 +320,88 @@ def check_ft_eligibility(ast) -> bool:
 
     walk(ast, 0, {"input": 0})
     return ok
+
+
+# ---------------------------------------------------------------------------
+# Query size and printing
+# ---------------------------------------------------------------------------
+
+
+def query_size(q) -> int:
+    """Parse-tree node count: one per construct, element, literal, variable
+    occurrence, step, node test, predicate and comparison constant."""
+    if isinstance(q, Element):
+        return 1 + sum(query_size(c) for c in q.children)
+    if isinstance(q, StringLit):
+        return 1
+    if isinstance(q, Sequence):
+        return 1 + sum(query_size(c) for c in q.items)
+    if isinstance(q, For):
+        return 1 + 1 + path_size(q.path) + query_size(q.body)
+    if isinstance(q, Let):
+        return 1 + 1 + query_size(q.bound) + query_size(q.body)
+    if isinstance(q, PathExpr):
+        return 1 + path_size(q.path)
+    raise TypeError(q)
+
+
+def path_size(p: Path) -> int:
+    return 1 + sum(_step_size(s) for s in p.steps)
+
+
+def _step_size(s: Step) -> int:
+    n = 2  # step + node test
+    for pred in s.predicates:
+        n += 1 + sum(_step_size(ps) for ps in pred.steps)
+        if pred.value is not None:
+            n += 1
+    return n
+
+
+def pretty(q) -> str:
+    """Parseable text for an AST (axes always explicit)."""
+    if isinstance(q, Element):
+        inner = []
+        for c in q.children:
+            if isinstance(c, Element):
+                inner.append(pretty(c))
+            elif isinstance(c, StringLit):
+                inner.append(c.value)
+            else:
+                inner.append("{ %s }" % pretty(c))
+        return "<%s>%s</%s>" % (q.name, "".join(inner), q.name)
+    if isinstance(q, StringLit):
+        return q.value
+    if isinstance(q, For):
+        return "for $%s in %s return %s" % (q.var, pretty_path(q.path),
+                                            pretty(q.body))
+    if isinstance(q, Let):
+        return "let $%s := %s return %s" % (q.var, pretty(q.bound),
+                                            pretty(q.body))
+    if isinstance(q, PathExpr):
+        return pretty_path(q.path)
+    if isinstance(q, Sequence):
+        return "(%s)" % ", ".join(pretty(c) for c in q.items)
+    raise TypeError(q)
+
+
+def pretty_path(p: Path) -> str:
+    return "$%s%s" % (p.start, "".join(_pretty_step(s) for s in p.steps))
+
+
+def _pretty_step(s: Step) -> str:
+    preds = "".join("[%s]" % _pretty_pred(p) for p in s.predicates)
+    return "/%s::%s%s" % (s.axis, s.test, preds)
+
+
+def _pretty_pred(p: Predicate) -> str:
+    steps = "." + "".join(_pretty_step(s) for s in p.steps)
+    if p.kind == "exists":
+        return steps
+    if p.kind == "empty":
+        return "empty(%s)" % steps
+    op = "=" if p.kind == "eq" else "!="
+    return '%s %s "%s"' % (steps, op, p.value)
 
 
 # ---------------------------------------------------------------------------
