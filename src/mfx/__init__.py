@@ -9,8 +9,8 @@ The package is organised around one value domain and one machine model:
   contract every source keeps: a refused start is followed directly by
   its parent's end.
 * :mod:`mfx.mft` -- macro forest transducers: representation, the rhs
-  rewriter and binary view, validation, in-memory evaluation (the oracle),
-  and rule-file syntax.
+  rewriter, validation, in-memory evaluation (the oracle), and rule-file
+  syntax.
 * :mod:`mfx.xquery` -- the MinXQuery front end (parser, scope checker).
 * :mod:`mfx.paths` -- node tests, the reference path selection over a
   document numbered in pre-order (a node is its pre-order number), and the

@@ -346,11 +346,8 @@ class _ScanGen:
         rhs: List = []
         ys = self.ys
         if sel and self.q2 is not None:
-            label, is_text = cls
-            if label is None:
-                copy = Node(None, NodeKind.ELEMENT, (Call(COPY_STATE, 1),))
-            else:
-                copy = Node(label, NodeKind.ELEMENT, (Call(COPY_STATE, 1),))
+            # cls is (label, is_text); label None is %t, copying any label
+            copy = Node(cls[0], NodeKind.ELEMENT, (Call(COPY_STATE, 1),))
             rhs.append(Call(self.q2, 0, ys + ((copy,),)))
         elif sel:
             return ys[0]  # predicate scan: first hit wins
@@ -365,10 +362,7 @@ class _ScanGen:
                              if right else ys[1])
                 return tuple(rhs) + (Call(down_name, 1, (ys[0], fail)),)
         if right:
-            if self.q2 is not None:
-                rhs.append(Call(self.state_name((right, False)), 2, ys))
-            else:
-                rhs.append(Call(self.state_name((right, False)), 2, ys))
+            rhs.append(Call(self.state_name((right, False)), 2, ys))
         if not rhs and self.q2 is None:
             return ys[1]
         return tuple(rhs)

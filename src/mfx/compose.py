@@ -6,9 +6,9 @@ encoded, *is* a forest, so a "macro/top-down tree transducer" is just a
 transducer whose right-hand sides are tree shaped (:func:`mfx.mft.is_tree_rhs`).
 
 * Only the first operand must be tree shaped: the walker product reads
-  its output by address (:func:`mfx.mft.positions`).  It copies the
+  its output by position (:func:`_positions`).  It copies the
   second operand's rule bodies into its own without reading them by
-  address, so ``tt-ft`` and ``mtt-ft`` pair a forest-shaped second
+  position, so ``tt-ft`` and ``mtt-ft`` pair a forest-shaped second
   operand as it is.
 * :func:`ft_to_mtt` rewrites a parameter-free transducer into tree shape
   by threading a continuation parameter ("the rest of my output"), the
@@ -18,14 +18,13 @@ transducer whose right-hand sides are tree shaped (:func:`mfx.mft.is_tree_rhs`).
   (Perst and Seidl's construction for macro forest transducers).  For an
   m1 state q and an m2 state p, the entry state ``(q,p)`` starts, for
   every rule of q, a walker at the root of the rule's right-hand side.
-  The walker at address u (:func:`mfx.mft.positions`) in m2 state p
-  applies m2's rule for the output node at u and turns m2's moves into
-  stay moves to the walkers at u.1 and u.2; a call of m1 at u becomes a
-  call of the entry state for the called state and p.  Alphabet
-  completion first specialises the first transducer's default rules for
-  every symbol the second one distinguishes (plus a text-guard copy when
-  the second has text rules), so a default rule never hides a label the
-  walker would need to know.
+  The walker at position u in m2 state p applies m2's rule for the
+  output node at u and turns m2's moves into stay moves to the walkers
+  at u.1 and u.2; a call of m1 at u becomes a call of the entry state
+  for the called state and p.  Alphabet completion first specialises the
+  first transducer's default rules for every symbol the second one
+  distinguishes (plus a text-guard copy when the second has text rules),
+  so a default rule never hides a label the walker would need to know.
 * A walker is only ever called at x0 under the guard of its own m1 rule,
   where its one live rule applies, so a call of it can be replaced by its
   body with the arguments in place of its parameters (deforestation).
@@ -47,7 +46,8 @@ transducer whose right-hand sides are tree shaped (:func:`mfx.mft.is_tree_rhs`).
   A call into m1 passes one translated argument per (argument, m2 state),
   each a walker over that argument, then m2's parameters.
 * The product is built on demand, from the entry state of the two initial
-  states outward: a state is named when a finished rule first calls it
+  states outward: a callee is named where its call is built, becomes a
+  state when a finished rule first calls it (:attr:`mfx.mft.Rule.calls`)
   and gets its rules when it leaves a worklist, so every state built is
   reachable and none is built only to be pruned or inlined.
 
@@ -66,8 +66,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .forest import NodeKind
 from .mft import (Call, DEFAULT, EPS, Guard, Mft, Node, Param, Rhs, Rule,
-                  TEXT, is_tree_rhs, map_rhs, positions, rhs_nodes, rhs_size,
-                  sequences, size, validate)
+                  TEXT, is_tree_rhs, map_rhs, rhs_size, sequences, size,
+                  validate)
 
 
 def ft_to_mtt(m: Mft) -> Mft:
@@ -200,13 +200,32 @@ def _params(first: int, last: int) -> Tuple[Rhs, ...]:
     return tuple((Param(i),) for i in range(first, last + 1))
 
 
-def _full_size(m1: Mft, m2: Mft,
-               subs: Dict[Tuple[str, Guard], Dict[Tuple[int, ...], Rhs]]
+def _positions(rhs: Rhs) -> List[tuple]:
+    """A tree-shaped rhs as a binary tree of numbered positions, the root at
+    0.  Entry u holds the item at u (None at a leaf ε), then the numbers of
+    u.1 and u.2 for a node (its children and its right siblings) or of each
+    argument for a call, so that entry[v] is where a move to x<v> goes."""
+    table: List[tuple] = [()]
+    todo = [(0, rhs, 0)]  # (number, sequence, index of the item at it)
+    while todo:
+        u, seq, i = todo.pop()
+        head = seq[i] if i < len(seq) else None
+        t = type(head)
+        subs = (((head.children, 0), (seq, i + 1)) if t is Node
+                else [(a, 0) for a in head.args] if t is Call else ())
+        first = len(table)
+        table.extend([()] * len(subs))
+        table[u] = (head,) + tuple(range(first, len(table)))
+        todo.extend((first + j, sub, at) for j, (sub, at) in enumerate(subs))
+    return table
+
+
+def _full_size(m1: Mft, m2: Mft, tables: Dict[Tuple[str, Guard], List[tuple]]
                ) -> Tuple[int, int]:
     """Size and rule count of the whole product of the alphabet-completed
     m1 and m2, an entry state for every pair of states and a walker for
-    every (m1 rule, address, m2 state), counted without building a rule;
-    ``subs`` holds the positions of each m1 rule.  A walker's rhs is
+    every (m1 rule, position, m2 state), counted without building a rule;
+    ``tables`` holds the positions of each m1 rule.  A walker's rhs is
     a parameter (1), a call into m1 (the call, one walker call with c
     copies per argument and m2 state, and m2's parameters), or m2's rhs
     with c copies added to each of its calls.  Sums over the m2 states
@@ -221,7 +240,7 @@ def _full_size(m1: Mft, m2: Mft,
     node_sums: Dict[tuple, Tuple[int, int]] = {}
     total = len(m1.sigma | m2.sigma)
     count = 0
-    for (q, g), at in subs.items():
+    for (q, g), table in tables.items():
         c = (m1.states[q] - 1) * n
         pat = 1 if g.kind == "eps" else 3
         # pattern sizes (see mft.lhs_size) of the walker's rule and its pads
@@ -230,8 +249,8 @@ def _full_size(m1: Mft, m2: Mft,
         # the entry rules: their lhs, and one call passing all parameters
         total += n * (pat + 2 * c + 1) + 2 * ranks
         count += n
-        for sub in at.values():
-            head = sub[0] if sub else None
+        for entry in table:
+            head = entry[0]
             if type(head) is Param:
                 total += n
             elif type(head) is Call:
@@ -249,8 +268,8 @@ def _full_size(m1: Mft, m2: Mft,
                     sums = node_sums[nk] = (size2, calls)
                 total += sums[0] + c * sums[1]
         # the walkers' lhs, pads included
-        total += len(at) * (n * sum(pats) + len(pats) * (n * c + ranks))
-        count += len(at) * n * len(pats)
+        total += len(table) * (n * sum(pats) + len(pats) * (n * c + ranks))
+        count += len(table) * n * len(pats)
     return total, count
 
 
@@ -269,11 +288,11 @@ def _pair(m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
     reachable from the entry state of the two initial states are built:
     a state gets its rules when it leaves the worklist.
 
-    Bodies are built with their callees as keys, ``("c", q, p)`` for an
-    entry state and ``("w", m1 rule, address, p)`` for a walker, and a
-    walker call is inlined where the policy of the module docstring
-    allows; a key becomes a named state only when a finished rule calls
-    it, so no state is built that its caller then inlined."""
+    A callee is a key, ``("c", q, p)`` for an entry state and ``("w", m1
+    rule, position, p)`` for a walker, named where a call of it is built;
+    a walker call is inlined where the policy of the module docstring
+    allows.  A name becomes a state only when a finished rule calls it, so
+    no state is built that its caller then inlined or dropped."""
     _require_tree(m1, "first operand")
     m1 = complete_alphabet(m1, m2)
     p_list = sorted(m2.states)
@@ -291,15 +310,13 @@ def _pair(m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
     for mkey, rule in m2.rules.items():
         moves = Counter((it.var, it.state) for it in rule.calls)
         shared[mkey] = {mv for mv, k in moves.items() if k > 1}
-    # m1 rule -> its positions: address -> sub-rhs
-    subs = {rkey: dict(positions(rule.rhs))
-            for rkey, rule in m1.rules.items()}
+    tables = {rkey: _positions(rule.rhs) for rkey, rule in m1.rules.items()}
     # walker key -> walker(key), or None while its body is being built
     bodies: Dict[Tuple, Optional[tuple]] = {}
     building = 0                    # how many bodies are being built
     states: Dict[str, int] = {}
     rules: Dict[Tuple[str, Guard], Rule] = {}
-    names: Dict[Tuple, str] = {}
+    names: Dict[Tuple, str] = {}    # key -> name, and name -> key
     todo: deque = deque()
 
     def rank(key: Tuple) -> int:
@@ -307,37 +324,35 @@ def _pair(m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
         return 1 + (m1.states[q] - 1) * n + (m2.states[p] - 1)
 
     def name(key: Tuple) -> str:
-        names[key] = w = "%s%d" % (key[0], len(names))
-        states[w] = rank(key)
-        todo.append(key)
+        w = names.get(key)
+        if w is None:
+            names[key] = w = "%s%d" % (key[0], len(names) // 2)
+            names[w] = key
         return w
 
-    def named(rhs: Rhs) -> Rhs:
-        # a finished body's callees are named in prefix order, then renamed
-        for it in rhs_nodes(rhs):
-            if type(it) is Call and it.state not in names:
-                name(it.state)
-        return map_rhs(rhs, lambda it: (Call(names[it.state], it.var,
-                                             it.args),)
-                       if type(it) is Call else None)
+    def finish(w: str, g: Guard, rhs: Rhs):
+        # a callee becomes a state where a finished rule first calls it
+        rules[(w, g)] = rule = Rule(w, g, rhs)
+        for it in rule.calls:
+            if it.state not in states:
+                states[it.state] = rank(names[it.state])
+                todo.append(it.state)
 
     def call(key: Tuple, args: Tuple[Rhs, ...], dup: bool) -> Rhs:
         """A stay call of a walker, or its body with the arguments in
         place of its parameters; ``dup`` for a move m2 makes twice."""
         got = bodies.get(key, ())
-        if dup or got is None or building >= INLINE_DEPTH:
-            return (Call(key, 0, args),)
-        body, width, reads = got or walker(key)
-        if width > INLINE_MAX:
-            return (Call(key, 0, args),)
-        for i, k in reads.items():
-            a = args[i - 1]
-            if k > 1 and a and not (len(a) == 1 and type(a[0]) is Param):
-                return (Call(key, 0, args),)  # keep a shared argument shared
-        if args == ys[:len(args)]:
-            return body
-        return map_rhs(body, lambda it: args[it.index - 1]
-                       if type(it) is Param else None)
+        if not (dup or got is None or building >= INLINE_DEPTH):
+            body, width, reads = got or walker(key)
+            # an argument the body reads twice is copied only if bare
+            twice = [args[i - 1] for i, k in reads.items() if k > 1]
+            if width <= INLINE_MAX and all(
+                    not a or len(a) == 1 and type(a[0]) is Param
+                    for a in twice):
+                return body if args == ys[:len(args)] else map_rhs(
+                    body, lambda it: args[it.index - 1]
+                    if type(it) is Param else None)
+        return (Call(name(key), 0, args),)
 
     def walker(key: Tuple) -> Tuple[Rhs, int, Dict[int, int]]:
         """A walker's body, its size and its reads of each parameter."""
@@ -349,15 +364,14 @@ def _pair(m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
         _, rkey, u, p = key
         g = rkey[1]
         cp = copies[rkey[0]]
-        sub = subs[rkey][u]
-        head = sub[0] if sub else None
+        at = tables[rkey][u]
+        head = at[0]
         if type(head) is Param:
             rhs: Rhs = (Param((head.index - 1) * n + p_index[p]),)
         elif type(head) is Call:
-            args = tuple(call(("w", rkey, u + (j,), pp), cp, False)
-                         for j in range(2, len(head.args) + 2)
-                         for pp in p_list)
-            rhs = (Call(("c", head.state, p), head.var,
+            args = tuple(call(("w", rkey, at[j], pp), cp, False)
+                         for j in range(1, len(at)) for pp in p_list)
+            rhs = (Call(name(("c", head.state, p)), head.var,
                         args + ys[len(cp):rank(key) - 1]),)
         else:
             mkey, inst = _m2_rule(m2, p, head, g)
@@ -371,7 +385,7 @@ def _pair(m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
             def move(it):
                 if type(it) is not Call:
                     return None
-                return call(("w", rkey, u if it.var == 0 else u + (it.var,),
+                return call(("w", rkey, at[it.var] if it.var else u,
                              it.state), cp + it.args,
                             (it.var, it.state) in dup)
 
@@ -399,19 +413,20 @@ def _pair(m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
         return got
 
     initial = name(("c", m1.initial, m2.initial))
+    states[initial] = 1
+    todo.append(initial)
     while todo:
-        key = todo.popleft()
-        w = names[key]
+        w = todo.popleft()
+        key = names[w]
         if key[0] == "c":
             _, q, p = key
             ps = ys[:states[w] - 1]
             for rkey in by_state.get(q, ()):
-                rules[(w, rkey[1])] = Rule(w, rkey[1], named(
-                    call(("w", rkey, (), p), ps, False)))
+                finish(w, rkey[1], call(("w", rkey, 0, p), ps, False))
             continue
         g = key[1][1]
         # a walker has exactly one live rule
-        rules[(w, g)] = Rule(w, g, named(walker(key)[0]))
+        finish(w, g, walker(key)[0])
         for pad in (DEFAULT, EPS):
             if g.kind != pad.kind:
                 rules[(w, pad)] = Rule(w, pad, ())
@@ -420,12 +435,12 @@ def _pair(m1: Mft, m2: Mft) -> Tuple[Mft, int, int]:
     if problems:
         raise AssertionError("composition produced an invalid transducer: "
                              + "; ".join(problems))
-    return (m,) + _full_size(m1, m2, subs)
+    return (m,) + _full_size(m1, m2, tables)
 
 
 #: mode name -> (first operand parameter-free?, second parameter-free?,
 #: second tree-shaped?, encoding of the first); ``mfx compose --mode``
-#: offers these names.  Only the first operand is read by address, so
+#: offers these names.  Only the first operand is read by position, so
 #: ``tt-ft`` and ``mtt-ft`` pair a forest-shaped second operand as it is
 MODES = {
     "tt-tt": (True, True, True, None),

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .forest import (Call, Forest, Node, NodeKind, Param, Rhs,
                      _label_needs_quotes, _quote, _TermScanner, print_term)
@@ -56,27 +56,6 @@ def rhs_nodes(rhs: Rhs) -> List[object]:
         else:
             stack.pop()
     return out
-
-
-def positions(rhs: Rhs) -> Iterator[Tuple[Tuple[int, ...], Rhs]]:
-    """An rhs as a binary tree: ``(address, sub-rhs)`` in prefix order, a
-    node at u with its children at u.1 and its right siblings at u.2, a
-    call at u with its arguments at u.2, u.3, ...  The sub-rhs at u starts
-    with the item at u (empty at a leaf ε); not tree-shaped tails after a
-    call or parameter have no position."""
-    stack = [((), rhs)]
-    while stack:
-        u, sub = stack.pop()
-        yield u, sub
-        if not sub:
-            continue
-        head = sub[0]
-        if isinstance(head, Node):
-            stack.append((u + (2,), sub[1:]))
-            stack.append((u + (1,), head.children))
-        elif isinstance(head, Call):
-            stack.extend(reversed([(u + (j,), a)
-                                   for j, a in enumerate(head.args, 2)]))
 
 
 def sequences(rhs: Rhs) -> List[Rhs]:
@@ -214,7 +193,9 @@ class Rule:
     def calls(self) -> Tuple[Call, ...]:
         """The calls of the body, nested ones included, in prefix order.
         Kept on the rule, so that the optimizer's passes, which keep every
-        rule they do not rewrite, walk each body once."""
+        rule they do not rewrite, walk each body once.  The composer makes
+        a callee a state where a finished rule's calls first list it;
+        :func:`validate` keeps the calls it meets where none are kept."""
         return tuple([it for it in rhs_nodes(self.rhs) if type(it) is Call])
 
     @cached_property
@@ -510,9 +491,10 @@ def evaluate(m: Mft, f: Forest) -> Forest:
 
 def is_tree_rhs(rhs: Rhs) -> bool:
     """True iff the rhs is a single tree whose alphabet nodes are binary in
-    the first-child/next-sibling view (:func:`positions`): a call or
-    parameter leaf may not be followed by further items (that would need
-    concatenation)."""
+    the first-child/next-sibling view, a node's children and its right
+    siblings being its two subtrees: a call or parameter leaf may not be
+    followed by further items (that would need concatenation).  The walker
+    product of :mod:`mfx.compose` numbers the positions of this view."""
     seqs = [rhs]
     while seqs:
         seq = seqs.pop()

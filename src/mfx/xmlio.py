@@ -308,64 +308,50 @@ def write_events(events: Iterable[XmlEvent]) -> bytes:
 
 
 def sink_to(out) -> EventSink:
-    """An event sink writing serialised XML to a binary file object."""
-    writer = _StackWriter(out)
-    return writer
+    """An event sink writing serialised XML to a binary file object; it
+    keeps the names of the open elements for their end tags.  It looks up
+    ``out.write`` at every write, so the file object may replace it."""
+    stack: List[str] = []  # the names of the open elements
+    tag_open = False  # the last start tag is not closed yet
+    attr: Optional[List[str]] = None  # the attribute read: name, then text
 
-
-class _StackWriter:
-    """Serialiser that tracks open element names for proper end tags."""
-
-    def __init__(self, out):
-        self.out = out
-        self.stack: List[str] = []
-        self._tag_open = False
-        self._in_attr = False
-        self._attr: List[str] = []
-
-    def _close_tag(self):
-        if self._tag_open:
-            self.out.write(b">")
-            self._tag_open = False
-
-    def __call__(self, ev: XmlEvent):
+    def sink(ev: XmlEvent):
+        nonlocal tag_open, attr
         # event classes have no subclasses: dispatch on the exact type,
         # the most frequent first
         t = type(ev)
         if t is End:
-            if self._in_attr:
-                name, value = self._attr[0], "".join(self._attr[1:])
-                self.out.write(
-                    (' %s="%s"' % (name, _escape_attr(value))).encode("utf-8")
-                )
-                self._in_attr = False
-            elif self._tag_open:
-                self.stack.pop()
-                self.out.write(b"/>")
-                self._tag_open = False
+            if attr is not None:
+                value = _escape_attr("".join(attr[1:]))
+                out.write((' %s="%s"' % (attr[0], value)).encode("utf-8"))
+                attr = None
+            elif tag_open:
+                stack.pop()
+                out.write(b"/>")
+                tag_open = False
+            elif stack:
+                out.write(("</%s>" % stack.pop()).encode("utf-8"))
             else:
-                if not self.stack:
-                    raise XmlError("unbalanced events: End with no open element")
-                self.out.write(("</%s>" % self.stack.pop()).encode("utf-8"))
+                raise XmlError("unbalanced events: End with no open element")
         elif t is StartElement:
-            self._close_tag()
-            self.out.write(("<" + ev.name).encode("utf-8"))
-            self.stack.append(ev.name)
-            self._tag_open = True
+            out.write((("><" if tag_open else "<") + ev.name).encode("utf-8"))
+            stack.append(ev.name)
+            tag_open = True
         elif t is Text:
-            if self._in_attr:
-                self._attr.append(ev.content)
+            if attr is not None:
+                attr.append(ev.content)
             else:
-                self._close_tag()
-                self.out.write(_escape_text(ev.content).encode("utf-8"))
+                text = _escape_text(ev.content)
+                out.write(((">" + text) if tag_open else text).encode("utf-8"))
+                tag_open = False
         elif t is StartAttribute:
-            if not self._tag_open:
+            if not tag_open:
                 raise XmlError("attribute event outside a start tag")
-            self._in_attr = True
-            self._attr = [ev.name]
-        elif t is Eof:
-            if self.stack:
-                raise XmlError("Eof with %d open elements" % len(self.stack))
+            attr = [ev.name]
+        elif t is Eof and stack:
+            raise XmlError("Eof with %d open elements" % len(stack))
+
+    return sink
 
 
 def forest_to_bytes(f: Forest) -> bytes:

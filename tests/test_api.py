@@ -1,11 +1,15 @@
 """``src/mfx`` holds what the product runs: a public top-level function or
 class there must be used by the package itself or by the benchmark.  Code
-that only the tests use belongs next to them, in ``tests/util.py``.
+that only the tests use belongs next to them, in ``tests/util.py``.  Nor
+may it hold dead code: an import its module never uses, or a private
+top-level function, class or constant that the package never uses.
 
 A name counts as used where it appears (as a name, an attribute or an
 imported name) in ``src/mfx`` outside its own definition, or anywhere in
-``benchmark/``.  Matching is by name alone, so the check can miss an
-unused definition whose name is common, but it never flags a used one.
+``benchmark/``; an imported name is used where its module reads it, or
+where another module of the package imports it from there.  Matching is
+by name alone, so the check can miss an unused definition whose name is
+common, but it never flags a used one.
 """
 
 import ast
@@ -26,12 +30,19 @@ def _names(node) -> set:
     return out
 
 
+def _modules() -> dict:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted((ROOT / "src" / "mfx").glob("*.py"))}
+
+
+def _statements(modules: dict) -> list:
+    """Every top-level statement of every module, with the names it uses."""
+    return [(module, st, _names(st))
+            for module, tree in modules.items() for st in tree.body]
+
+
 def test_public_api_in_src_is_used_outside_the_tests():
-    # every top-level statement of every module, with the names it uses
-    statements = []
-    for path in sorted((ROOT / "src" / "mfx").glob("*.py")):
-        for st in ast.parse(path.read_text()).body:
-            statements.append((path.name, st, _names(st)))
+    statements = _statements(_modules())
     benchmark = set()
     for path in (ROOT / "benchmark").glob("*.py"):
         benchmark |= _names(ast.parse(path.read_text()))
@@ -43,3 +54,40 @@ def test_public_api_in_src_is_used_outside_the_tests():
         and not any(st.name in names for _, other, names in statements
                     if other is not st)]
     assert unused == []
+
+
+def test_src_has_no_unused_imports_or_private_definitions():
+    modules = _modules()
+    # module -> the names other modules of the package import from it
+    reexported: dict = {}
+    for tree in modules.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module:
+                reexported.setdefault(n.module, set()).update(
+                    a.name for a in n.names)
+    dead = []
+    for module, tree in modules.items():
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Import, ast.ImportFrom)) \
+                    and getattr(n, "module", None) != "__future__":
+                for a in n.names:
+                    bound = a.asname or a.name.partition(".")[0]
+                    if bound not in read \
+                            and a.name not in reexported.get(module, ()):
+                        dead.append("%s: import %s" % (module, a.name))
+    statements = _statements(modules)
+    for module, st, _ in statements:
+        if isinstance(st, (ast.FunctionDef, ast.ClassDef)):
+            defined = [st.name]
+        elif isinstance(st, (ast.Assign, ast.AnnAssign)):
+            targets = st.targets if isinstance(st, ast.Assign) else [st.target]
+            defined = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        dead.extend(
+            "%s: %s" % (module, name) for name in defined
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in names for _, other, names in statements
+                        if other is not st))
+    assert dead == []

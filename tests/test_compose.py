@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import tracemalloc
 import zlib
 
 import pytest
@@ -172,20 +174,21 @@ def test_randomized_pipeline_equivalence(mode, gen1, gen2):
     assert worst_ratio < 4.0, (mode, worst_ratio)
 
 
-def _copy_draw(mode: str, n: int):
-    """Draw ``random.Random(n)`` of the ``copies`` generators for a mode:
-    the two operands, their product and the rng the forests come from."""
+def _draw(mode: str, n: int, **flags):
+    """Draw ``random.Random(n)`` of the generators for a mode, with the
+    given flags (``copies``, ``stays``): the two operands, their product
+    and the rng the forests come from."""
     make = {"tt": random_tt, "ft": random_ft,
-            "mtt": lambda rng, copies: random_mft(rng, True, copies=copies)}
+            "mtt": lambda rng, **flags: random_mft(rng, True, **flags)}
     rng = random.Random(n)
-    m1, m2 = (make[kind](rng, True) for kind in mode.split("-"))
+    m1, m2 = (make[kind](rng, **flags) for kind in mode.split("-"))
     return m1, m2, compose(m1, m2, mode)[0], rng
 
 
 def _copy_draw_ok(mode: str, n: int) -> bool:
     # output events, not bytes: an attribute may land after content, which
     # does not serialise
-    m1, m2, comp, rng = _copy_draw(mode, n)
+    m1, m2, comp, rng = _draw(mode, n, copies=True)
     assert validate(comp) == []
     for _ in range(4):
         f = random_forest(rng, budget=8, attrs=True)
@@ -201,6 +204,18 @@ def test_pipeline_equivalence_with_copies_and_attributes(mode):
     # elements may start with an attribute, over inputs with attributes
     for n in range(40):
         assert _copy_draw_ok(mode, n), (mode, n)
+
+
+@pytest.mark.parametrize("mode", ["tt-tt", "mtt-tt", "tt-mtt", "mtt-ft",
+                                  "tt-ft", "ft-tt"])
+def test_pipeline_equivalence_with_stay_calls(mode):
+    # draws whose calls may stay at x0 in a later state: m2's stay moves
+    # call walkers at the same position of m1's output, and m1's become
+    # calls of entry states at x0
+    for n in range(40):
+        m1, m2, comp, rng = _draw(mode, n, stays=True)
+        assert validate(comp) == []
+        assert _pipeline_ok(m1, m2, comp, rng, rounds=3, budget=8), (mode, n)
 
 
 @pytest.mark.xfail(strict=True, reason="alphabet completion instantiates "
@@ -301,6 +316,33 @@ def test_deeply_nested_rule_body_composes():
     comp, _ = compose(m1, m2, "tt-tt")
     f = parse_term("b(c())")
     assert run_bytes(comp, f) == run_bytes(m2, evaluate(m1, f))
+
+
+@pytest.mark.parametrize("shape", ["deep", "wide"])
+def test_composition_memory_is_linear_in_depth_and_width(shape):
+    # q(%t(x1)x2) -> a(a(...q(x1)...)) or a() a() ... q(x1), composed with
+    # the identity: a position is a number, not its whole address, and a
+    # sibling run is never sliced, so 4x the nodes take about 4x the
+    # memory (15x when each position held its address and its sub-rhs)
+    def peak(n):
+        rhs = (Call("q", 1),)
+        if shape == "deep":
+            for _ in range(n):
+                rhs = (Node("a", children=rhs),)
+        else:
+            rhs = (Node("a"),) * n + rhs
+        m1 = MF.Mft({"q": 1}, {"a"}, "q",
+                    {("q", MF.DEFAULT): MF.Rule("q", MF.DEFAULT, rhs),
+                     ("q", MF.EPS): MF.Rule("q", MF.EPS, ())})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            compose(m1, parse_mft(IDENTITY_TT), "ft-tt")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(600) <= 6 * peak(150)
 
 
 # states of the fused corpus pairs, whose walker product inlines stay

@@ -89,6 +89,17 @@ def test_stream_equals_evaluate_with_copies_and_attributes():
                 assert engine_events(m, f) == eval_events(m, f), n
 
 
+def test_stream_equals_evaluate_with_stay_calls():
+    # calls that stay at x0 in a later state, in every rule kind
+    for n in range(40):
+        rng = random.Random(n)
+        for m in (random_mft(rng, stays=True), random_tt(rng, stays=True),
+                  random_ft(rng, stays=True)):
+            for _ in range(3):
+                f = random_forest(rng, budget=10)
+                assert engine_events(m, f) == eval_events(m, f), n
+
+
 def test_stream_equals_evaluate_on_compiled_queries():
     from mfx.bench import CORPUS_QUERIES
     from mfx.gen import generate_bytes

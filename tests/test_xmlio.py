@@ -6,7 +6,8 @@ from mfx.forest import NodeKind
 from mfx.gen import generate_bytes
 from mfx.xmlio import (_CHUNK, END, EOF, StartAttribute, StartElement, Text,
                        XmlError, build_forest, bytes_to_forest, forest_events,
-                       forest_to_bytes, push, read_events, write_events)
+                       forest_to_bytes, push, read_events, sink_to,
+                       write_events)
 
 from util import attr, elem, random_forest, text
 
@@ -68,6 +69,25 @@ def test_unbalanced_sink_rejected():
         write_events([StartElement("a"), EOF])
     with pytest.raises(XmlError):
         build_forest([StartElement("a"), EOF])
+
+
+def test_sink_looks_up_write_at_every_write():
+    # a file object may replace its write method once its first byte has
+    # arrived, as one that notes the time of its first output does
+    class Out:
+        def __init__(self):
+            self.chunks, self.firsts = [], 0
+
+        def write(self, data):
+            self.firsts += 1
+            self.write = self.chunks.append
+            self.chunks.append(data)
+
+    out = Out()
+    sink = sink_to(out)
+    for ev in (StartElement("a"), Text("x"), END, EOF):
+        sink(ev)
+    assert (out.firsts, b"".join(out.chunks)) == (1, b"<a>x</a>")
 
 
 def test_roundtrip_random_documents():

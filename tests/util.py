@@ -8,7 +8,8 @@ The generators keep element-name and text-content alphabets disjoint
 (text contents double as comparison constants), which is the regime the
 compiled guard model is exact in; see the compile module docstring.
 Random transducers terminate by construction: calls consume input (x1 or
-x2), except stay calls into designated call-free states.
+x2), except stay calls into designated call-free states and, on request,
+into states drawn after the caller.
 """
 
 from __future__ import annotations
@@ -552,11 +553,14 @@ def random_query(rng: random.Random, max_depth: int = 4,
 
 
 def random_mft(rng: random.Random, tree_shaped: bool = False,
-               max_rank: int = 3, copies: bool = False) -> Mft:
+               max_rank: int = 3, copies: bool = False,
+               stays: bool = False) -> Mft:
     """A small valid terminating transducer over sigma = {a, b, c}.  With
     ``copies``, output nodes may also be %t (in default and text rules)
-    and an output element may start with an attribute; without it no
-    random number is drawn for these, so a seed's draw does not change."""
+    and an output element may start with an attribute.  With ``stays``, a
+    call of a state drawn after the caller may also be an x0 call, so
+    stay chains stay acyclic.  Without them no random number is drawn for
+    these, so a seed's draw does not change."""
     sigma = ELEM_LABELS
     nstates = rng.randrange(2, 5)
     names = ["m%d" % i for i in range(nstates)]
@@ -592,7 +596,9 @@ def random_mft(rng: random.Random, tree_shaped: bool = False,
                 items.append(Param(rng.randrange(1, m + 1)))
             else:
                 callee = rng.choice(names + [literal])
-                var = 0 if callee == literal else rng.choice((1, 2))
+                later = stays and callee in names[names.index(q) + 1:]
+                var = 0 if callee == literal else rng.choice(
+                    (0, 1, 2) if later else (1, 2))
                 if eps_rule and var != 0:
                     items.append(Node("z", NodeKind.ELEMENT, ()))
                     continue
@@ -637,9 +643,13 @@ def random_mft(rng: random.Random, tree_shaped: bool = False,
     return m
 
 
-def random_tt(rng: random.Random, copies: bool = False) -> Mft:
-    return random_mft(rng, tree_shaped=True, max_rank=1, copies=copies)
+def random_tt(rng: random.Random, copies: bool = False,
+              stays: bool = False) -> Mft:
+    return random_mft(rng, tree_shaped=True, max_rank=1, copies=copies,
+                      stays=stays)
 
 
-def random_ft(rng: random.Random, copies: bool = False) -> Mft:
-    return random_mft(rng, tree_shaped=False, max_rank=1, copies=copies)
+def random_ft(rng: random.Random, copies: bool = False,
+              stays: bool = False) -> Mft:
+    return random_mft(rng, tree_shaped=False, max_rank=1, copies=copies,
+                      stays=stays)
