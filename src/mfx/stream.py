@@ -50,8 +50,9 @@ suspension or task, so an optimized transducer that drops its
 whole-document parameter scans in bounded memory, while the unoptimized
 one keeps the document alive through that parameter.  ``StreamStats``
 tracks the peak number of live buffered nodes (filled cells) and of live
-suspensions, counted up on filling or creation and down in ``__del__``;
-this is what the benchmark harness reports.
+suspensions, each the reference count of a token that all of them hold
+(less the engine's own references); this is what the benchmark harness
+reports.
 
 Reference counting also tells the engine which input no one can read:
 if only the buffer's tail stack holds the frontier cell of a level, no
@@ -61,14 +62,14 @@ step drops a text that comes there and refuses a start, and every source
 the ``End`` that closes it, which pops the level.  A dropped event fills
 no cell and runs no task.  Peaks cannot move: such a cell would be
 counted live and dead within one step, before the peak is sampled.  Like
-the ``__del__`` counts, this relies on CPython's reference counting.
+the live counts, this relies on CPython's reference counting.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from sys import getrefcount
+from sys import getrefcount, getrefcount as _live_count
 from typing import Dict, List, Optional
 
 from .forest import NodeKind
@@ -108,31 +109,14 @@ class StreamStats:
 # ---------------------------------------------------------------------------
 
 
-class _Live:
-    """Number of live objects of one kind in one run, and of all made."""
-
-    __slots__ = ("n", "made")
-
-    def __init__(self):
-        self.n = 0
-        self.made = 0
-
-
 class _Cell:
     """One position in a sibling chain: empty (the frontier), filled with a
     buffered node, or closed (end of the level).  A filled cell is the
     node: ``label``, ``kind`` and ``children`` (the head cell of its child
-    chain), and it counts as live until it is collected."""
+    chain), and it holds its run's node token; it is empty by default."""
 
-    __slots__ = ("label", "kind", "children", "next", "closed", "live")
-
-    def __init__(self):
-        self.kind: Optional[NodeKind] = None
-        self.closed = False
-
-    def __del__(self):
-        if self.kind is not None:
-            self.live.n -= 1
+    kind: Optional[NodeKind] = None
+    closed = False
 
 
 _CLOSED = _Cell()
@@ -248,17 +232,13 @@ class _Susp:
     __slots__ = ("body", "cell", "params", "stay", "cache", "live")
 
     def __init__(self, body: tuple, cell: _Cell, params: tuple, stay: int,
-                 live: _Live):
+                 live: object):
         self.body = body
         self.cell = cell
         self.params = params
         self.stay = stay
         self.cache: Optional[tuple] = None
         self.live = live
-        live.n += 1
-
-    def __del__(self):
-        self.live.n -= 1
 
 
 # Task tags.  Every task but APPLY carries its target list.  APPLY selects
@@ -290,7 +270,10 @@ class Engine:
         root = _Cell()
         #: the buffer's tail stack: the frontier cell of each open level
         tails = self._tails = [root]
-        nodes, susps = self._nodes, self._susps = _Live(), _Live()
+        # live counts (module docstring) less base, the engine's own refs;
+        # _live_count is getrefcount under a name that tests leave alone
+        nodes, susps = self._nodes, self._susps = object(), object()
+        base = self._base = _live_count(nodes)
         #: the output target: tasks add to it, each input step drains it
         pending = self._pending = []
         self._text_run: Optional[List[str]] = None  # waits for the next step
@@ -324,18 +307,19 @@ class Engine:
                 else:
                     cell.children = kids = _Cell()
                     tails.append(kids)
-                nodes.made += 1
-                nodes.n += 1
+                stats.nodes_buffered += 1
                 # the engine creates no buffered nodes, so this peak is final
-                if nodes.n > stats.peak_nodes:
-                    stats.peak_nodes = nodes.n
+                n = _live_count(nodes) - base
+                if n > stats.peak_nodes:
+                    stats.peak_nodes = n
             # while the cell the engine blocked on is empty, nothing on the
             # stack can run
             wait = self._waiting
             if wait is None or wait.kind is not None or wait.closed:
                 drive()
-                if susps.n > stats.peak_suspensions:
-                    stats.peak_suspensions = susps.n
+                n = _live_count(susps) - base
+                if n > stats.peak_suspensions:
+                    stats.peak_suspensions = n
             if pending:
                 drain(False)
             return True
@@ -351,10 +335,10 @@ class Engine:
             raise EngineError("input ended with %d open elements"
                               % (len(tails) - 1))
         tails.pop().closed = True
-        stats.nodes_buffered = self._nodes.made
         self._drive()
-        if self._susps.n > stats.peak_suspensions:
-            stats.peak_suspensions = self._susps.n
+        n = _live_count(self._susps) - self._base
+        if n > stats.peak_suspensions:
+            stats.peak_suspensions = n
         if self._pending or not self.stack:
             self._drain(not self.stack)
 

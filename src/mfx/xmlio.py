@@ -13,6 +13,18 @@ a step that returns False after a start refuses that node, its insides
 and the rest of its level, and the next step is the parent's ``End``, if
 it has one.  This is how the streaming engine skips input no one can read.
 
+A refused level is skipped at expat's speed.  Let P be the innermost
+element the step took (for a refused attribute, the element itself).
+Handlers count the open elements named P up to P's end in the read of
+the refusal.  If the level runs on, a byte search from the refused tag
+finds the next ``<P`` or ``</P`` followed by whitespace, ``/`` or ``>``;
+expat parses the bytes before it with no handlers, and the handlers
+count on from there.  No P tag passes uncounted, so a match in a comment
+or CDATA section only stops the search early, and expat still checks
+every byte.  Input that is not UTF-8 (a UTF-16 byte order mark or NUL
+byte first, or another declared encoding) is counted to the end, as is a
+level with a P tag after the refused one in the same read.
+
 Reading is incremental: :func:`read_events` returns an expat driver that
 feeds its source to the parser in small chunks and steps straight from
 the expat handlers, building no event objects; iterating it builds the
@@ -27,6 +39,7 @@ finished.
 from __future__ import annotations
 
 import io
+import re
 import xml.parsers.expat
 from dataclasses import dataclass
 from itertools import chain
@@ -140,8 +153,24 @@ class XmlReader:
         parser.ordered_attributes = True
         parser.buffer_text = True
         keep_whitespace = self._keep_whitespace
+        read = self._source.read
         text_buf: List[str] = []
-        skip = 0  # open elements inside a skipped level (0 outside one)
+        names: List[str] = []  # the open elements the step took (P last)
+        # where a level was refused (None once its search is done), its open
+        # elements named P, and the number of bytes given to expat
+        refused_at, count, total = None, 0, 0
+        head, utf8 = b"", True  # the first bytes; is the input UTF-8
+
+        def parse(data, final=False):
+            nonlocal total
+            total += len(data)
+            try:
+                parser.Parse(data, final)
+            except xml.parsers.expat.ExpatError as e:
+                raise XmlError(
+                    "XML parse error at line %d, column %d: %s"
+                    % (e.lineno, e.offset, str(e))
+                ) from None
 
         def flush_text():
             content = "".join(text_buf)
@@ -153,12 +182,11 @@ class XmlReader:
             step(_TEXT, content)
 
         def start(name, attrs):
-            nonlocal skip
+            nonlocal refused_at, count
             if text_buf:
                 flush_text()
-            if not step(_ELEMENT, name):
-                skip = 1  # the refused element is open
-            else:
+            if step(_ELEMENT, name):
+                names.append(name)
                 for i in range(0, len(attrs), 2):
                     if not step(_ATTRIBUTE, attrs[i]):
                         break  # the rest of the element goes with it
@@ -167,12 +195,18 @@ class XmlReader:
                     step(None, None)
                 else:
                     return
-            # count depth to the parent's end
+                name = None  # the element's own end closes the level
+            elif not names:
+                set_handlers(None, None, None)  # a refused root: no more steps
+                return
+            count = 1 if name == names[-1] else 0  # the refused one, if open
+            refused_at = parser.CurrentByteIndex
             set_handlers(skip_start, skip_end, None)
 
         def end(name):
             if text_buf:
                 flush_text()
+            names.pop()
             step(None, None)
 
         def set_handlers(on_start, on_end, on_chars):
@@ -181,28 +215,68 @@ class XmlReader:
             parser.CharacterDataHandler = on_chars
 
         def skip_start(name, attrs):
-            nonlocal skip
-            skip += 1
+            nonlocal count
+            if name == names[-1]:
+                count += 1
 
         def skip_end(name):
-            nonlocal skip
-            if skip:
-                skip -= 1
-            else:
-                set_handlers(start, end, text_buf.append)
-                step(None, None)
+            nonlocal count, refused_at
+            if name == names[-1]:
+                if count:
+                    count -= 1
+                else:
+                    refused_at = None
+                    set_handlers(start, end, text_buf.append)
+                    end(name)
+
+        def skip_level(chunk):
+            """Skip on in the level left open by ``chunk`` (see the module
+            docstring); return the bytes parsed last, b"" at the end."""
+            nonlocal refused_at
+            name = names[-1].encode()
+            mark = re.compile(rb"</?%s[\s/>]" % re.escape(name)).search
+            # from after the refused tag's "<"; chunk ends at byte total
+            buf = chunk[max(refused_at + 1 - total + len(chunk), 0):]
+            refused_at = None
+            fed = len(buf)  # the bytes of buf given to expat
+            if not utf8 or mark(buf):
+                return chunk  # count to the end of the level
+            set_handlers(None, None, None)
+            hold = len(name) + 3  # a tag may span two reads
+            while True:
+                more = read(_CHUNK)
+                cut = max(len(buf) - hold, 0)
+                if cut > fed:
+                    parse(buf[fed:cut])
+                    fed = cut
+                buf = buf[cut:] + more
+                fed -= cut
+                m = mark(buf)
+                if m or not more:
+                    break
+            at = m.start() if m else len(buf)
+            parse(buf[fed:at])
+            set_handlers(skip_start, skip_end, None)
+            buf = buf[max(at, fed):]
+            parse(buf, not more)
+            return buf if more else b""
+
+        def xml_decl(version, encoding, standalone):
+            nonlocal utf8
+            if encoding and encoding.lower() not in ("utf-8", "us-ascii"):
+                utf8 = False
 
         set_handlers(start, end, text_buf.append)
-        read = self._source.read
+        parser.XmlDeclHandler = xml_decl
         while True:
             chunk = read(_CHUNK)
-            try:
-                parser.Parse(chunk, not chunk)
-            except xml.parsers.expat.ExpatError as e:
-                raise XmlError(
-                    "XML parse error at line %d, column %d: %s"
-                    % (e.lineno, e.offset, str(e))
-                ) from None
+            if len(head) < 2:  # UTF-16 starts with a BOM or a NUL byte
+                head += chunk[:2]
+                if b"\0" in head or head[:2] in (b"\xfe\xff", b"\xff\xfe"):
+                    utf8 = False
+            parse(chunk, not chunk)
+            while refused_at is not None and chunk:
+                chunk = skip_level(chunk)
             yield
             if not chunk:
                 return

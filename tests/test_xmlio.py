@@ -160,31 +160,60 @@ def test_events_keep_order_across_chunks_and_errors_keep_position():
     assert got and got == good[:len(got)]
 
 
+#: markup the reader steps over that holds tags: a skip must not end there
+_MARKUP = ("<!-- </a> <a> -->", "<![CDATA[</a><ab>]]>", "<?pi </a> <a>?>")
+
+
 def _random_document(rng, budget):
-    """XML bytes with attributes, whitespace-only text, mixed content and,
-    now and then, a subtree several read chunks long."""
+    """XML bytes with attributes (some values hold ``>`` and ``/>``),
+    whitespace-only text, mixed content, names that share a prefix, end
+    tags with whitespace, comments, CDATA sections and processing
+    instructions that hold tags and, now and then, a run of siblings
+    several read chunks long."""
     out = []
+
+    def big():
+        # mostly plain items, now and then markup or a name of the level
+        return "".join(
+            rng.choice(_MARKUP + ("<a>t</a>", "<ab/>")) if rng.random() < 0.01
+            else '<i n="%d">t%d</i>\n ' % (k, k) for k in range(300))
 
     def node(depth):
         nonlocal budget
-        name = rng.choice("abcd")
-        attrs = "".join(' %s="%s"' % (k, rng.choice(["", "v", " w "]))
+        name = rng.choice(["a", "ab", "b", "c"])
+        attrs = "".join(' %s="%s"' % (k, rng.choice(["", "v", " w ", "/>",
+                                                      "x>"]))
                         for k in rng.sample("xyz", rng.randrange(3)))
         out.append("<%s%s>" % (name, attrs))
-        if depth < 6 and rng.random() < 0.05:
-            out.append("<big>%s</big>" % "".join(
-                '<i n="%d">t%d</i>\n ' % (k, k) for k in range(300)))
         while budget > 0 and rng.random() < 0.6:
             budget -= 1
             r = rng.random()
             if r < 0.2:
                 out.append(rng.choice([" ", "\n  ", "x", " y &amp; z "]))
+            elif r < 0.3:
+                out.append(rng.choice(_MARKUP))
+            elif r < 0.33:
+                out.append(big() if rng.random() < 0.5
+                           else "<big>%s</big>" % big())
             elif depth < 6:
                 node(depth + 1)
-        out.append("</%s>" % name)
+        out.append(rng.choice(["</%s>", "</%s >", "</%s\n>"]) % name)
 
     node(0)
     return "".join(out).encode()
+
+
+class _Trickle:
+    """A binary source whose reads return 1 to 17 bytes, so that read
+    boundaries fall everywhere."""
+
+    def __init__(self, data, seed):
+        self.data, self.at, self.rng = data, 0, random.Random(seed)
+
+    def read(self, n):
+        chunk = self.data[self.at:self.at + self.rng.randint(1, 17)]
+        self.at += len(chunk)
+        return chunk
 
 
 def _is_start(ev):
@@ -236,7 +265,7 @@ def _coin(seed, p):
 
 def test_dropped_subtrees_lose_exactly_their_insides():
     # steps that drop random starts, in and across read chunks, from a
-    # reader and from its events in a list
+    # reader, from a reader of tiny reads and from its events in a list
     rng = random.Random(23)
     for trial in range(60):
         data = _random_document(rng, rng.randrange(5, 120))
@@ -245,10 +274,11 @@ def test_dropped_subtrees_lose_exactly_their_insides():
         for p in (0.05, 0.3, 1.0):
             seed = rng.random()
             want = _without_rest_of_level(full, _coin(seed, p))
-            for as_list in (False, True):
-                got = _pushed(read_events(data, keep_whitespace=keep),
-                              _coin(seed, p), as_list)
-                assert got == want, as_list
+            for source in ("reader", "list", "trickle"):
+                got = _pushed(read_events(
+                    _Trickle(data, seed) if source == "trickle" else data,
+                    keep_whitespace=keep), _coin(seed, p), source == "list")
+                assert got == want, source
 
 
 def test_a_dropped_subtree_longer_than_a_chunk():
@@ -306,3 +336,66 @@ def test_a_list_cut_inside_a_refused_level_is_unbalanced():
     # step
     got = _pushed(events + [END] * 4 + [EOF], iter([False, True]).__next__)
     assert got == [StartElement("a"), StartElement("b"), END, EOF]
+
+
+def _sources(data):
+    """The reader of ``data`` by whole chunks and by tiny reads."""
+    return read_events(data), read_events(_Trickle(data, 0))
+
+
+def _third():
+    """A choice that refuses the third start and keeps the others."""
+    picks = iter([False, False, True])
+    return lambda: next(picks, False)
+
+
+def _items(n):
+    return "".join('<i n="%d">t%d</i>\n' % (k, k) for k in range(n))
+
+
+def test_a_refused_level_named_like_its_parent():
+    # the refused inner <p>'s own end does not end the level: the outer
+    # <p>'s does, in one chunk and when the level spans several
+    for body in ("x", _items(400)):
+        data = ("<r><p>a<p>%s</p>%s<p/>tail</p>after</r>"
+                % (body, body)).encode()
+        assert len(data) < _CHUNK or len(body) > _CHUNK
+        for src in _sources(data) + (list(read_events(data)),):
+            # keep <r> and <p>, refuse the inner <p>
+            got = _pushed(src, _third(), type(src) is list)
+            assert got == [StartElement("r"), StartElement("p"), Text("a"),
+                           StartElement("p"), END, Text("after"), END, EOF]
+
+
+def test_a_skip_across_chunks_in_other_encodings():
+    # the byte search looks for UTF-8 names: a UTF-16 document (known by
+    # its byte order mark, its declaration names no encoding) and an
+    # ISO-8859-1 one (known by its declaration) are counted instead, and
+    # step as their UTF-8 twin
+    doc = '<r><pé><d/>%s</pé>after<pé>x</pé></r>' % _items(700)
+    twin = doc.encode()
+    assert len(twin) > 3 * _CHUNK
+    want = _pushed(read_events(twin), _third())
+    assert want[:6] == [StartElement("r"), StartElement("pé"),
+                        StartElement("d"), END, Text("after"),
+                        StartElement("pé")]
+    for data in (('<?xml version="1.0"?>' + doc).encode("utf-16"),
+                 ('<?xml version="1.0" encoding="ISO-8859-1"?>'
+                  + doc).encode("latin-1")):
+        for src in _sources(data):
+            got = _pushed(src, _third())
+            assert got == want
+
+
+def test_malformed_input_inside_a_skipped_level_keeps_its_position():
+    # expat parses the skipped bytes too, with or without handlers, and
+    # reports the error where a reader that skips nothing does
+    data = ("<r><p><d/>%s<i></x>%s</p></r>"
+            % (_items(700), _items(10))).encode()
+    assert data.index(b"</x>") > 3 * _CHUNK
+    with pytest.raises(XmlError, match="line 701, column 5") as whole:
+        list(read_events(data))
+    for src in _sources(data):
+        with pytest.raises(XmlError) as skipped:
+            _pushed(src, _third())
+        assert str(skipped.value) == str(whole.value)
