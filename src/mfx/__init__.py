@@ -2,7 +2,7 @@
 
 The package is organised around one value domain and one machine model:
 
-* :mod:`mfx.forest` -- immutable XML forests, whose node class rule
+* :mod:`mfx.forest` -- XML forests, never mutated, whose node class rule
   bodies share, and their one term notation (one printer, one reader).
 * :mod:`mfx.xmlio` -- the event boundary between concrete XML bytes and
   forests (a small start/text/end event vocabulary), and the one input

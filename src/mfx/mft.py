@@ -422,10 +422,10 @@ def evaluate(m: Mft, f: Forest) -> Forest:
         tag = op[0]
         if tag == "seq":
             _, rhs, env, acc = op
-            stack.extend(("item", it, env, acc) for it in reversed(rhs))
+            stack.extend([("item", it, env, acc) for it in reversed(rhs)])
         elif tag == "item":
             _, it, env, acc = op
-            if isinstance(it, Param):
+            if type(it) is Param:
                 v = env.params[it.index - 1]
                 if type(v) is _Thunk and v.value is None:
                     value_acc: List[Node] = []
@@ -433,7 +433,7 @@ def evaluate(m: Mft, f: Forest) -> Forest:
                     stack.append(("seq", v.rhs, v.env, value_acc))
                 else:
                     acc.extend(v.value if type(v) is _Thunk else v)
-            elif isinstance(it, Node):
+            elif type(it) is Node:
                 if it.label is None:
                     if env.index == len(env.forest):
                         raise TransducerError(NO_CURRENT_NODE)
@@ -457,11 +457,11 @@ def evaluate(m: Mft, f: Forest) -> Forest:
                     g, i, stay = env.forest, env.index + 1, 0
                 # a bare parameter argument aliases the caller's value: the
                 # pass-through of accumulating parameters must not copy them
-                params = tuple(
+                params = tuple([
                     env.params[arg[0].index - 1]
-                    if len(arg) == 1 and isinstance(arg[0], Param)
+                    if len(arg) == 1 and type(arg[0]) is Param
                     else _Thunk(arg, env) if arg else ()
-                    for arg in it.args)
+                    for arg in it.args])
                 stack.append(("apply", it.state, g, i, params, acc, stay))
         elif tag == "close":
             _, label, kind, child_acc, acc = op

@@ -113,14 +113,14 @@ class _Cell:
     """One position in a sibling chain: empty (the frontier), filled with a
     buffered node, or closed (end of the level).  A filled cell is the
     node: ``label``, ``kind`` and ``children`` (the head cell of its child
-    chain), and it holds its run's node token; it is empty by default."""
+    chain), and it holds its run's node token.  A slot has no default, so
+    each creation site sets ``kind`` (None while empty) and ``closed``."""
 
-    kind: Optional[NodeKind] = None
-    closed = False
+    __slots__ = ("label", "kind", "children", "next", "closed", "live")
 
 
 _CLOSED = _Cell()
-_CLOSED.closed = True
+_CLOSED.kind, _CLOSED.closed = None, True
 
 
 _ELEMENT, _TEXT = NodeKind.ELEMENT, NodeKind.TEXT
@@ -268,6 +268,7 @@ class Engine:
         # only the initial task holds the root cell: holding it here would
         # pin the whole document
         root = _Cell()
+        root.kind, root.closed = None, False
         #: the buffer's tail stack: the frontier cell of each open level
         tails = self._tails = [root]
         # live counts (module docstring) less base, the engine's own refs;
@@ -301,11 +302,13 @@ class Engine:
             else:
                 cell = tails[-1]
                 cell.label, cell.kind, cell.live = label, kind, nodes
-                cell.next = tails[-1] = _Cell()
+                cell.next = nxt = tails[-1] = _Cell()
+                nxt.kind, nxt.closed = None, False
                 if kind is _TEXT:
                     cell.children = _CLOSED
                 else:
                     cell.children = kids = _Cell()
+                    kids.kind, kids.closed = None, False
                     tails.append(kids)
                 stats.nodes_buffered += 1
                 # the engine creates no buffered nodes, so this peak is final

@@ -187,6 +187,8 @@ class XmlReader:
                 flush_text()
             if step(_ELEMENT, name):
                 names.append(name)
+                if not attrs:
+                    return
                 for i in range(0, len(attrs), 2):
                     if not step(_ATTRIBUTE, attrs[i]):
                         break  # the rest of the element goes with it

@@ -91,3 +91,17 @@ def test_src_has_no_unused_imports_or_private_definitions():
             and not any(name in names for _, other, names in statements
                         if other is not st))
     assert dead == []
+
+
+def test_hot_value_classes_are_slotted():
+    # a run builds these once per node, event, call argument or rule
+    # application; a class that falls back to __dict__ instances costs
+    # construction time and memory on every one of them
+    from mfx import mft, stream, xmlio
+    from mfx.forest import Call, Node, Param
+    hot = (Node, Call, Param, xmlio.StartElement, xmlio.StartAttribute,
+           xmlio.Text, stream._Susp, stream._Cell, mft._Env, mft._Thunk)
+    unslotted = [cls.__name__ for cls in hot
+                 if "__slots__" not in vars(cls)
+                 or "__dict__" in dir(cls)]
+    assert unslotted == []

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfx.forest import Node, NodeKind, TermError, coalesce_text, print_term
+from mfx.forest import (Call, Node, NodeKind, Param, TermError, coalesce_text,
+                        print_term)
 
 from util import attr, check_forest, elem, parse_term, random_forest, text
 
@@ -89,6 +90,23 @@ def test_tree_equality_is_structural_at_any_depth():
     assert deep != _chain(4999, (text("x"),))
     assert elem("a") != "a" and elem("a") == Node("a")
     assert hash(elem("a", text("x"))) == hash(elem("a", text("x")))
+
+
+def test_slotted_terms_compare_and_hash_by_value():
+    # Node, Call and Param are slotted, not frozen: equality and hashing
+    # stay by value, so equal terms are one set member and one dict key
+    def make():
+        return (elem("a", attr("k", "v"), text("x")),
+                Call("q", 1, ((Param(1), elem("b")), ())),
+                Param(2))
+    for x, y in zip(make(), make()):
+        assert x is not y and x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1 and {x: 1, y: 2} == {x: 2}
+    assert Param(1) != Param(2) and Param(1) == Param(1)
+    assert elem("a") != Call("q", 1) and Call("q", 1) != elem("a")
+    assert Node("q") != Call("q", 0) and Call("q", 1) != Call("q", 2)
+    for obj in make():
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 def test_helpers_handle_a_5000_deep_chain():
