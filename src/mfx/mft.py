@@ -373,34 +373,28 @@ class StayBudgetExceeded(TransducerError):
 
 
 class _Thunk:
-    """A call argument and its caller's environment; ``value`` is the
-    argument's forest once a rule has read the parameter."""
+    """A call argument and its caller's application ``(forest, index,
+    params, stay)``; ``value`` is the argument's forest once read."""
 
     __slots__ = ("rhs", "env", "value")
 
-    def __init__(self, rhs: Rhs, env: "_Env"):
+    def __init__(self, rhs: Rhs, env: tuple):
         self.rhs, self.env, self.value = rhs, env, None
 
 
-class _Env:
-    """A rule application: input position x0 = forest[index:], unsliced."""
-
-    __slots__ = ("forest", "index", "params", "stay")
-
-    def __init__(self, forest, index, params, stay):
-        self.forest = forest
-        self.index = index
-        self.params = params
-        self.stay = stay
+_REST, _CLOSE, _MEMO = range(3)  # the tags of evaluate's tasks
+_TEXT = NodeKind.TEXT  # a global: an enum member's lookup is slow
 
 
 def evaluate(m: Mft, f: Forest) -> Forest:
     """Run the transducer on a forest and return the output forest.
 
-    The evaluator is iterative (explicit work stack), so input depth and
-    width are only limited by memory.  An input position is a forest and
-    an index into it: x1 and x2 copy nothing, so time is linear in the
-    width.  Call arguments are evaluated by need, at most once each:
+    The evaluator is iterative, so input depth and width are only limited
+    by memory.  Its loop expands a body in place and pushes a task only for
+    what waits: the rest of a sequence when items remain (a tail call
+    pushes nothing), a node's close and a memo.  An input position is a
+    forest and an index into it: x1 and x2 copy nothing, so time is linear
+    in the width.  Call arguments are evaluated by need, at most once each:
     composed transducers pass many parameter copies that no rule reads,
     and evaluating those eagerly can take time exponential in the input.
     More than ``max(100, 10 * size(m))`` consecutive stay moves raise
@@ -409,80 +403,92 @@ def evaluate(m: Mft, f: Forest) -> Forest:
     """
     budget = None  # stay_budget(m), once a stay run passes STAY_FLOOR
     table = dispatch_table(m)
-
     out: List[Node] = []
-    # ops: ("seq", rhs, env, acc) expand items in order into acc
-    #      ("item", item, env, acc) expand one item into acc
-    #      ("close", label, kind, child_acc, acc) wrap finished children
-    #      ("memo", thunk, value_acc, acc) keep a read argument's value
-    #      ("apply", state, g, i, params, acc, stay) enter a rule at g[i]
-    stack = [("apply", m.initial, f, 0, (), out, 0)]
-    while stack:
-        op = stack.pop()
-        tag = op[0]
-        if tag == "seq":
-            _, rhs, env, acc = op
-            stack.extend([("item", it, env, acc) for it in reversed(rhs)])
-        elif tag == "item":
-            _, it, env, acc = op
-            if type(it) is Param:
-                v = env.params[it.index - 1]
-                if type(v) is _Thunk and v.value is None:
-                    value_acc: List[Node] = []
-                    stack.append(("memo", v, value_acc, acc))
-                    stack.append(("seq", v.rhs, v.env, value_acc))
+    # (_REST, body, pos, acc, forest, index, params, stay) the rest of a
+    # sequence; (_CLOSE, label, kind, children, acc) wrap a node's finished
+    # children; (_MEMO, thunk, value, acc) keep a read argument's value
+    tasks: List[tuple] = []
+    push = tasks.append
+    # the run starts as a stay call of the initial state, from stay -1
+    body, pos, n, acc = (Call(m.initial, 0),), 0, 1, out
+    g, i, params, stay = f, 0, (), -1
+    while True:
+        while pos < n:
+            it = body[pos]
+            pos += 1
+            t = type(it)
+            if t is Call:
+                if pos < n:
+                    push((_REST, body, pos, acc, g, i, params, stay))
+                if it.args:
+                    # a bare parameter argument aliases the caller's value:
+                    # the pass-through of accumulating parameters must not
+                    # copy them
+                    env = (g, i, params, stay)
+                    params = tuple([
+                        () if not a else params[a[0].index - 1]
+                        if len(a) == 1 and type(a[0]) is Param
+                        else _Thunk(a, env) for a in it.args])
                 else:
-                    acc.extend(v.value if type(v) is _Thunk else v)
-            elif type(it) is Node:
-                if it.label is None:
-                    if env.index == len(env.forest):
-                        raise TransducerError(NO_CURRENT_NODE)
-                    head = env.forest[env.index]
-                    label, kind = head.label, head.kind
-                else:
-                    label, kind = it.label, it.kind
-                child_acc: List[Node] = []
-                stack.append(("close", label, kind, child_acc, acc))
-                stack.append(("seq", it.children, env, child_acc))
-            else:
+                    params = ()
                 if it.var == 0:
-                    g, i, stay = env.forest, env.index, env.stay + 1
+                    stay += 1
                     if stay > STAY_FLOOR:
                         budget = budget or stay_budget(m)
                         if stay > budget:
                             raise StayBudgetExceeded(it.state, budget)
                 elif it.var == 1:
-                    g, i, stay = env.forest[env.index].children, 0, 0
+                    g, i, stay = g[i].children, 0, 0
                 else:
-                    g, i, stay = env.forest, env.index + 1, 0
-                # a bare parameter argument aliases the caller's value: the
-                # pass-through of accumulating parameters must not copy them
-                params = tuple([
-                    env.params[arg[0].index - 1]
-                    if len(arg) == 1 and type(arg[0]) is Param
-                    else _Thunk(arg, env) if arg else ()
-                    for arg in it.args])
-                stack.append(("apply", it.state, g, i, params, acc, stay))
-        elif tag == "close":
-            _, label, kind, child_acc, acc = op
-            acc.append(Node(label, kind, tuple(child_acc)))
-        elif tag == "memo":
-            _, thunk, value_acc, acc = op
-            thunk.value, thunk.env = tuple(value_acc), None
-            acc.extend(value_acc)
-        elif tag == "apply":
-            _, state, g, i, params, acc, stay = op
-            syms, on_text, on_other, on_eps = table[state]
-            if i == len(g):
-                rhs = on_eps
+                    i, stay = i + 1, 0
+                syms, on_text, on_other, body = table[it.state]
+                if i < len(g):
+                    head = g[i]
+                    body = syms.get(head.label, on_text
+                                    if head.kind is _TEXT else on_other)
+                if body is None:
+                    raise TransducerError(NO_RULE % it.state)
+                pos, n = 0, len(body)
+            elif t is Node:
+                label, kind = it.label, it.kind
+                if label is None:
+                    if i == len(g):
+                        raise TransducerError(NO_CURRENT_NODE)
+                    label, kind = g[i].label, g[i].kind
+                elif not it.children:
+                    acc.append(it)  # a static leaf: terms are never mutated
+                    continue
+                if pos < n:
+                    push((_REST, body, pos, acc, g, i, params, stay))
+                child: List[Node] = []
+                push((_CLOSE, label, kind, child, acc))
+                body, pos, n, acc = it.children, 0, len(it.children), child
             else:
-                head = g[i]
-                rhs = syms.get(head.label, on_text
-                               if head.kind is NodeKind.TEXT else on_other)
-            if rhs is None:
-                raise TransducerError(NO_RULE % state)
-            stack.append(("seq", rhs, _Env(g, i, params, stay), acc))
-    return tuple(out)
+                v = params[it.index - 1]
+                if type(v) is _Thunk:
+                    if v.value is None:
+                        if pos < n:
+                            push((_REST, body, pos, acc, g, i, params, stay))
+                        value: List[Node] = []
+                        push((_MEMO, v, value, acc))
+                        body, pos, n, acc = v.rhs, 0, len(v.rhs), value
+                        g, i, params, stay = v.env
+                        continue
+                    v = v.value
+                acc.extend(v)
+        if not tasks:
+            return tuple(out)
+        task = tasks.pop()
+        if task[0] == _REST:
+            _, body, pos, acc, g, i, params, stay = task
+            n = len(body)
+        elif task[0] == _CLOSE:
+            _, label, kind, child, acc = task
+            acc.append(Node(label, kind, tuple(child)))
+        else:
+            _, v, value, acc = task
+            v.value, v.env = tuple(value), None
+            acc.extend(value)
 
 
 # ---------------------------------------------------------------------------

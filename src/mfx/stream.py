@@ -38,11 +38,11 @@ the output, over an input buffer that materialises lazily:
   once.  A memoised value is a tuple of events in which an earlier
   memoised value is one item, held by reference: reading a value adds
   that one item to its reader's target, and nothing is copied.
-* Each input step drains the pending output: nested values are flattened
-  and adjacent text coalesced, so output events leave as soon as they
-  are determined; emission never backtracks.  A tail call (last item of a
-  rule body) reuses the stack slot, so scanning a million siblings needs
-  constant stack.
+* Each input step drains the pending output to the sink in one call (none
+  if it is empty): nested values are flattened and adjacent text
+  coalesced, so output leaves on the step that determines it; emission
+  never backtracks.  A tail call (last item of a rule body) reuses the
+  stack slot, so scanning a million siblings needs constant stack.
 
 Memory behaviour falls out of reference counting: a retained input
 subtree is exactly one whose cell is still reachable from a live
@@ -89,19 +89,19 @@ class EngineError(TransducerError):
 class StreamStats:
     events_in: int = 0  # events delivered (sources skip dead levels)
     events_out: int = 0
+    steps_out: int = 0  # input steps that emitted output (Eof aside)
     nodes_buffered: int = 0  # cells filled
     peak_nodes: int = 0
     peak_suspensions: int = 0
     seconds: float = 0.0
-    first_output_ms: float = 0.0  # stream_run: start to first output event
+    first_output_ms: float = 0.0  # the run's start to its first sink call
 
     def lines(self) -> str:
-        return ("events_in=%d\nevents_out=%d\nnodes_buffered=%d\n"
-                "peak_nodes=%d\npeak_suspensions=%d\nms=%.1f\n"
-                "first_output_ms=%.1f"
-                % (self.events_in, self.events_out, self.nodes_buffered,
-                   self.peak_nodes, self.peak_suspensions,
-                   self.seconds * 1000.0, self.first_output_ms))
+        """A ``key=value`` line per field, in order; seconds print as ms."""
+        return "\n".join(
+            "ms=%.1f" % (v * 1000.0) if k == "seconds" else
+            ("%s=%.1f" if type(v) is float else "%s=%d") % (k, v)
+            for k, v in vars(self).items())
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +257,11 @@ _END = (END,)
 
 
 class Engine:
-    """One run: input goes to :attr:`feed` and :meth:`finish`, output
-    events to ``sink``."""
+    """One run: input goes to :attr:`feed` and :meth:`finish`, output to
+    ``sink``, a list of events per input step."""
 
     def __init__(self, m: Mft, sink: EventSink):
+        self.t0 = time.perf_counter()  # the run's start
         self.m = m
         self.rows = _Rows(m)
         self.stay_budget: Optional[int] = None  # set past STAY_FLOOR
@@ -346,14 +347,15 @@ class Engine:
             self._drain(not self.stack)
 
     def _drain(self, end: bool):
-        """Emit the pending output as the events of this step: flatten the
-        memoised values in it and coalesce adjacent text.  A trailing text
-        run waits for the next step, unless this is the end."""
+        """Emit the pending output as the events of this step, by one call
+        of the sink: flatten the memoised values in it and coalesce adjacent
+        text.  A trailing text run waits for the next step, unless this is
+        the end."""
         pending = self._pending
         if end:
             pending.append(EOF)
-        emit = self.emit
-        n = 0
+        events: list = []
+        add = events.append
         run = self._text_run
         its = [iter(pending)]
         while its:
@@ -372,15 +374,19 @@ class Engine:
                     content = "".join(run)
                     run = None
                     if content:
-                        emit(Text(content))
-                        n += 1
-                emit(ev)
-                n += 1
+                        add(Text(content))
+                add(ev)
             else:
                 its.pop()
         pending.clear()  # tasks hold this list: keep it
         self._text_run = run
-        self.stats.events_out += n - end  # Eof is not counted
+        if events:
+            stats = self.stats
+            if not stats.first_output_ms:
+                stats.first_output_ms = (time.perf_counter() - self.t0) * 1e3
+            stats.events_out += len(events) - end  # Eof is not counted
+            stats.steps_out += len(events) > end
+            self.emit(events)
 
     def _drive(self):
         stack = self.stack
@@ -521,23 +527,14 @@ class Engine:
 
 
 def stream_run(m: Mft, src, sink: EventSink) -> StreamStats:
-    """Run the transducer over an event source, pushing output events to
-    the sink as they are determined.  Returns the run's statistics.  The
-    source is a reader or an event stream (see :func:`mfx.xmlio.push`)."""
-    t0 = time.perf_counter()
-
-    def first(ev):
-        # times the first output event, then hands the sink over for good
-        if eng.emit is first:
-            stats.first_output_ms = (time.perf_counter() - t0) * 1000.0
-            eng.emit = sink
-        sink(ev)
-
-    eng = Engine(m, first)
-    stats = eng.stats
+    """Run the transducer over an event source, pushing each input step's
+    output events to the sink as they are determined.  Returns the run's
+    statistics.  The source is a reader or an event stream (see
+    :func:`mfx.xmlio.push`)."""
+    eng = Engine(m, sink)
     push(src, eng.feed)
     eng.finish()
     if eng.stack:
         raise EngineError("engine blocked at end of input")
-    stats.seconds = time.perf_counter() - t0
-    return stats
+    eng.stats.seconds = time.perf_counter() - eng.t0
+    return eng.stats

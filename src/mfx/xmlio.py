@@ -31,9 +31,9 @@ the expat handlers, building no event objects; iterating it builds the
 events of each chunk and yields them.  :func:`push` runs a reader or an
 event stream through a step.
 
-Writing is a push sink that serialises events as they arrive, which is
-what the streaming engine needs to emit output before the input is
-finished.
+Writing is a push sink, called with the events of one input step, that
+serialises them in one write: the streaming engine emits output before
+the input is finished.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import io
 import re
 import xml.parsers.expat
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Iterator, List, Optional, Union
 
 from .forest import Forest, Node, NodeKind
@@ -82,8 +81,8 @@ XmlEvent = Union[StartElement, StartAttribute, Text, End, Eof]
 END = End()
 EOF = Eof()
 
-#: Push-based consumer of events.
-EventSink = Callable[[XmlEvent], None]
+#: Push-based consumer of output, called with the events of one input step.
+EventSink = Callable[[Iterable[XmlEvent]], None]
 
 #: ``step(kind, label)``, what a reader pushes (see the module docstring).
 Step = Callable[[Optional[NodeKind], Optional[str]], bool]
@@ -353,11 +352,11 @@ def forest_events(f: Forest) -> Iterator[XmlEvent]:
     stack = [iter(f)]
     while stack:
         for t in stack[-1]:
-            if t.kind is NodeKind.TEXT:
+            if t.kind is _TEXT:
                 yield Text(t.label)
             else:
-                yield (StartAttribute(t.label) if t.kind is NodeKind.ATTRIBUTE
-                       else StartElement(t.label))
+                yield (StartElement(t.label) if t.kind is _ELEMENT
+                       else StartAttribute(t.label))
                 stack.append(iter(t.children))
                 break
         else:
@@ -366,72 +365,75 @@ def forest_events(f: Forest) -> Iterator[XmlEvent]:
                 yield END
 
 
-def _escape_text(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _escape_attr(s: str) -> str:
-    return _escape_text(s).replace('"', "&quot;")
-
-
 def write_events(events: Iterable[XmlEvent]) -> bytes:
-    """Serialise an event stream to bytes."""
+    """Serialise an event stream to bytes, by one call of the sink."""
     out = io.BytesIO()
-    sink = sink_to(out)
-    for ev in events:
-        sink(ev)
+    sink_to(out)(events)
     return out.getvalue()
 
 
 def sink_to(out) -> EventSink:
     """An event sink writing serialised XML to a binary file object; it
-    keeps the names of the open elements for their end tags.  It looks up
-    ``out.write`` at every write, so the file object may replace it."""
+    keeps the names of the open elements for their end tags.  A call
+    makes at most one write, of the bytes of all its events, also when it
+    raises :class:`XmlError`.  It looks up ``out.write`` at every write, so
+    the file object may replace it."""
     stack: List[str] = []  # the names of the open elements
     tag_open = False  # the last start tag is not closed yet
-    attr: Optional[List[str]] = None  # the attribute read: name, then text
+    # the attribute read: its name, then its escaped text
+    attr: Optional[List[str]] = None
 
-    def sink(ev: XmlEvent):
+    def sink(events: Iterable[XmlEvent]):
         nonlocal tag_open, attr
-        # event classes have no subclasses: dispatch on the exact type,
-        # the most frequent first
-        t = type(ev)
-        if t is End:
-            if attr is not None:
-                value = _escape_attr("".join(attr[1:]))
-                out.write((' %s="%s"' % (attr[0], value)).encode("utf-8"))
-                attr = None
-            elif tag_open:
-                stack.pop()
-                out.write(b"/>")
-                tag_open = False
-            elif stack:
-                out.write(("</%s>" % stack.pop()).encode("utf-8"))
-            else:
-                raise XmlError("unbalanced events: End with no open element")
-        elif t is StartElement:
-            out.write((("><" if tag_open else "<") + ev.name).encode("utf-8"))
-            stack.append(ev.name)
-            tag_open = True
-        elif t is Text:
-            if attr is not None:
-                attr.append(ev.content)
-            else:
-                text = _escape_text(ev.content)
-                out.write(((">" + text) if tag_open else text).encode("utf-8"))
-                tag_open = False
-        elif t is StartAttribute:
-            if not tag_open:
-                raise XmlError("attribute event outside a start tag")
-            attr = [ev.name]
-        elif t is Eof and stack:
-            raise XmlError("Eof with %d open elements" % len(stack))
+        parts: List[str] = []
+        add = parts.append
+        try:
+            # event classes have no subclasses: dispatch on the exact type,
+            # the most frequent first
+            for ev in events:
+                t = type(ev)
+                if t is End:
+                    if attr is not None:
+                        add(' %s="%s"' % (attr[0], "".join(attr[1:])))
+                        attr = None
+                    elif tag_open:
+                        stack.pop()
+                        add("/>")
+                        tag_open = False
+                    elif stack:
+                        add("</%s>" % stack.pop())
+                    else:
+                        raise XmlError(
+                            "unbalanced events: End with no open element")
+                elif t is StartElement:
+                    add(("><" if tag_open else "<") + ev.name)
+                    stack.append(ev.name)
+                    tag_open = True
+                elif t is Text:
+                    text = ev.content.replace("&", "&amp;").replace(
+                        "<", "&lt;").replace(">", "&gt;")
+                    if attr is not None:
+                        attr.append(text.replace('"', "&quot;"))
+                    else:
+                        if tag_open:
+                            add(">")
+                            tag_open = False
+                        add(text)
+                elif t is StartAttribute:
+                    if not tag_open:
+                        raise XmlError("attribute event outside a start tag")
+                    attr = [ev.name]
+                elif t is Eof and stack:
+                    raise XmlError("Eof with %d open elements" % len(stack))
+        finally:
+            if parts:
+                out.write("".join(parts).encode("utf-8"))
 
     return sink
 
 
 def forest_to_bytes(f: Forest) -> bytes:
-    return write_events(chain(forest_events(f), (EOF,)))
+    return write_events(forest_events(f))
 
 
 def bytes_to_forest(data, keep_whitespace: bool = False) -> Forest:

@@ -100,7 +100,7 @@ def test_hot_value_classes_are_slotted():
     from mfx import mft, stream, xmlio
     from mfx.forest import Call, Node, Param
     hot = (Node, Call, Param, xmlio.StartElement, xmlio.StartAttribute,
-           xmlio.Text, stream._Susp, stream._Cell, mft._Env, mft._Thunk)
+           xmlio.Text, stream._Susp, stream._Cell, mft._Thunk)
     unslotted = [cls.__name__ for cls in hot
                  if "__slots__" not in vars(cls)
                  or "__dict__" in dir(cls)]

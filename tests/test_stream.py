@@ -7,8 +7,9 @@ import mfx.stream
 from mfx.compile import compile_text
 from mfx.forest import NodeKind
 from mfx.compose import compose, ft_to_mtt
-from mfx.mft import (DEFAULT, EPS, Call, Mft, Node, Rule, StayBudgetExceeded,
-                     TransducerError, evaluate, parse_mft)
+from mfx.mft import (DEFAULT, EPS, NO_CURRENT_NODE, NO_RULE, Call, Mft, Node,
+                     Rule, StayBudgetExceeded, TransducerError, evaluate,
+                     parse_mft)
 from mfx.optimize import optimize
 from mfx.stream import Engine, EngineError, _Rows, stream_run
 from mfx.xmlio import (_CHUNK, EOF, End, StartElement, Text, XmlError,
@@ -339,7 +340,7 @@ def test_a_refused_start_skips_the_rest_of_its_level():
     for name, as_list in ((n, s) for n in ("q01", "q13", "q17")
                           for s in (False, True)):
         eng = Engine(optimize(compile_text(CORPUS_QUERIES[name])),
-                     lambda ev: None)
+                     lambda batch: None)
         steps = []
 
         def step(kind, label):
@@ -420,13 +421,13 @@ def test_input_cut_inside_a_dropped_subtree_fails_typed(never_drop):
               StartElement("c"), EOF]
     msg = "input ended with 3 open elements"
     with pytest.raises(XmlError, match=msg):
-        stream_run(m, iter(events), lambda ev: None)
+        stream_run(m, iter(events), lambda batch: None)
     body = b"<i>x</i>" * (3 * _CHUNK)
     with pytest.raises(XmlError, match=r"line 1, column \d+"):
         stream_bytes(m, b"<a><b>" + body)
     never_drop()
     with pytest.raises(EngineError, match=msg):
-        stream_run(m, iter(events), lambda ev: None)
+        stream_run(m, iter(events), lambda batch: None)
 
 
 def test_symbol_rule_beats_text_guard_in_both_interpreters():
@@ -461,6 +462,24 @@ q(eps) -> eps
         stream_bytes(m, b"<a/>")
     with pytest.raises(TransducerError, match="state q"):
         evaluate(m, (elem("a"),))
+
+
+@pytest.mark.parametrize("rules, message", [
+    ("q(%t(x1)x2) -> %t(q(x1)) q(x2)\n", NO_RULE % "q"),
+    ("q(%t(x1)x2) -> q(x1)\nq(eps) -> %t()\n", NO_CURRENT_NODE),
+    ("q(%t(x1)x2) -> q(x0)\nq(eps) -> q(x0)\n",
+     "stay-move budget exceeded in state q"),
+], ids=["no-rule", "no-current-node", "stay-budget"])
+def test_both_interpreters_fail_with_the_same_message(rules, message):
+    # unvalidated: the first has no eps rule, the second a %t on eps
+    m = parse_mft(rules)
+    with pytest.raises(TransducerError) as streamed:
+        stream_bytes(m, b"<a/>")
+    with pytest.raises(TransducerError) as evaluated:
+        evaluate(m, (elem("a"),))
+    assert type(streamed.value) is type(evaluated.value)
+    assert str(streamed.value) == str(evaluated.value)
+    assert str(evaluated.value).startswith(message)
 
 
 #: one rule body per kind of compiled op and argument plan: static leaves
@@ -538,7 +557,7 @@ def test_text_runs_wait_across_input_steps():
         steps, eng = stepped(m, events)
         out = _folded(steps)
         whole = []
-        stream_run(m, iter(events), whole.append)
+        stream_run(m, iter(events), whole.extend)
         assert out == whole
         assert not any(type(a) is Text is type(b)
                        for a, b in zip(out, out[1:]))
@@ -568,6 +587,19 @@ def test_first_output_is_timed(m_person):
     _, st = stream_bytes(m_person, DOC1)
     assert 0.0 < st.first_output_ms <= st.seconds * 1000.0
     assert "first_output_ms=" in st.lines()
+
+
+def test_steps_out_counts_the_input_steps_that_emitted_output():
+    # the sink is called once per input step that has output; a constant
+    # query has all of it at the end of the input
+    from mfx.bench import CORPUS_QUERIES
+    from mfx.gen import generate_bytes
+    _, st = stream_bytes(compile_text("<r>hello</r>"), b"<a><b/></a>")
+    assert (st.steps_out, st.events_out) == (1, 3)
+    assert "steps_out=1" in st.lines().split()
+    m = optimize(compile_text(CORPUS_QUERIES["q02"]))
+    _, st = stream_bytes(m, generate_bytes("xmark-lite", 2000, 0))
+    assert 1 < st.steps_out <= st.events_in
 
 
 #: c is a copy state: a call of it copies its input forest in one task.

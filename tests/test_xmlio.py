@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -73,7 +74,8 @@ def test_unbalanced_sink_rejected():
 
 def test_sink_looks_up_write_at_every_write():
     # a file object may replace its write method once its first byte has
-    # arrived, as one that notes the time of its first output does
+    # arrived, as one that notes the time of its first output does; a call
+    # of the sink makes one write
     class Out:
         def __init__(self):
             self.chunks, self.firsts = [], 0
@@ -85,9 +87,63 @@ def test_sink_looks_up_write_at_every_write():
 
     out = Out()
     sink = sink_to(out)
-    for ev in (StartElement("a"), Text("x"), END, EOF):
-        sink(ev)
-    assert (out.firsts, b"".join(out.chunks)) == (1, b"<a>x</a>")
+    sink([StartElement("a"), Text("x")])
+    sink([END, EOF])
+    assert (out.firsts, out.chunks) == (1, [b"<a>x", b"</a>"])
+
+
+def _batches(rng, events):
+    """``events`` cut at random points into batches, some of them empty."""
+    cuts = sorted(rng.randrange(len(events) + 1)
+                  for _ in range(rng.randrange(8)))
+    return [events[a:b] for a, b in zip([0] + cuts, cuts + [len(events)])]
+
+
+def test_written_bytes_do_not_depend_on_the_batches():
+    # the engine calls the sink once per input step, so a batch may end in
+    # an open tag, a text run or an attribute value
+    rng = random.Random(24)
+    inside = set()
+    for _ in range(200):
+        f = random_forest(rng, budget=18, attrs=True,
+                          contents=("a<b", 'x&"y', "z>", " w "))
+        events = []  # with each text split in two: a run of two events
+        for ev in forest_events(f):
+            if type(ev) is Text:
+                k = rng.randrange(1, len(ev.content))
+                events += [Text(ev.content[:k]), Text(ev.content[k:])]
+            else:
+                events.append(ev)
+        whole = write_events(events)
+        assert whole == forest_to_bytes(f)
+        out = io.BytesIO()
+        sink = sink_to(out)
+        batches = _batches(rng, events)
+        for batch in batches:
+            sink(iter(batch))
+        assert out.getvalue() == whole
+        at = 0
+        for batch in batches[:-1]:
+            at += len(batch)
+            if 0 < at < len(events):
+                inside.add((type(events[at - 1]), type(events[at])))
+    assert {(StartElement, Text), (StartAttribute, Text),
+            (Text, Text)} <= inside
+
+
+def test_a_batch_with_an_unbalanced_end_writes_its_prefix_then_raises():
+    out = io.BytesIO()
+    with pytest.raises(XmlError, match="End with no open element"):
+        sink_to(out)([StartElement("a"), Text("x"), END, END, Text("y")])
+    assert out.getvalue() == b"<a>x</a>"
+
+
+def test_an_empty_batch_writes_nothing():
+    writes = []
+    sink = sink_to(type("Out", (), {"write": staticmethod(writes.append)}))
+    sink([])
+    sink(iter(()))
+    assert writes == []
 
 
 def test_roundtrip_random_documents():

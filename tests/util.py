@@ -87,7 +87,7 @@ def stream_bytes(m: Mft, xml: bytes) -> Tuple[bytes, StreamStats]:
 
 def measure(m: Mft, src) -> StreamStats:
     """Like ``stream_run`` with the output discarded."""
-    return stream_run(m, src, lambda ev: None)
+    return stream_run(m, src, lambda batch: None)
 
 
 def stepped(m: Mft, events: list, force_drive: bool = False):
@@ -100,7 +100,7 @@ def stepped(m: Mft, events: list, force_drive: bool = False):
     waited on no cell."""
     at = [0]
     steps: Dict[int, list] = {}
-    eng = Engine(m, lambda ev: steps.setdefault(at[0], []).append(ev))
+    eng = Engine(m, lambda batch: steps.setdefault(at[0], []).extend(batch))
     feed = eng.feed
 
     def forced(kind, label):
@@ -142,7 +142,7 @@ def eval_events(m: Mft, f: Forest) -> list:
 def engine_events(m: Mft, f: Forest) -> list:
     """The engine's output on the events of ``f``, fed without parsing."""
     out: list = []
-    stream_run(m, iter(list(forest_events(f)) + [EOF]), out.append)
+    stream_run(m, iter(list(forest_events(f)) + [EOF]), out.extend)
     return flat_events(out)
 
 
